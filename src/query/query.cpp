@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "query/fingerprint.h"
+
 namespace fj {
 
 std::vector<std::string> QueryKeyGroup::TouchedAliases() const {
@@ -234,38 +236,7 @@ std::string QueryFingerprint::ToString() const {
 }
 
 QueryFingerprint Query::Fingerprint() const {
-  // Canonical per-component strings, sorted so that construction order (and
-  // the order joins/filters happen to be stored in) cannot change the digest.
-  std::vector<std::string> parts;
-  parts.reserve(tables_.size() + joins_.size());
-  for (const TableRef& t : tables_) {
-    std::string part = "T\x1f" + t.alias + "\x1f" + t.table;
-    auto it = filters_.find(t.alias);
-    if (it != filters_.end() && it->second->kind() != Predicate::Kind::kTrue) {
-      part += "\x1f" + it->second->ToString();
-    }
-    parts.push_back(std::move(part));
-  }
-  for (const JoinCondition& j : joins_) {
-    // Orientation-insensitive: a.x = b.y and b.y = a.x digest the same.
-    std::string l = j.left.ToString(), r = j.right.ToString();
-    if (r < l) std::swap(l, r);
-    parts.push_back("J\x1f" + l + "\x1f" + r);
-  }
-  std::sort(parts.begin(), parts.end());
-
-  QueryFingerprint fp;
-  fp.lo = Fnv1a64("fp", 0xcbf29ce484222325ULL);
-  fp.hi = Fnv1a64("fp", 0x9ae16a3b2f90404fULL);
-  for (const std::string& part : parts) {
-    // Two independent streams give 128 bits; each part is length-delimited
-    // by the \x1f separators plus this terminator byte.
-    fp.lo = Fnv1a64(part, fp.lo) * 0x100000001b3ULL ^ 0x1e;
-    fp.hi = HashCombine(fp.hi, Fnv1a64(part, 0x9ae16a3b2f90404fULL));
-  }
-  fp.lo = Mix64(fp.lo ^ parts.size());
-  fp.hi = Mix64(fp.hi ^ Mix64(parts.size()));
-  return fp;
+  return SubplanFingerprinter(*this).Of(~uint64_t{0});
 }
 
 std::string Query::ToString() const {

@@ -149,7 +149,10 @@ class Query {
 
   /// Canonical order-insensitive fingerprint of tables + joins + filters.
   /// Filters that are Predicate::True() digest the same as absent filters,
-  /// and both orientations of a join condition digest identically.
+  /// and both orientations of a join condition digest identically; a
+  /// repeated join condition counts once per occurrence. This is
+  /// SubplanFingerprinter(*this).Of(every alias) (query/fingerprint.h), so
+  /// an induced sub-query's fingerprint equals Of() of its mask.
   QueryFingerprint Fingerprint() const;
 
   std::string ToString() const;

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "query/fingerprint.h"
+
 namespace fj {
 namespace {
 
@@ -15,6 +17,20 @@ namespace {
 QueryFingerprint BatchKey(const QueryFingerprint& fp) {
   return {Mix64(fp.lo ^ 0xb4793d1a2c5e6f07ULL),
           Mix64(fp.hi ^ 0x167f3ac2d4b59e81ULL)};
+}
+
+// The table bitmap a cache entry covering `alias_mask` is tagged with: the
+// OR of TableEpochRegistry::AliasBits over its aliases. Bits past the
+// query's aliases select no table, as they select no alias.
+uint64_t TableBitsOf(const std::vector<uint64_t>& alias_bits,
+                     uint64_t alias_mask) {
+  uint64_t bits = 0;
+  for (uint64_t m = alias_mask; m != 0; m &= m - 1) {
+    size_t i = static_cast<size_t>(std::countr_zero(m));
+    if (i >= alias_bits.size()) break;
+    bits |= alias_bits[i];
+  }
+  return bits;
 }
 
 }  // namespace
@@ -341,21 +357,21 @@ void EstimatorService::FinishRequest(Request& req, obs::RequestTrace& trace,
   }
   bool slow = slow_log_.enabled() &&
               trace.total_micros >= slow_log_.threshold_micros();
-  if (slow) {
-    // Fingerprint computed only for offenders; never on the fast path.
-    slow_log_.MaybeLog(kind, req.query.Fingerprint(), masks, trace);
-  }
   uint64_t finished = finished_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.flight_recorder != nullptr) {
-    // Every Nth request plus every slow-log offender: the sampled stream
-    // keeps the recent ring representative, the offenders make sure the
-    // requests worth dumping are never sampled away.
-    bool sampled = options_.flight_sample_every != 0 &&
-                   finished % options_.flight_sample_every == 0;
-    if (sampled || slow) {
-      options_.flight_recorder->Append(kind, req.query.Fingerprint(), masks,
-                                       options_.model_name.c_str(), trace);
-    }
+  // The flight recorder keeps every Nth request plus every slow-log
+  // offender: the sampled stream keeps the recent ring representative, the
+  // offenders make sure the requests worth dumping are never sampled away.
+  bool record = options_.flight_recorder != nullptr &&
+                (slow || (options_.flight_sample_every != 0 &&
+                          finished % options_.flight_sample_every == 0));
+  if (!slow && !record) return;
+  // Fingerprinted once, and only for requests that are logged or recorded;
+  // never on the fast path.
+  QueryFingerprint fp = req.query.Fingerprint();
+  if (slow) slow_log_.MaybeLog(kind, fp, masks, trace);
+  if (record) {
+    options_.flight_recorder->Append(kind, fp, masks,
+                                     options_.model_name.c_str(), trace);
   }
 }
 
@@ -380,7 +396,7 @@ double EstimatorService::ServeSingle(const Query& query,
   // estimator runs, the inserted entry is tagged with the pre-update epoch
   // and dies on its next lookup instead of serving a stale estimate forever.
   uint64_t epoch = epochs_.Epoch();
-  uint64_t table_bits = epochs_.BitsFor(query.BaseTables());
+  uint64_t table_bits = TableBitsOf(epochs_.AliasBits(query), ~uint64_t{0});
   WallTimer compute;
   double estimate = estimator_.EstimateTraced(query, trace);
   obs::SpanTimer insert_span;
@@ -392,13 +408,14 @@ double EstimatorService::ServeSingle(const Query& query,
 std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
     const Query& query, const std::vector<uint64_t>& masks,
     obs::RequestTrace* trace) {
-  std::unordered_map<uint64_t, double> out;
-  out.reserve(masks.size());
   if (!options_.cache_enabled) {
-    out = EstimateMisses(query, masks, trace);
+    std::unordered_map<uint64_t, double> out =
+        EstimateMisses(query, masks, trace);
     subplans_estimated_.fetch_add(masks.size(), std::memory_order_relaxed);
     return out;
   }
+  std::unordered_map<uint64_t, double> out;
+  out.reserve(masks.size());
 
   // Resolve each sub-plan against the cache by its canonical fingerprint;
   // a sub-plan estimated under a *different* parent query still hits. The
@@ -410,13 +427,16 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
   // Epoch snapshot before any estimation (see ServeSingle): entries
   // inserted below are invalidated by any update racing this batch.
   uint64_t epoch = epochs_.Epoch();
-  // The cache-probe span covers the whole resolve loop: per-mask
-  // fingerprinting plus the sharded lookups.
+  // The cache-probe span covers the whole resolve loop: digesting the
+  // query's parts once, then per mask summing them into its key (the
+  // induced sub-query's Fingerprint(), without building that sub-query)
+  // plus the sharded lookup.
   obs::SpanTimer probe_span;
+  SubplanFingerprinter keys(query);
   std::vector<uint64_t> miss_masks;
   std::vector<QueryFingerprint> miss_fps;
   for (uint64_t mask : masks) {
-    QueryFingerprint fp = BatchKey(query.InducedSubquery(mask).Fingerprint());
+    QueryFingerprint fp = BatchKey(keys.Of(mask));
     if (auto cached = cache_.Lookup(fp)) {
       out.emplace(mask, *cached);
     } else {
@@ -442,10 +462,7 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
     // Table bits per alias, resolved once per batch: the per-entry loop
     // below must stay free of registry locks and allocations (a batch can
     // carry ~10k masks).
-    std::vector<uint64_t> alias_bits(query.NumTables());
-    for (size_t i = 0; i < query.NumTables(); ++i) {
-      alias_bits[i] = epochs_.BitsFor(query.BaseTables(uint64_t{1} << i));
-    }
+    std::vector<uint64_t> alias_bits = epochs_.AliasBits(query);
     // Cache insertion is probe-side bookkeeping, not estimation: it counts
     // into the cache-probe stage together with the lookup loop above.
     obs::SpanTimer insert_span;
@@ -454,13 +471,9 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
       auto it = fresh.find(miss_masks[i]);
       if (it == fresh.end()) continue;  // estimator skipped the mask
       out.emplace(miss_masks[i], it->second);
-      uint64_t table_bits = 0;
-      uint64_t m = miss_masks[i];
-      while (m != 0) {
-        table_bits |= alias_bits[static_cast<size_t>(std::countr_zero(m))];
-        m &= m - 1;
-      }
-      cache_.Insert(miss_fps[i], it->second, table_bits, epoch, cost_micros);
+      cache_.Insert(miss_fps[i], it->second,
+                    TableBitsOf(alias_bits, miss_masks[i]), epoch,
+                    cost_micros);
       ++produced;
     }
     insert_span.Record(trace, obs::Stage::kCacheProbe);

@@ -23,6 +23,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "query/query.h"
+
 namespace fj {
 
 class TableEpochRegistry {
@@ -53,11 +55,27 @@ class TableEpochRegistry {
   }
 
   /// Bitmap over the bits assigned to `tables`, registering unseen names.
-  /// Thread-safe (mutex-protected registry; called once per cache insert).
+  /// Thread-safe (mutex-protected registry).
   uint64_t BitsFor(const std::vector<std::string>& tables) {
     uint64_t bits = 0;
     for (const std::string& name : tables) {
       bits |= uint64_t{1} << BitIndexFor(name);
+    }
+    return bits;
+  }
+
+  /// The bit of each alias's base table, in query.tables() order,
+  /// registering unseen tables in that order; self-joined aliases share
+  /// their table's bit. A cache entry is tagged with the OR over the bits
+  /// of the aliases it covers, so the single-estimate path (every alias)
+  /// and the batch path (each mask) share one registration order and give
+  /// the same bitmap for the same aliases. One lock acquisition per query.
+  std::vector<uint64_t> AliasBits(const Query& query) {
+    std::vector<uint64_t> bits;
+    bits.reserve(query.NumTables());
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const TableRef& t : query.tables()) {
+      bits.push_back(uint64_t{1} << BitIndexLocked(t.table));
     }
     return bits;
   }
@@ -85,6 +103,11 @@ class TableEpochRegistry {
  private:
   size_t BitIndexFor(const std::string& table_name) {
     std::lock_guard<std::mutex> lock(mu_);
+    return BitIndexLocked(table_name);
+  }
+
+  // Caller holds mu_.
+  size_t BitIndexLocked(const std::string& table_name) {
     auto it = bit_of_.find(table_name);
     if (it != bit_of_.end()) return it->second;
     size_t bit = std::min(bit_of_.size(), kMaxTrackedBits - 1);

@@ -443,6 +443,27 @@ TEST(TableEpochRegistryTest, PerTableEpochsDriveStaleness) {
   EXPECT_FALSE(reg.IsStale(orders, reg.Epoch()));
 }
 
+// Both serving paths tag entries from AliasBits: tables register in alias
+// order, self-joined aliases share a bit, and the OR over every alias is the
+// bitmap of the query's distinct base tables.
+TEST(TableEpochRegistryTest, AliasBitsFollowAliasOrder) {
+  Query q;
+  q.AddTable("orders", "o1").AddTable("users", "u").AddTable("orders", "o2");
+  q.AddJoin("o1", "user_id", "u", "id").AddJoin("o2", "user_id", "u", "id");
+
+  TableEpochRegistry reg;
+  std::vector<uint64_t> bits = reg.AliasBits(q);
+  ASSERT_EQ(bits.size(), 3u);
+  EXPECT_EQ(bits[0], uint64_t{1} << 0);  // orders registered first
+  EXPECT_EQ(bits[1], uint64_t{1} << 1);
+  EXPECT_EQ(bits[2], bits[0]);
+  EXPECT_EQ(reg.NumRegisteredTables(), 2u);
+
+  TableEpochRegistry by_name;
+  EXPECT_EQ(by_name.BitsFor(q.BaseTables()), bits[0] | bits[1] | bits[2]);
+  EXPECT_EQ(by_name.AliasBits(q), bits);
+}
+
 TEST(ShardedCacheTest, StaleEntriesAreLazilyInvalidated) {
   TableEpochRegistry reg;
   ShardedEstimateCache cache(64, 4, &reg);
@@ -558,6 +579,39 @@ TEST(ServiceTest, BatchInvalidationIsTargeted) {
   EXPECT_EQ(after.cache.hits, before.cache.hits + 3);
   EXPECT_EQ(after.cache.misses, before.cache.misses + 3);
   EXPECT_EQ(after.cache.invalidations - before.cache.invalidations, 3u);
+}
+
+// Masks arrive from remote clients unchecked, and the default
+// EstimateSubplans ignores bits past the query's aliases (as InducedSubquery
+// does). Such a mask keys like its in-range part, and its entry is tagged
+// with the tables of the aliases that exist.
+TEST(ServiceTest, MaskBitsPastTheAliasesKeyAndTagLikeTheirAliases) {
+  class CountingEstimator : public CardinalityEstimator {
+   public:
+    std::string Name() const override { return "counting"; }
+    double Estimate(const Query& query) const override {
+      calls.fetch_add(1);
+      return static_cast<double>(query.NumTables());
+    }
+    mutable std::atomic<int> calls{0};
+  };
+  CountingEstimator estimator;
+  EstimatorService service(estimator, {.num_threads = 1});
+  Query q;
+  q.AddTable("users", "u").AddTable("orders", "o");
+  q.AddJoin("u", "id", "o", "user_id");
+  const uint64_t wide = 0b01 | (uint64_t{1} << 40);  // {u} and a stray bit
+
+  EXPECT_EQ(service.EstimateSubplans(q, {wide}).at(wide), 1.0);
+  EXPECT_EQ(service.EstimateSubplans(q, {0b01}).at(0b01), 1.0);  // a hit
+  EXPECT_EQ(estimator.calls.load(), 1);
+
+  service.NotifyUpdate("orders");  // {u} does not touch orders
+  service.EstimateSubplans(q, {wide});
+  EXPECT_EQ(estimator.calls.load(), 1);
+  service.NotifyUpdate("users");
+  service.EstimateSubplans(q, {wide});
+  EXPECT_EQ(estimator.calls.load(), 2);
 }
 
 TEST(ServiceTest, NotifyUpdateBumpsEpochAndCounters) {

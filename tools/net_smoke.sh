@@ -225,17 +225,20 @@ else
   "$LOADGEN_BIN" "${WORKLOAD_FLAGS[@]}" --port "$PORT" --remote \
     --schedule const:200000 --ops 200000 > "$WORKDIR/loadgen.log" 2>&1 &
   LOADGEN_PID=$!
+  # /healthz answers 503 while overloaded, so its body is read whatever the
+  # status (no -f): the monitor can go from ok straight to overloaded.
+  left_ok() { grep -qE '"state":"(degraded|overloaded)"' <<<"$1"; }
   NONOK=""
   for _ in $(seq 1 300); do
-    H=$(curl -sf "$BASE_URL/healthz" || true)
-    if [[ -n "$H" ]] && ! grep -q '"state":"ok"' <<<"$H"; then
+    H=$(curl -s "$BASE_URL/healthz" || true)
+    if left_ok "$H"; then
       NONOK="$H"
       break
     fi
     if ! kill -0 "$LOADGEN_PID" 2>/dev/null; then
       # Burst already drained; one last look before giving up.
-      H=$(curl -sf "$BASE_URL/healthz" || true)
-      if [[ -n "$H" ]] && ! grep -q '"state":"ok"' <<<"$H"; then NONOK="$H"; fi
+      H=$(curl -s "$BASE_URL/healthz" || true)
+      if left_ok "$H"; then NONOK="$H"; fi
       break
     fi
     sleep 0.1
