@@ -252,8 +252,7 @@ int main(int argc, char** argv) {
                 r.latency.ValueAtQuantile(0.99),
                 r.latency.ValueAtQuantile(0.999),
                 static_cast<unsigned long long>(r.errors),
-                static_cast<unsigned long long>(after.updates_notified -
-                                                before.updates_notified));
+                static_cast<unsigned long long>(after.epoch - before.epoch));
     AddLoadPoint(&report, "openloop_mixed", r.offered_qps, r.achieved_qps,
                  r.latency);
     report.Add("openloop_mixed_updates", static_cast<double>(r.updates));

@@ -4,6 +4,27 @@
 #include <utility>
 
 namespace fj::net {
+namespace {
+
+// A request completion that decodes the response body with `decode` and
+// hands the value, or the error (a decode failure included), to `done`.
+template <typename T, typename TypedDone>
+auto Decoded(T (*decode)(const std::vector<uint8_t>&), TypedDone done) {
+  return [decode, done = std::move(done)](const Frame* frame,
+                                          std::exception_ptr error) {
+    T value{};
+    if (frame != nullptr) {
+      try {
+        value = decode(frame->body);
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
+    done(std::move(value), std::move(error));
+  };
+}
+
+}  // namespace
 
 EstimatorClient::EstimatorClient(EstimatorClientOptions options)
     : options_(std::move(options)) {}
@@ -45,42 +66,31 @@ void EstimatorClient::ConnectLocked() {
   }
 
   // Handshake, synchronously, before the receiver takes over the socket.
-  if (!WriteFrame(fd, MsgType::kHello, 0, EncodeHello({}))) {
-    CloseSocket(fd);
-    throw NetError("connection closed during handshake");
-  }
-  std::optional<Frame> ack;
+  // Any failure closes the fresh socket before it propagates.
   try {
-    ack = ReadFrame(fd, options_.max_frame_bytes);
+    if (!WriteFrame(fd, MsgType::kHello, 0, EncodeHello({}))) {
+      throw NetError("connection closed during handshake");
+    }
+    std::optional<Frame> ack = ReadFrame(fd, options_.max_frame_bytes);
+    if (!ack.has_value()) {
+      throw NetError("connection closed during handshake");
+    }
+    if (ack->type == MsgType::kError) {
+      throw ProtocolError("server rejected handshake: " +
+                          DecodeError(ack->body));
+    }
+    if (ack->type != MsgType::kHelloAck) {
+      throw ProtocolError("expected hello ack");
+    }
+    uint16_t version = DecodeHello(ack->body).version;
+    if (version != kProtocolVersion) {
+      throw ProtocolError("server speaks protocol version " +
+                          std::to_string(version) + ", client speaks " +
+                          std::to_string(kProtocolVersion));
+    }
   } catch (...) {
     CloseSocket(fd);
     throw;
-  }
-  if (!ack.has_value()) {
-    CloseSocket(fd);
-    throw NetError("connection closed during handshake");
-  }
-  if (ack->type == MsgType::kError) {
-    std::string message = DecodeError(ack->body);
-    CloseSocket(fd);
-    throw ProtocolError("server rejected handshake: " + message);
-  }
-  if (ack->type != MsgType::kHelloAck) {
-    CloseSocket(fd);
-    throw ProtocolError("expected hello ack");
-  }
-  Hello hello;
-  try {
-    hello = DecodeHello(ack->body);
-  } catch (...) {
-    CloseSocket(fd);
-    throw;
-  }
-  if (hello.version != kProtocolVersion) {
-    CloseSocket(fd);
-    throw ProtocolError("server speaks protocol version " +
-                        std::to_string(hello.version) + ", client speaks " +
-                        std::to_string(kProtocolVersion));
   }
 
   fd_ = fd;
@@ -108,18 +118,28 @@ void EstimatorClient::ReceiverLoop(int fd) {
         reason = "connection closed by server";
         break;
       }
-      PendingPtr pending;
+      decltype(pending_)::node_type node;
       {
         std::lock_guard<std::mutex> lock(pending_mu_);
-        auto it = pending_.find(frame->request_id);
-        if (it != pending_.end()) {
-          pending = std::move(it->second);
-          pending_.erase(it);
-        }
+        node = pending_.extract(frame->request_id);
       }
       // Responses for ids we no longer track (failed by an earlier
       // disconnect) are dropped.
-      if (pending != nullptr) Complete(*pending, *frame);
+      if (node.empty()) continue;
+      Pending& pending = node.mapped();
+      std::exception_ptr error;
+      try {
+        if (frame->type == MsgType::kError) {
+          throw RemoteError(DecodeError(frame->body));
+        }
+        if (frame->type != pending.expect) {
+          throw ProtocolError("response type does not match request");
+        }
+      } catch (...) {
+        error = std::current_exception();
+      }
+      const Frame* response = error == nullptr ? &*frame : nullptr;
+      pending.done(response, std::move(error));
     }
   } catch (const ProtocolError&) {
     reason = "malformed frame from server";
@@ -129,116 +149,71 @@ void EstimatorClient::ReceiverLoop(int fd) {
 }
 
 void EstimatorClient::FailAllPending(const char* reason) {
-  std::unordered_map<uint64_t, PendingPtr> failed;
+  std::unordered_map<uint64_t, Pending> failed;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     failed.swap(pending_);
   }
   for (auto& [id, pending] : failed) {
-    auto error = std::make_exception_ptr(NetError(reason));
-    FailPending(*pending, error);
+    pending.done(nullptr, std::make_exception_ptr(NetError(reason)));
   }
 }
 
-void EstimatorClient::FailPending(Pending& pending, std::exception_ptr error) {
-  switch (pending.expect) {
-    case MsgType::kEstimateResp:
-      if (pending.traced) {
-        pending.traced_single.set_exception(std::move(error));
-      } else if (pending.single_done) {
-        pending.single_done(0.0, std::move(error));
-      } else {
-        pending.single.set_exception(std::move(error));
-      }
-      break;
-    case MsgType::kSubplansResp:
-      if (pending.traced) {
-        pending.traced_batch.set_exception(std::move(error));
-      } else {
-        pending.batch.set_exception(std::move(error));
-      }
-      break;
-    case MsgType::kNotifyUpdateResp:
-      pending.epoch.set_exception(std::move(error));
-      break;
-    case MsgType::kStatsResp:
-      pending.stats.set_exception(std::move(error));
-      break;
-    default:
-      break;
-  }
-}
-
-void EstimatorClient::Complete(Pending& pending, const Frame& frame) {
-  try {
-    if (frame.type == MsgType::kError) {
-      throw RemoteError(DecodeError(frame.body));
-    }
-    if (frame.type != pending.expect) {
-      throw ProtocolError("response type does not match request");
-    }
-    switch (pending.expect) {
-      case MsgType::kEstimateResp:
-        if (pending.traced) {
-          EstimateResp resp = DecodeEstimateRespFull(frame.body);
-          pending.traced_single.set_value(
-              {resp.estimate, resp.has_trace, resp.trace});
-        } else if (pending.single_done) {
-          pending.single_done(DecodeEstimateResp(frame.body), nullptr);
-        } else {
-          pending.single.set_value(DecodeEstimateResp(frame.body));
-        }
-        return;
-      case MsgType::kSubplansResp:
-        if (pending.traced) {
-          SubplansResp resp = DecodeSubplansRespFull(frame.body);
-          pending.traced_batch.set_value(
-              {std::move(resp.estimates), resp.has_trace, resp.trace});
-        } else {
-          pending.batch.set_value(DecodeSubplansResp(frame.body));
-        }
-        return;
-      case MsgType::kNotifyUpdateResp:
-        pending.epoch.set_value(DecodeNotifyUpdateResp(frame.body));
-        return;
-      case MsgType::kStatsResp:
-        pending.stats.set_value(DecodeServiceStats(frame.body));
-        return;
-      default:
-        throw ProtocolError("unexpected pending type");
-    }
-  } catch (...) {
-    FailPending(pending, std::current_exception());
-  }
-}
-
-void EstimatorClient::Send(MsgType type, std::vector<uint8_t> body,
-                           uint64_t id, PendingPtr pending) {
+void EstimatorClient::Send(MsgType type, const std::vector<uint8_t>& body,
+                           MsgType expect, Done done) {
+  uint64_t id = next_id_.fetch_add(1);
   bool sent = false;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     // Reconnect (if needed) BEFORE registering the op: ConnectLocked joins
     // a dying receiver, whose FailAllPending sweep must not be able to
     // swipe this not-yet-sent request. Registration still precedes the
     // write, so a response racing the send always finds its op. Lock order
     // mu_ -> pending_mu_; the receiver only ever takes pending_mu_.
-    ConnectLocked();
+    try {
+      ConnectLocked();
+    } catch (...) {
+      lock.unlock();
+      done(nullptr, std::current_exception());  // never registered
+      return;
+    }
     {
       std::lock_guard<std::mutex> pending_lock(pending_mu_);
-      pending_.emplace(id, std::move(pending));
+      pending_.emplace(id, Pending{expect, std::move(done)});
     }
     sent = WriteFrame(fd_, type, id, body);
   }
-  if (!sent) {
-    // The op may already have been failed by the receiver noticing the
-    // same dead connection; erasing it here keeps exactly one outcome.
-    {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      pending_.erase(id);
-    }
-    connected_.store(false);  // the next request redials
-    throw NetError("connection lost while sending request");
+  if (sent) return;
+  connected_.store(false);  // the next request redials
+  // The receiver may have noticed the same dead connection and failed the
+  // op already; whoever extracts it runs its completion.
+  decltype(pending_)::node_type node;
+  {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    node = pending_.extract(id);
   }
+  if (!node.empty()) {
+    node.mapped().done(nullptr, std::make_exception_ptr(NetError(
+                                    "connection lost while sending request")));
+  }
+}
+
+template <typename T>
+std::future<T> EstimatorClient::Call(MsgType type,
+                                     const std::vector<uint8_t>& body,
+                                     MsgType expect,
+                                     T (*decode)(const std::vector<uint8_t>&)) {
+  auto promise = std::make_shared<std::promise<T>>();
+  std::future<T> future = promise->get_future();
+  Send(type, body, expect,
+       Decoded(decode, [promise](T value, std::exception_ptr error) {
+         if (error != nullptr) {
+           promise->set_exception(std::move(error));
+         } else {
+           promise->set_value(std::move(value));
+         }
+       }));
+  return future;
 }
 
 std::future<double> EstimatorClient::EstimateAsync(const Query& query) {
@@ -247,38 +222,15 @@ std::future<double> EstimatorClient::EstimateAsync(const Query& query) {
 
 std::future<double> EstimatorClient::EstimateAsync(const std::string& model,
                                                    const Query& query) {
-  auto pending = std::make_unique<Pending>();
-  pending->expect = MsgType::kEstimateResp;
-  std::future<double> future = pending->single.get_future();
-  uint64_t id = next_id_.fetch_add(1);
-  Send(MsgType::kEstimateReq, EncodeEstimateReq(model, query), id,
-       std::move(pending));
-  return future;
+  return Call(MsgType::kEstimateReq, EncodeEstimateReq(model, query),
+              MsgType::kEstimateResp, &DecodeEstimateResp);
 }
 
 void EstimatorClient::EstimateAsync(const std::string& model,
                                     const Query& query,
                                     EstimateCallback done) {
-  // When the write fails, Send() erases the op and throws — but the
-  // receiver's disconnect sweep may have raced it and already run the
-  // callback. The once-guard keeps the "exactly once" contract either way,
-  // and the catch turns the throw into a callback delivery so drivers have
-  // a single completion path.
-  auto once = std::make_shared<std::atomic<bool>>(false);
-  auto wrapped = [once, done = std::move(done)](double estimate,
-                                                std::exception_ptr error) {
-    if (!once->exchange(true)) done(estimate, std::move(error));
-  };
-  auto pending = std::make_unique<Pending>();
-  pending->expect = MsgType::kEstimateResp;
-  pending->single_done = wrapped;
-  uint64_t id = next_id_.fetch_add(1);
-  try {
-    Send(MsgType::kEstimateReq, EncodeEstimateReq(model, query), id,
-         std::move(pending));
-  } catch (...) {
-    wrapped(0.0, std::current_exception());
-  }
+  Send(MsgType::kEstimateReq, EncodeEstimateReq(model, query),
+       MsgType::kEstimateResp, Decoded(&DecodeEstimateResp, std::move(done)));
 }
 
 double EstimatorClient::Estimate(const Query& query) {
@@ -300,13 +252,8 @@ std::future<std::unordered_map<uint64_t, double>>
 EstimatorClient::EstimateSubplansAsync(const std::string& model,
                                        const Query& query,
                                        const std::vector<uint64_t>& masks) {
-  auto pending = std::make_unique<Pending>();
-  pending->expect = MsgType::kSubplansResp;
-  auto future = pending->batch.get_future();
-  uint64_t id = next_id_.fetch_add(1);
-  Send(MsgType::kSubplansReq, EncodeSubplansReq(model, query, masks), id,
-       std::move(pending));
-  return future;
+  return Call(MsgType::kSubplansReq, EncodeSubplansReq(model, query, masks),
+              MsgType::kSubplansResp, &DecodeSubplansResp);
 }
 
 std::unordered_map<uint64_t, double> EstimatorClient::EstimateSubplans(
@@ -320,54 +267,31 @@ std::unordered_map<uint64_t, double> EstimatorClient::EstimateSubplans(
   return EstimateSubplansAsync(model, query, masks).get();
 }
 
-std::future<EstimatorClient::TracedEstimate>
-EstimatorClient::EstimateTracedAsync(const std::string& model,
-                                     const Query& query) {
-  auto pending = std::make_unique<Pending>();
-  pending->expect = MsgType::kEstimateResp;
-  pending->traced = true;
-  auto future = pending->traced_single.get_future();
-  uint64_t id = next_id_.fetch_add(1);
-  Send(MsgType::kEstimateReq,
-       EncodeEstimateReq(model, query, /*want_trace=*/true), id,
-       std::move(pending));
-  return future;
-}
-
 EstimatorClient::TracedEstimate EstimatorClient::EstimateTraced(
     const Query& query) {
-  return EstimateTracedAsync(options_.model, query).get();
+  return EstimateTraced(options_.model, query);
 }
 
 EstimatorClient::TracedEstimate EstimatorClient::EstimateTraced(
     const std::string& model, const Query& query) {
-  return EstimateTracedAsync(model, query).get();
-}
-
-std::future<EstimatorClient::TracedSubplans>
-EstimatorClient::EstimateSubplansTracedAsync(
-    const std::string& model, const Query& query,
-    const std::vector<uint64_t>& masks) {
-  auto pending = std::make_unique<Pending>();
-  pending->expect = MsgType::kSubplansResp;
-  pending->traced = true;
-  auto future = pending->traced_batch.get_future();
-  uint64_t id = next_id_.fetch_add(1);
-  Send(MsgType::kSubplansReq,
-       EncodeSubplansReq(model, query, masks, /*want_trace=*/true), id,
-       std::move(pending));
-  return future;
+  return Call(MsgType::kEstimateReq,
+              EncodeEstimateReq(model, query, /*want_trace=*/true),
+              MsgType::kEstimateResp, &DecodeEstimateRespFull)
+      .get();
 }
 
 EstimatorClient::TracedSubplans EstimatorClient::EstimateSubplansTraced(
     const Query& query, const std::vector<uint64_t>& masks) {
-  return EstimateSubplansTracedAsync(options_.model, query, masks).get();
+  return EstimateSubplansTraced(options_.model, query, masks);
 }
 
 EstimatorClient::TracedSubplans EstimatorClient::EstimateSubplansTraced(
     const std::string& model, const Query& query,
     const std::vector<uint64_t>& masks) {
-  return EstimateSubplansTracedAsync(model, query, masks).get();
+  return Call(MsgType::kSubplansReq,
+              EncodeSubplansReq(model, query, masks, /*want_trace=*/true),
+              MsgType::kSubplansResp, &DecodeSubplansRespFull)
+      .get();
 }
 
 uint64_t EstimatorClient::NotifyUpdate(const std::string& table) {
@@ -376,24 +300,17 @@ uint64_t EstimatorClient::NotifyUpdate(const std::string& table) {
 
 uint64_t EstimatorClient::NotifyUpdate(const std::string& model,
                                        const std::string& table) {
-  auto pending = std::make_unique<Pending>();
-  pending->expect = MsgType::kNotifyUpdateResp;
-  auto future = pending->epoch.get_future();
-  uint64_t id = next_id_.fetch_add(1);
-  Send(MsgType::kNotifyUpdateReq, EncodeNotifyUpdateReq(model, table), id,
-       std::move(pending));
-  return future.get();
+  return Call(MsgType::kNotifyUpdateReq, EncodeNotifyUpdateReq(model, table),
+              MsgType::kNotifyUpdateResp, &DecodeNotifyUpdateResp)
+      .get();
 }
 
 ServiceStats EstimatorClient::Stats() { return Stats(options_.model); }
 
 ServiceStats EstimatorClient::Stats(const std::string& model) {
-  auto pending = std::make_unique<Pending>();
-  pending->expect = MsgType::kStatsResp;
-  auto future = pending->stats.get_future();
-  uint64_t id = next_id_.fetch_add(1);
-  Send(MsgType::kStatsReq, EncodeStatsReq(model), id, std::move(pending));
-  return future.get();
+  return Call(MsgType::kStatsReq, EncodeStatsReq(model), MsgType::kStatsResp,
+              &DecodeServiceStats)
+      .get();
 }
 
 }  // namespace fj::net

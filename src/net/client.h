@@ -4,19 +4,21 @@
 // NotifyUpdate, Stats) over one framed socket connection, plus the two
 // things a remote client needs that an in-process service does not:
 //
-//  * Pipelining. EstimateAsync / EstimateSubplansAsync assign a request id,
-//    register a pending promise, and send without waiting; any number of
-//    requests can be outstanding on the one connection, and a background
-//    receiver thread correlates responses (which the server sends in
-//    completion order) back to their futures. One pipelined client can keep
-//    a whole server worker pool busy — the blocking wrappers are just
-//    submit + get.
+//  * Pipelining. Every request assigns an id, registers its completion
+//    callback, and sends without waiting; any number of requests can be
+//    outstanding on the one connection, and a background receiver thread
+//    correlates responses (which the server sends in completion order) back
+//    to their callbacks. The future overloads set a promise inside that
+//    callback and the blocking ones are submit + get, so one pipelined
+//    client can keep a whole server worker pool busy.
 //
-//  * Reconnect-on-failure. A lost connection fails every outstanding future
-//    with NetError, and the next request (or an explicit Connect()) dials
-//    again — with options.reconnect_attempts × backoff — and re-runs the
-//    protocol handshake. Requests are never silently retried: a failed
-//    NotifyUpdate must surface, not double-bump the epoch.
+//  * Reconnect-on-failure. A lost connection fails every outstanding
+//    request with NetError, and the next request (or an explicit Connect())
+//    dials again — with options.reconnect_attempts × backoff — and re-runs
+//    the protocol handshake. A failed dial or send fails that request the
+//    same way (a future throws from get(); nothing throws from the *Async
+//    call). Requests are never silently retried: a failed NotifyUpdate must
+//    surface, not double-bump the epoch.
 //
 // Thread-safe: any number of threads may issue requests concurrently; sends
 // are serialized on one mutex, receives happen on the receiver thread.
@@ -78,8 +80,8 @@ class EstimatorClient {
   bool IsConnected() const { return connected_.load(); }
 
   /// Pipelined single estimate against options.model. The future throws
-  /// RemoteError (server-side failure) or NetError (connection lost before
-  /// the response).
+  /// RemoteError (server-side failure) or NetError (dial or send failed, or
+  /// the connection was lost before the response).
   std::future<double> EstimateAsync(const Query& query);
   double Estimate(const Query& query);
   /// Per-call model routing (one connection, many models).
@@ -96,9 +98,10 @@ class EstimatorClient {
 
   /// Pipelined single estimate delivering through `done` instead of a
   /// future. `done` runs exactly once — on the receiver thread when a
-  /// response or disconnect arrives, or on the calling thread when the send
-  /// itself fails (the failure is delivered as the error argument; nothing
-  /// is thrown). Keep it quick and non-blocking: it runs on the thread that
+  /// response or disconnect arrives, or on the calling thread when the dial
+  /// fails or the send fails before the disconnect sweep sees it (the
+  /// failure is delivered as the error argument; nothing is thrown). Keep
+  /// it quick, non-blocking and non-throwing: it runs on the thread that
   /// drains the socket.
   void EstimateAsync(const std::string& model, const Query& query,
                      EstimateCallback done);
@@ -125,25 +128,12 @@ class EstimatorClient {
   // histograms). `trace` is empty (has_trace false) when the serving model
   // runs with tracing disabled. This is what `fj_client --trace` prints.
 
-  struct TracedEstimate {
-    double estimate = 0.0;
-    bool has_trace = false;
-    obs::RequestTrace trace;
-  };
-  struct TracedSubplans {
-    std::unordered_map<uint64_t, double> estimates;
-    bool has_trace = false;
-    obs::RequestTrace trace;
-  };
+  using TracedEstimate = EstimateResp;
+  using TracedSubplans = SubplansResp;
 
-  std::future<TracedEstimate> EstimateTracedAsync(const std::string& model,
-                                                  const Query& query);
   TracedEstimate EstimateTraced(const Query& query);
   TracedEstimate EstimateTraced(const std::string& model, const Query& query);
 
-  std::future<TracedSubplans> EstimateSubplansTracedAsync(
-      const std::string& model, const Query& query,
-      const std::vector<uint64_t>& masks);
   TracedSubplans EstimateSubplansTraced(const Query& query,
                                         const std::vector<uint64_t>& masks);
   TracedSubplans EstimateSubplansTraced(const std::string& model,
@@ -162,36 +152,35 @@ class EstimatorClient {
   ServiceStats Stats(const std::string& model);
 
  private:
-  /// One outstanding request: which response type it expects and the
-  /// promise to fulfill. Exactly one promise is active, per `expect` (and
-  /// `traced`, which selects the traced promise of the same response type).
+  /// A request's single completion: the response frame (of the expected
+  /// type) on success, else nullptr and the error — NetError (dial, send or
+  /// connection failure), RemoteError (the server's kError) or
+  /// ProtocolError (a response of the wrong type).
+  using Done = std::function<void(const Frame*, std::exception_ptr)>;
+
+  /// One outstanding request: the response type it expects and its
+  /// completion. Whoever removes it from `pending_` — the receiver, the
+  /// disconnect sweep, or Send() after a failed write — runs `done`, so
+  /// it runs exactly once.
   struct Pending {
     MsgType expect;
-    bool traced = false;
-    /// When set (callback-style estimate), fulfills/ fails through this
-    /// instead of `single`. Wrapped in a once-guard by EstimateAsync.
-    EstimateCallback single_done;
-    std::promise<double> single;
-    std::promise<std::unordered_map<uint64_t, double>> batch;
-    std::promise<uint64_t> epoch;
-    std::promise<ServiceStats> stats;
-    std::promise<TracedEstimate> traced_single;
-    std::promise<TracedSubplans> traced_batch;
+    Done done;
   };
-  using PendingPtr = std::unique_ptr<Pending>;
 
-  /// Registers a pending op and sends the frame; on send failure the
-  /// pending op is failed and NetError is thrown.
-  void Send(MsgType type, std::vector<uint8_t> body, uint64_t id,
-            PendingPtr pending);
+  /// Dials if needed, registers the request and writes its frame. Never
+  /// throws: a failed dial or send is delivered through `done`.
+  void Send(MsgType type, const std::vector<uint8_t>& body, MsgType expect,
+            Done done);
+  /// Future adapter over Send: `decode` turns the response body into the
+  /// future's value.
+  template <typename T>
+  std::future<T> Call(MsgType type, const std::vector<uint8_t>& body,
+                      MsgType expect,
+                      T (*decode)(const std::vector<uint8_t>&));
   void ConnectLocked();
   void DisconnectLocked(const char* reason);
   void ReceiverLoop(int fd);
   void FailAllPending(const char* reason);
-  /// Fulfills (or fails, for kError) one pending op from a response frame.
-  static void Complete(Pending& pending, const Frame& frame);
-  /// Fails whichever promise `pending` holds active.
-  static void FailPending(Pending& pending, std::exception_ptr error);
 
   const EstimatorClientOptions options_;
 
@@ -203,7 +192,7 @@ class EstimatorClient {
   std::atomic<bool> connected_{false};
 
   std::mutex pending_mu_;
-  std::unordered_map<uint64_t, PendingPtr> pending_;
+  std::unordered_map<uint64_t, Pending> pending_;
   std::atomic<uint64_t> next_id_{1};
 };
 

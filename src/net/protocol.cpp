@@ -1,5 +1,9 @@
 #include "net/protocol.h"
 
+#include <iterator>
+#include <string>
+#include <unordered_set>
+
 #include "net/socket.h"
 
 namespace fj::net {
@@ -260,25 +264,11 @@ uint64_t DecodeNotifyUpdateResp(const std::vector<uint8_t>& body) {
 
 std::vector<uint8_t> EncodeServiceStats(const ServiceStats& stats) {
   ByteWriter w;
-  w.U64(stats.requests);
-  w.U64(stats.subplan_requests);
-  w.U64(stats.subplans_estimated);
-  w.U64(stats.errors);
-  w.U64(stats.batches_split);
-  w.U64(stats.split_chunks);
-  w.U64(stats.fresh_first_pops);
-  w.U64(stats.updates_notified);
-  w.U64(stats.epoch);
-  w.U64(stats.pending_requests);
-  w.U64(stats.queue_depth);
-  w.U64(stats.cache.hits);
-  w.U64(stats.cache.misses);
-  w.U64(stats.cache.evictions);
-  w.U64(stats.cache.invalidations);
-  w.U64(stats.cache.cost_weighted_evictions);
-  w.U64(stats.cache.entries);
-  w.U64(stats.slow_requests);
-  w.U64(stats.slow_suppressed);
+  w.U32(static_cast<uint32_t>(std::size(kServiceCounters)));
+  for (const ServiceCounter& counter : kServiceCounters) {
+    w.Str(counter.name);
+    w.U64(counter.Of(stats));
+  }
   obs::EncodeHistogramSnapshot(stats.latency, &w);
   w.U8(static_cast<uint8_t>(obs::kNumStages));
   for (const obs::HistogramSnapshot& stage : stats.stages) {
@@ -290,25 +280,19 @@ std::vector<uint8_t> EncodeServiceStats(const ServiceStats& stats) {
 ServiceStats DecodeServiceStats(const std::vector<uint8_t>& body) {
   ByteReader r(body);
   ServiceStats stats;
-  stats.requests = r.U64();
-  stats.subplan_requests = r.U64();
-  stats.subplans_estimated = r.U64();
-  stats.errors = r.U64();
-  stats.batches_split = r.U64();
-  stats.split_chunks = r.U64();
-  stats.fresh_first_pops = r.U64();
-  stats.updates_notified = r.U64();
-  stats.epoch = r.U64();
-  stats.pending_requests = r.U64();
-  stats.queue_depth = r.U64();
-  stats.cache.hits = r.U64();
-  stats.cache.misses = r.U64();
-  stats.cache.evictions = r.U64();
-  stats.cache.invalidations = r.U64();
-  stats.cache.cost_weighted_evictions = r.U64();
-  stats.cache.entries = r.U64();
-  stats.slow_requests = r.U64();
-  stats.slow_suppressed = r.U64();
+  // Each pair is at least an empty name's length prefix plus the value.
+  uint32_t n = r.CountU32(4 + 8);
+  std::unordered_set<std::string> seen;
+  for (uint32_t i = 0; i < n; ++i) {
+    std::string name = r.Str();
+    uint64_t value = r.U64();
+    if (!seen.insert(name).second) {
+      throw ProtocolError("duplicate stats counter '" + name + "'");
+    }
+    for (const ServiceCounter& counter : kServiceCounters) {
+      if (name == counter.name) counter.Of(stats) = value;
+    }
+  }
   stats.latency = obs::DecodeHistogramSnapshot(&r);
   uint8_t stages = r.U8();
   if (stages != obs::kNumStages) {

@@ -46,6 +46,7 @@ using ProtocolError = SerializeError;
 /// "FJN" + version byte of the *magic*, not the protocol (the protocol
 /// version is negotiated separately in the hello body).
 inline constexpr uint32_t kProtocolMagic = 0x464A4E31;  // "FJN1"
+/// Version 5: the stats body carries its counters as name/value pairs.
 /// Version 4: the stats body gains the slow-log rate-limiter's suppressed
 /// counter right after slow_requests. Negotiation is exact-match, so the
 /// added field needs its own version — a v3 peer decoding a v4 body would
@@ -59,7 +60,7 @@ inline constexpr uint32_t kProtocolMagic = 0x464A4E31;  // "FJN1"
 /// Version 2 added model-id routing and the batch-split counters.
 /// Older handshakes are rejected cleanly (kError naming both versions),
 /// never half-spoken.
-inline constexpr uint16_t kProtocolVersion = 4;
+inline constexpr uint16_t kProtocolVersion = 5;
 
 /// Frames larger than this are rejected at the length prefix (both sides).
 inline constexpr uint32_t kDefaultMaxFrameBytes = 64u << 20;
@@ -196,9 +197,12 @@ std::string DecodeStatsReq(const std::vector<uint8_t>& body);
 std::vector<uint8_t> EncodeNotifyUpdateResp(uint64_t epoch);
 uint64_t DecodeNotifyUpdateResp(const std::vector<uint8_t>& body);
 
-/// Stats body (v3): the counters, then the end-to-end latency histogram and
-/// all obs::kNumStages per-stage histograms (sparse encoding — see
-/// obs/latency_histogram.h). Quantile fields are NOT on the wire; the
+/// Stats body (v5): `u32 n, (str name, u64 value) × n` — one pair per row
+/// of kServiceCounters (service/service_stats.h), keyed by metric name —
+/// then the end-to-end latency histogram and all obs::kNumStages per-stage
+/// histograms (sparse encoding — see obs/latency_histogram.h). The decoder
+/// skips names it does not know, so a new counter needs no version bump;
+/// a name sent twice is malformed. Quantile fields are NOT on the wire; the
 /// decoder recomputes them via ServiceStats::RefreshQuantiles.
 std::vector<uint8_t> EncodeServiceStats(const ServiceStats& stats);
 ServiceStats DecodeServiceStats(const std::vector<uint8_t>& body);

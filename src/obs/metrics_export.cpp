@@ -56,52 +56,18 @@ void AppendServiceSamples(const std::string& model,
                           std::vector<MetricSample>* out) {
   ServiceStats stats = service.Stats();
   std::vector<MetricLabel> m = {{"model", model}};
-  out->push_back(Counter("fj_requests_total",
-                         "Single-query estimate requests completed.", m,
-                         stats.requests));
-  out->push_back(Counter("fj_subplan_requests_total",
-                         "Batched sub-plan requests completed.", m,
-                         stats.subplan_requests));
-  out->push_back(Counter("fj_subplans_estimated_total",
-                         "Sub-plan estimates produced inside batches.", m,
-                         stats.subplans_estimated));
-  out->push_back(Counter("fj_errors_total",
-                         "Requests completed with an error.", m,
-                         stats.errors));
-  out->push_back(Counter("fj_batches_split_total",
-                         "Batched requests split across workers.", m,
-                         stats.batches_split));
-  out->push_back(Counter("fj_split_chunks_total",
-                         "Chunks produced by split batches.", m,
-                         stats.split_chunks));
-  out->push_back(Counter("fj_fresh_first_pops_total",
-                         "Fresh requests scheduled ahead of split helpers.",
-                         m, stats.fresh_first_pops));
+  for (const ServiceCounter& counter : kServiceCounters) {
+    uint64_t value = counter.Of(stats);
+    out->push_back(counter.kind == MetricKind::kGauge
+                       ? Gauge(counter.name, counter.help, m,
+                               static_cast<double>(value))
+                       : Counter(counter.name, counter.help, m, value));
+  }
+  // NotifyUpdate bumps the epoch once per call, so the epoch is also the
+  // notification count; this counter name stays for scrape consumers.
   out->push_back(Counter("fj_updates_notified_total",
                          "Data-update notifications received.", m,
-                         stats.updates_notified));
-  out->push_back(Counter("fj_slow_requests_total",
-                         "Slow-request log lines emitted.", m,
-                         stats.slow_requests));
-  out->push_back(Gauge("fj_epoch", "Current statistics epoch.", m,
-                       static_cast<double>(stats.epoch)));
-  out->push_back(Gauge("fj_pending_requests",
-                       "Requests accepted but not yet served.", m,
-                       static_cast<double>(stats.pending_requests)));
-  out->push_back(Gauge("fj_queue_depth", "Requests waiting in the queue.", m,
-                       static_cast<double>(stats.queue_depth)));
-  out->push_back(Counter("fj_cache_hits_total", "Estimate-cache hits.", m,
-                         stats.cache.hits));
-  out->push_back(Counter("fj_cache_misses_total", "Estimate-cache misses.",
-                         m, stats.cache.misses));
-  out->push_back(Counter("fj_cache_evictions_total",
-                         "Estimate-cache evictions.", m,
-                         stats.cache.evictions));
-  out->push_back(Counter("fj_cache_invalidations_total",
-                         "Epoch-based cache invalidations.", m,
-                         stats.cache.invalidations));
-  out->push_back(Gauge("fj_cache_entries", "Live estimate-cache entries.", m,
-                       static_cast<double>(stats.cache.entries)));
+                         stats.epoch));
   out->push_back(Histogram("fj_request_latency_micros",
                            "End-to-end request latency (microseconds).", m,
                            stats.latency));

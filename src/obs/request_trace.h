@@ -6,7 +6,7 @@
 //   kQueueWait   submit → a worker popped the request
 //   kCacheProbe  fingerprinting + sharded-cache lookups and inserts
 //   kEstimate    inside the estimation kernel (CardinalityEstimator)
-//   kRespond     fulfilling the promise / running the completion callback
+//   kRespond     running the completion callback
 //   kDecode      net path: decoding the request frame body
 //   kEncode      net path: encoding the response body
 //   kSocketWrite net path: SendAll of the response frame

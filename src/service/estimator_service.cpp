@@ -33,14 +33,26 @@ uint64_t TableBitsOf(const std::vector<uint64_t>& alias_bits,
   return bits;
 }
 
+// The completion that adapts a callback overload to a future: it sets the
+// promise the caller's future reads.
+template <typename T>
+auto Fulfill(std::shared_ptr<std::promise<T>> promise) {
+  return [promise = std::move(promise)](T value, std::exception_ptr error) {
+    if (error != nullptr) {
+      promise->set_exception(std::move(error));
+    } else {
+      promise->set_value(std::move(value));
+    }
+  };
+}
+
 }  // namespace
 
 EstimatorService::EstimatorService(const CardinalityEstimator& estimator,
                                    EstimatorServiceOptions options)
     : estimator_(estimator),
       options_(options),
-      cache_(options.cache_capacity, options.cache_shards, &epochs_,
-             options.cost_aware_eviction),
+      cache_(options.cache_capacity, options.cache_shards, &epochs_),
       queue_(options.queue_capacity),
       slow_log_(options.slow_request_micros, options.slow_log_sink,
                 options.model_name, options.slow_log_per_second,
@@ -87,14 +99,6 @@ void EstimatorService::ThrowIfWorkerThread(const char* what) const {
   }
 }
 
-std::future<double> EstimatorService::EstimateAsync(Query query) {
-  auto req = std::make_unique<Request>();
-  req->query = std::move(query);
-  std::future<double> result = req->single.get_future();
-  Submit(std::move(req));
-  return result;
-}
-
 void EstimatorService::EstimateAsync(
     Query query, EstimateCallback done,
     std::shared_ptr<obs::RequestTrace> trace_sink) {
@@ -105,21 +109,16 @@ void EstimatorService::EstimateAsync(
   Submit(std::move(req));
 }
 
+std::future<double> EstimatorService::EstimateAsync(Query query) {
+  auto promise = std::make_shared<std::promise<double>>();
+  std::future<double> result = promise->get_future();
+  EstimateAsync(std::move(query), Fulfill(std::move(promise)));
+  return result;
+}
+
 double EstimatorService::Estimate(const Query& query) {
   ThrowIfWorkerThread("Estimate");
   return EstimateAsync(query).get();
-}
-
-std::future<std::unordered_map<uint64_t, double>>
-EstimatorService::EstimateSubplansAsync(Query query,
-                                        std::vector<uint64_t> masks) {
-  auto req = std::make_unique<Request>();
-  req->query = std::move(query);
-  req->masks = std::move(masks);
-  req->batched = true;
-  auto result = req->batch.get_future();
-  Submit(std::move(req));
-  return result;
 }
 
 void EstimatorService::EstimateSubplansAsync(
@@ -134,6 +133,17 @@ void EstimatorService::EstimateSubplansAsync(
   Submit(std::move(req));
 }
 
+std::future<std::unordered_map<uint64_t, double>>
+EstimatorService::EstimateSubplansAsync(Query query,
+                                        std::vector<uint64_t> masks) {
+  auto promise =
+      std::make_shared<std::promise<std::unordered_map<uint64_t, double>>>();
+  auto result = promise->get_future();
+  EstimateSubplansAsync(std::move(query), std::move(masks),
+                        Fulfill(std::move(promise)));
+  return result;
+}
+
 std::unordered_map<uint64_t, double> EstimatorService::EstimateSubplans(
     const Query& query, const std::vector<uint64_t>& masks) {
   ThrowIfWorkerThread("EstimateSubplans");
@@ -146,8 +156,8 @@ void EstimatorService::WorkerLoop() {
     // into pending_, so they must not decrement it either.
     bool helper = (*req)->split != nullptr;
     Serve(**req);
-    // The request counts as pending until after its promise is fulfilled,
-    // so Drain() returning means every accepted future is ready.
+    // The request counts as pending until after its completion ran, so
+    // Drain() returning means every accepted future is ready.
     if (!helper &&
         pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lock(drain_mu_);
@@ -240,12 +250,7 @@ std::unordered_map<uint64_t, double> EstimatorService::EstimateMisses(
   for (size_t h = 0; h + 1 < num_chunks; ++h) {
     auto helper = std::make_unique<Request>();
     helper->split = job;
-    // prefer_fresh_requests: helpers ride the low-priority lane so a small
-    // fresh batch arriving behind them is popped first.
-    bool offered = options_.prefer_fresh_requests
-                       ? queue_.TryPushLow(std::move(helper))
-                       : queue_.TryPush(std::move(helper));
-    if (!offered) break;
+    if (!queue_.TryPush(std::move(helper))) break;
   }
   job->RunChunks();
   job->Wait();
@@ -263,73 +268,59 @@ std::unordered_map<uint64_t, double> EstimatorService::EstimateMisses(
 void EstimatorService::Serve(Request& req) {
   if (req.split != nullptr) {
     // Batch-split helper: join the job's work-claiming loop. Completion
-    // bookkeeping (promise/callback/stats) belongs to the serving worker of
-    // the parent request.
+    // bookkeeping (callback/stats) belongs to the serving worker of the
+    // parent request.
     req.split->RunChunks();
     return;
   }
+  if (req.batched) {
+    ServeAndComplete(
+        req, "subplans", req.masks.size(), subplan_requests_,
+        [&](obs::RequestTrace* trace) {
+          return ServeBatch(req.query, req.masks, trace);
+        },
+        req.batch_cb);
+  } else {
+    ServeAndComplete(
+        req, "estimate", 0, requests_,
+        [&](obs::RequestTrace* trace) { return ServeSingle(req.query, trace); },
+        req.single_cb);
+  }
+}
+
+template <typename ServeFn, typename Callback>
+void EstimatorService::ServeAndComplete(Request& req, const char* kind,
+                                        size_t masks,
+                                        std::atomic<uint64_t>& served,
+                                        const ServeFn& serve,
+                                        const Callback& done) {
   const bool tracing = options_.enable_tracing;
   // Spans are recorded straight into the request's sink (so pre-filled
   // stages like the net server's decode span survive) or a stack-local
   // trace when the caller didn't ask for one.
   obs::RequestTrace local_trace;
-  obs::RequestTrace* trace =
-      req.trace_sink != nullptr ? req.trace_sink.get() : &local_trace;
+  obs::RequestTrace& trace =
+      req.trace_sink != nullptr ? *req.trace_sink : local_trace;
   // Queue wait = time since submission, read as the worker picks the
   // request up (Serve runs right after the pop).
-  trace->Add(obs::Stage::kQueueWait,
-             static_cast<uint64_t>(req.submitted.Micros()));
+  trace.Add(obs::Stage::kQueueWait,
+            static_cast<uint64_t>(req.submitted.Micros()));
 
-  // Counters and latency are recorded BEFORE the promise is fulfilled so a
+  // Counters and latency are recorded BEFORE the completion runs so a
   // client that just resolved its future observes its own request in Stats().
-  // Completion (callback or promise) happens OUTSIDE the try blocks:
-  // estimation errors must flow through the error argument, and a throwing
-  // callback must not re-enter the error path and be invoked twice.
-  if (req.batched) {
-    std::unordered_map<uint64_t, double> result;
-    std::exception_ptr error;
-    try {
-      result = ServeBatch(req.query, req.masks, tracing ? trace : nullptr);
-      subplan_requests_.fetch_add(1, std::memory_order_relaxed);
-    } catch (...) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      error = std::current_exception();
-    }
-    FinishRequest(req, *trace, tracing, "subplans", req.masks.size(), [&] {
-      if (req.batch_cb) {
-        req.batch_cb(std::move(result), error);
-      } else if (error != nullptr) {
-        req.batch.set_exception(error);
-      } else {
-        req.batch.set_value(std::move(result));
-      }
-    });
-  } else {
-    double result = 0.0;
-    std::exception_ptr error;
-    try {
-      result = ServeSingle(req.query, tracing ? trace : nullptr);
-      requests_.fetch_add(1, std::memory_order_relaxed);
-    } catch (...) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      error = std::current_exception();
-    }
-    FinishRequest(req, *trace, tracing, "estimate", 0, [&] {
-      if (req.single_cb) {
-        req.single_cb(result, error);
-      } else if (error != nullptr) {
-        req.single.set_exception(error);
-      } else {
-        req.single.set_value(result);
-      }
-    });
+  // The completion runs OUTSIDE the try block: estimation errors must flow
+  // through the error argument, and a throwing callback must not re-enter
+  // the error path and be invoked twice.
+  decltype(serve(nullptr)) result{};
+  std::exception_ptr error;
+  try {
+    result = serve(tracing ? &trace : nullptr);
+    served.fetch_add(1, std::memory_order_relaxed);
+  } catch (...) {
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    error = std::current_exception();
   }
-}
 
-void EstimatorService::FinishRequest(Request& req, obs::RequestTrace& trace,
-                                     bool tracing, const char* kind,
-                                     size_t masks,
-                                     const std::function<void()>& complete) {
   trace.total_micros = static_cast<uint64_t>(req.submitted.Micros());
   latency_.Record(trace.total_micros);
   if (tracing) {
@@ -344,16 +335,16 @@ void EstimatorService::FinishRequest(Request& req, obs::RequestTrace& trace,
       }
     }
   }
-  // The respond span (callback or promise fulfillment) cannot be part of
-  // the request's own trace/latency — it runs after both are sealed — so it
+  // The respond span (the completion callback) cannot be part of the
+  // request's own trace/latency — it runs after both are sealed — so it
   // feeds only the aggregate stage histogram.
   if (tracing) {
     obs::SpanTimer respond;
-    complete();
+    done(std::move(result), error);
     stage_hist_[static_cast<size_t>(obs::Stage::kRespond)].Record(
         respond.ElapsedMicros());
   } else {
-    complete();
+    done(std::move(result), error);
   }
   bool slow = slow_log_.enabled() &&
               trace.total_micros >= slow_log_.threshold_micros();
@@ -397,10 +388,9 @@ double EstimatorService::ServeSingle(const Query& query,
   // and dies on its next lookup instead of serving a stale estimate forever.
   uint64_t epoch = epochs_.Epoch();
   uint64_t table_bits = TableBitsOf(epochs_.AliasBits(query), ~uint64_t{0});
-  WallTimer compute;
   double estimate = estimator_.EstimateTraced(query, trace);
   obs::SpanTimer insert_span;
-  cache_.Insert(fp, estimate, table_bits, epoch, compute.Micros());
+  cache_.Insert(fp, estimate, table_bits, epoch);
   insert_span.Record(trace, obs::Stage::kCacheProbe);
   return estimate;
 }
@@ -451,14 +441,8 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
   // batch); EstimateMisses splits a large miss set into per-worker chunks
   // that still share one leaf computation via PrepareSubplans.
   if (!miss_masks.empty()) {
-    WallTimer compute;
     std::unordered_map<uint64_t, double> fresh =
         EstimateMisses(query, miss_masks, trace);
-    // Per-entry recompute cost for cost-aware eviction: the batch's shared
-    // computation makes per-mask attribution meaningless, so every entry
-    // carries the amortized cost.
-    double cost_micros = compute.Micros() /
-                         static_cast<double>(miss_masks.size());
     // Table bits per alias, resolved once per batch: the per-entry loop
     // below must stay free of registry locks and allocations (a batch can
     // carry ~10k masks).
@@ -472,8 +456,7 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
       if (it == fresh.end()) continue;  // estimator skipped the mask
       out.emplace(miss_masks[i], it->second);
       cache_.Insert(miss_fps[i], it->second,
-                    TableBitsOf(alias_bits, miss_masks[i]), epoch,
-                    cost_micros);
+                    TableBitsOf(alias_bits, miss_masks[i]), epoch);
       ++produced;
     }
     insert_span.Record(trace, obs::Stage::kCacheProbe);
@@ -491,14 +474,7 @@ ServiceStats EstimatorService::Stats() const {
   stats.errors = errors_.load(std::memory_order_relaxed);
   stats.batches_split = batches_split_.load(std::memory_order_relaxed);
   stats.split_chunks = split_chunks_.load(std::memory_order_relaxed);
-  stats.fresh_first_pops = queue_.LowBypasses();
-  // One atomic read feeds both fields: NotifyUpdate bumps the global epoch
-  // exactly once per call, so the epoch IS the notification count and a
-  // snapshot can never observe them mid-update (the old separate counter
-  // could disagree with the epoch when Stats() raced a notification).
-  uint64_t epoch = epochs_.Epoch();
-  stats.updates_notified = epoch;
-  stats.epoch = epoch;
+  stats.epoch = epochs_.Epoch();
   stats.pending_requests = pending_.load(std::memory_order_acquire);
   stats.queue_depth = queue_.Size();
   stats.slow_requests = slow_log_.logged();

@@ -78,18 +78,6 @@ struct EstimatorServiceOptions {
   /// are bit-identical to the unsplit batch (the estimator's canonical
   /// decomposition is mask-set independent).
   size_t split_batch_min_masks = 512;
-  /// Weight cache eviction by recorded estimation latency (see
-  /// ShardedEstimateCache): victims are picked among the least-recently-used
-  /// tail by cheapest-to-recompute first.
-  bool cost_aware_eviction = false;
-  /// Schedule newly arriving client requests ahead of queued batch-split
-  /// helper chunks: helpers go into the queue's low-priority lane, so a
-  /// small fresh batch never waits behind a 10k-mask split's backlog. The
-  /// split batch itself loses nothing — its serving worker keeps claiming
-  /// chunks regardless (work stealing just gets less help while fresh
-  /// requests exist). ServiceStats::fresh_first_pops counts how often the
-  /// reordering fired.
-  bool prefer_fresh_requests = false;
   /// Per-request stage spans (obs/request_trace.h): queue wait, cache
   /// probe, estimate kernel, and respond times recorded into the per-stage
   /// histograms of ServiceStats::stages and into any per-request trace
@@ -138,32 +126,34 @@ class EstimatorService {
   EstimatorService(const EstimatorService&) = delete;
   EstimatorService& operator=(const EstimatorService&) = delete;
 
-  /// Completion callbacks for the callback-dispatch variants below: exactly
-  /// one of (value, error) is meaningful — `error` is nullptr on success.
-  /// Callbacks run ON A WORKER THREAD right after the request is served;
-  /// they must be quick, must not throw, and must not call the service's
-  /// blocking APIs (Estimate/EstimateSubplans/Drain — the worker-thread
-  /// guard turns that deadlock into std::logic_error). This is the hook the
-  /// remote front end (net/server.h) uses to write responses in completion
-  /// order without parking a thread per outstanding future.
+  /// Completion callbacks, the one way every request completes (the
+  /// future overloads set a promise inside one): exactly one of (value,
+  /// error) is meaningful — `error` is nullptr on success. Callbacks run
+  /// ON A WORKER THREAD right after the request is served; they must be
+  /// quick, must not throw, and must not call the service's blocking APIs
+  /// (Estimate/EstimateSubplans/Drain — the worker-thread guard turns that
+  /// deadlock into std::logic_error). This is the hook the remote front end
+  /// (net/server.h) uses to write responses in completion order without
+  /// parking a thread per outstanding future.
   using EstimateCallback = std::function<void(double, std::exception_ptr)>;
   using SubplansCallback = std::function<void(
       std::unordered_map<uint64_t, double>, std::exception_ptr)>;
 
-  /// Enqueues a single-query estimate; the future resolves when a worker has
-  /// served it (from cache or the estimator). Thread-safe; blocks while the
-  /// queue is full; throws std::runtime_error after Shutdown().
-  std::future<double> EstimateAsync(Query query);
-
-  /// Callback-dispatch variant: `done` is invoked on the serving worker
-  /// instead of fulfilling a future. Same blocking/shutdown behavior.
-  /// `trace_sink`, when non-null, receives the request's stage breakdown:
-  /// the worker records its spans directly into it, and it is fully written
-  /// by the time `done` runs (stages a caller pre-filled — e.g. the net
-  /// server's decode span — are preserved). The sink must not be touched by
-  /// the caller between submission and completion.
+  /// Enqueues a single-query estimate; `done` runs on the serving worker
+  /// once it has been served (from cache or the estimator). Thread-safe;
+  /// blocks while the queue is full; throws std::runtime_error after
+  /// Shutdown() (and then never runs `done`). `trace_sink`, when non-null,
+  /// receives the request's stage breakdown: the worker records its spans
+  /// directly into it, and it is fully written by the time `done` runs
+  /// (stages a caller pre-filled — e.g. the net server's decode span — are
+  /// preserved). The sink must not be touched by the caller between
+  /// submission and completion.
   void EstimateAsync(Query query, EstimateCallback done,
                      std::shared_ptr<obs::RequestTrace> trace_sink = nullptr);
+
+  /// Future adapter over the callback overload: the future resolves when a
+  /// worker has served the request. Same blocking/shutdown behavior.
+  std::future<double> EstimateAsync(Query query);
 
   /// Blocking convenience wrapper around EstimateAsync. Throws
   /// std::logic_error when called from one of the service's own worker
@@ -174,16 +164,15 @@ class EstimatorService {
   /// use Query::tables() bit order, as in EnumerateConnectedSubsets). Cached
   /// sub-plans are reused; the misses go to the estimator in one
   /// EstimateSubplans call so progressive sharing (FactorJoin) is preserved.
-  /// Thread-safe; same blocking/shutdown behavior as EstimateAsync.
-  std::future<std::unordered_map<uint64_t, double>> EstimateSubplansAsync(
-      Query query, std::vector<uint64_t> masks);
-
-  /// Callback-dispatch variant of the batched API (see EstimateCallback;
-  /// `trace_sink` as on the single-estimate overload).
+  /// Thread-safe; `done` and `trace_sink` as on EstimateAsync.
   void EstimateSubplansAsync(Query query, std::vector<uint64_t> masks,
                              SubplansCallback done,
                              std::shared_ptr<obs::RequestTrace> trace_sink =
                                  nullptr);
+
+  /// Future adapter over the batched callback overload.
+  std::future<std::unordered_map<uint64_t, double>> EstimateSubplansAsync(
+      Query query, std::vector<uint64_t> masks);
 
   /// Blocking convenience wrapper around EstimateSubplansAsync. Throws
   /// std::logic_error when called from a service worker thread.
@@ -255,19 +244,16 @@ class EstimatorService {
 
   struct Request {
     Query query;
-    std::vector<uint64_t> masks;  // batched iff non-empty
+    std::vector<uint64_t> masks;
     bool batched = false;
-    std::promise<double> single;
-    std::promise<std::unordered_map<uint64_t, double>> batch;
-    // When set, the matching callback is invoked on the worker instead of
-    // the promise being fulfilled.
+    // The completion: batch_cb when batched, single_cb otherwise.
     EstimateCallback single_cb;
     SubplansCallback batch_cb;
     // Internal helper request: the worker joins this split job instead of
-    // serving a client request (no promise, no stats).
+    // serving a client request (no completion, no stats).
     std::shared_ptr<SplitJob> split;
-    // Per-request trace destination (callback variants): the worker records
-    // spans straight into it so pre-filled stages (net decode) survive.
+    // Per-request trace destination: the worker records spans straight
+    // into it so pre-filled stages (net decode) survive.
     std::shared_ptr<obs::RequestTrace> trace_sink;
     WallTimer submitted;  // end-to-end latency starts at enqueue
   };
@@ -278,12 +264,14 @@ class EstimatorService {
   void ThrowIfWorkerThread(const char* what) const;
   void WorkerLoop();
   void Serve(Request& req);
-  /// Shared completion tail of Serve(): seals the trace (total + stage
-  /// histograms), records end-to-end latency, runs `complete` (timed as the
+  /// The one path of a client request: runs `serve` (counted into `served`,
+  /// or errors_ when it throws), seals the trace (total + stage
+  /// histograms), records end-to-end latency, runs `done` (timed as the
   /// respond stage), and writes the slow-request log line if warranted.
-  void FinishRequest(Request& req, obs::RequestTrace& trace, bool tracing,
-                     const char* kind, size_t masks,
-                     const std::function<void()>& complete);
+  template <typename ServeFn, typename Callback>
+  void ServeAndComplete(Request& req, const char* kind, size_t masks,
+                        std::atomic<uint64_t>& served, const ServeFn& serve,
+                        const Callback& done);
   /// `trace` may be null (tracing disabled); when set, cache-probe and
   /// estimate-kernel spans are added to it.
   double ServeSingle(const Query& query, obs::RequestTrace* trace);
@@ -322,7 +310,7 @@ class EstimatorService {
   std::atomic<uint64_t> errors_{0};
   std::atomic<uint64_t> batches_split_{0};
   std::atomic<uint64_t> split_chunks_{0};
-  // Completed requests, counted in FinishRequest — the flight recorder's
+  // Completed requests, counted in ServeAndComplete — the flight recorder's
   // every-Nth sampling ticket.
   std::atomic<uint64_t> finished_{0};
 };

@@ -2,17 +2,10 @@
 // submitters and the EstimatorService worker pool. Mutex + two condition
 // variables — simple, fair enough, and the per-item cost is dwarfed by an
 // estimate's compute, so a lock-free ring would buy nothing here.
-//
-// Two lanes: the normal FIFO lane, and an optional low-priority lane
-// (TryPushLow) that consumers drain only when the normal lane is empty.
-// The service's prefer_fresh_requests scheduling puts batch-split helper
-// chunks in the low lane so newly arriving small requests are served
-// first; `LowBypasses()` counts how often that reordering actually fired.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -34,7 +27,7 @@ class MpmcQueue {
   bool Push(T item) {
     std::unique_lock<std::mutex> lock(mu_);
     not_full_.wait(lock,
-                   [&] { return closed_ || Size_Locked() < capacity_; });
+                   [&] { return closed_ || items_.size() < capacity_; });
     if (closed_) return false;
     items_.push_back(std::move(item));
     lock.unlock();
@@ -49,39 +42,22 @@ class MpmcQueue {
   bool TryPush(T item) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || Size_Locked() >= capacity_) return false;
+      if (closed_ || items_.size() >= capacity_) return false;
       items_.push_back(std::move(item));
     }
     not_empty_.notify_one();
     return true;
   }
 
-  /// Non-blocking push into the low-priority lane: consumers only see the
-  /// item once the normal lane is empty. Same full/closed semantics as
-  /// TryPush (both lanes share one capacity).
-  bool TryPushLow(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || Size_Locked() >= capacity_) return false;
-      low_items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Blocks while both lanes are empty. Returns nullopt once the queue is
+  /// Blocks while the queue is empty. Returns nullopt once the queue is
   /// closed AND drained, so consumers finish all accepted work before
   /// exiting. Thread-safe for any number of concurrent consumers.
   std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] {
-      return closed_ || !items_.empty() || !low_items_.empty();
-    });
-    std::deque<T>* lane = !items_.empty() ? &items_ : &low_items_;
-    if (lane->empty()) return std::nullopt;
-    if (lane == &items_ && !low_items_.empty()) ++low_bypasses_;
-    T item = std::move(lane->front());
-    lane->pop_front();
+    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
+    if (items_.empty()) return std::nullopt;
+    T item = std::move(items_.front());
+    items_.pop_front();
     lock.unlock();
     not_full_.notify_one();
     return item;
@@ -98,18 +74,11 @@ class MpmcQueue {
     not_full_.notify_all();
   }
 
-  /// Current backlog length across both lanes. Thread-safe; a snapshot
-  /// that may be stale by the time the caller acts on it.
+  /// Current backlog length. Thread-safe; a snapshot that may be stale by
+  /// the time the caller acts on it.
   size_t Size() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return Size_Locked();
-  }
-
-  /// Times Pop() served the normal lane while low-priority items waited
-  /// (i.e. the reordering the low lane exists for actually happened).
-  uint64_t LowBypasses() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return low_bypasses_;
+    return items_.size();
   }
 
   /// True once Close() was called. Thread-safe.
@@ -119,16 +88,12 @@ class MpmcQueue {
   }
 
  private:
-  size_t Size_Locked() const { return items_.size() + low_items_.size(); }
-
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::deque<T> items_;
-  std::deque<T> low_items_;
   const size_t capacity_;
   bool closed_ = false;
-  uint64_t low_bypasses_ = 0;
 };
 
 }  // namespace fj

@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "obs/latency_histogram.h"
+#include "obs/metrics_registry.h"
 #include "obs/request_trace.h"
 #include "service/sharded_cache.h"
 
@@ -22,7 +23,7 @@ struct ServiceStats {
   uint64_t subplan_requests = 0;
   /// Individual sub-plan estimates produced inside batched requests.
   uint64_t subplans_estimated = 0;
-  /// Requests whose promise was fulfilled with an exception.
+  /// Requests completed with an error.
   uint64_t errors = 0;
   /// Batched requests whose cache-miss set was split into per-worker chunks
   /// (batch-aware scheduling; see
@@ -31,19 +32,10 @@ struct ServiceStats {
   /// Total chunks produced by split batches (avg chunk fan-out =
   /// split_chunks / batches_split).
   uint64_t split_chunks = 0;
-  /// Times a newly arriving client request was scheduled ahead of queued
-  /// batch-split helper chunks (EstimatorServiceOptions::
-  /// prefer_fresh_requests; always 0 while the option is off). Split
-  /// batches lose nothing — the serving worker keeps claiming chunks
-  /// itself — but small fresh requests stop waiting behind them.
-  uint64_t fresh_first_pops = 0;
-  /// NotifyUpdate calls received (data-update notifications). Always equals
-  /// `epoch`: both are captured from one atomic read of the epoch registry,
-  /// which NotifyUpdate bumps exactly once per call (the separate counter
-  /// that could disagree under concurrent snapshots is gone).
-  uint64_t updates_notified = 0;
-  /// Statistics epoch at snapshot time. Cache entries older than a touched
-  /// table's epoch are lazily invalidated; see CacheStats::invalidations.
+  /// Statistics epoch at snapshot time, which is also the number of
+  /// NotifyUpdate calls received: each call bumps it exactly once. Cache
+  /// entries older than a touched table's epoch are lazily invalidated;
+  /// see CacheStats::invalidations.
   uint64_t epoch = 0;
   /// Gauge: client requests accepted but not yet served at snapshot time
   /// (queued plus in-flight on workers) — what Drain() waits to reach zero.
@@ -94,6 +86,64 @@ struct ServiceStats {
     p999_micros = latency.ValueAtQuantile(0.999);
     max_micros = static_cast<double>(latency.max);
   }
+};
+
+/// One row of kServiceCounters: a ServiceStats counter or gauge with its
+/// metric name (also its key in the stats wire body), kind and help text.
+/// The value lives in `field`, or in `cache_field` of ServiceStats::cache.
+struct ServiceCounter {
+  const char* name;
+  obs::MetricKind kind;
+  const char* help;
+  uint64_t ServiceStats::*field = nullptr;
+  uint64_t CacheStats::*cache_field = nullptr;
+
+  /// The row's value in `stats` (const or mutable).
+  template <typename Stats>
+  auto& Of(Stats& stats) const {
+    return field != nullptr ? stats.*field : stats.cache.*cache_field;
+  }
+};
+
+/// Every counter and gauge of ServiceStats, each exactly once. The stats
+/// wire codec (net/protocol.h) and the Prometheus exporter
+/// (obs/metrics_export.h) both walk this table, so a new counter is one
+/// field plus one row.
+inline constexpr ServiceCounter kServiceCounters[] = {
+    {"fj_requests_total", obs::MetricKind::kCounter,
+     "Single-query estimate requests completed.", &ServiceStats::requests},
+    {"fj_subplan_requests_total", obs::MetricKind::kCounter,
+     "Batched sub-plan requests completed.", &ServiceStats::subplan_requests},
+    {"fj_subplans_estimated_total", obs::MetricKind::kCounter,
+     "Sub-plan estimates produced inside batches.",
+     &ServiceStats::subplans_estimated},
+    {"fj_errors_total", obs::MetricKind::kCounter,
+     "Requests completed with an error.", &ServiceStats::errors},
+    {"fj_batches_split_total", obs::MetricKind::kCounter,
+     "Batched requests split across workers.", &ServiceStats::batches_split},
+    {"fj_split_chunks_total", obs::MetricKind::kCounter,
+     "Chunks produced by split batches.", &ServiceStats::split_chunks},
+    {"fj_epoch", obs::MetricKind::kGauge, "Current statistics epoch.",
+     &ServiceStats::epoch},
+    {"fj_pending_requests", obs::MetricKind::kGauge,
+     "Requests accepted but not yet served.", &ServiceStats::pending_requests},
+    {"fj_queue_depth", obs::MetricKind::kGauge,
+     "Requests waiting in the queue.", &ServiceStats::queue_depth},
+    {"fj_slow_requests_total", obs::MetricKind::kCounter,
+     "Slow-request log lines emitted.", &ServiceStats::slow_requests},
+    {"fj_slow_suppressed_total", obs::MetricKind::kCounter,
+     "Slow-request offenders swallowed by the log rate limiter.",
+     &ServiceStats::slow_suppressed},
+    {"fj_cache_hits_total", obs::MetricKind::kCounter, "Estimate-cache hits.",
+     nullptr, &CacheStats::hits},
+    {"fj_cache_misses_total", obs::MetricKind::kCounter,
+     "Estimate-cache misses.", nullptr, &CacheStats::misses},
+    {"fj_cache_evictions_total", obs::MetricKind::kCounter,
+     "Estimate-cache evictions.", nullptr, &CacheStats::evictions},
+    {"fj_cache_invalidations_total", obs::MetricKind::kCounter,
+     "Epoch-based cache invalidations.", nullptr, &CacheStats::invalidations},
+    {"fj_cache_entries", obs::MetricKind::kGauge,
+     "Live estimate-cache entries.", nullptr, &CacheStats::entries},
 };
 
 }  // namespace fj

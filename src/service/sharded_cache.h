@@ -34,11 +34,7 @@ struct CacheStats {
   /// Entries dropped at lookup time because a touched table was updated
   /// after the entry was cached (each also counts as a miss).
   uint64_t invalidations = 0;
-  /// Cost-aware evictions that spared the strict-LRU victim because it was
-  /// recorded as expensive to recompute (0 unless the cache was built with
-  /// cost_aware = true).
-  uint64_t cost_weighted_evictions = 0;
-  size_t entries = 0;
+  uint64_t entries = 0;
 
   double HitRate() const {
     uint64_t lookups = hits + misses;
@@ -53,18 +49,9 @@ class ShardedEstimateCache {
   /// (rounded up to a power of two so shard selection is a bit mask).
   /// `epochs`, when given (not owned, must outlive the cache), enables
   /// staleness checks against the registry's per-table epochs; without it
-  /// entries never go stale (the pre-invalidation behavior). With
-  /// `cost_aware` set, eviction victims are chosen among the
-  /// kCostWindow least-recently-used entries by cheapest recorded
-  /// estimation latency first — a hot entry that took milliseconds to
-  /// compute outlives a cold one that recomputes in microseconds.
+  /// entries never go stale (the pre-invalidation behavior).
   explicit ShardedEstimateCache(size_t capacity, size_t num_shards = 16,
-                                const TableEpochRegistry* epochs = nullptr,
-                                bool cost_aware = false);
-
-  /// LRU-tail window examined by cost-aware eviction: bounds the extra
-  /// eviction work while still letting an expensive straggler survive.
-  static constexpr size_t kCostWindow = 8;
+                                const TableEpochRegistry* epochs = nullptr);
 
   ShardedEstimateCache(const ShardedEstimateCache&) = delete;
   ShardedEstimateCache& operator=(const ShardedEstimateCache&) = delete;
@@ -76,16 +63,13 @@ class ShardedEstimateCache {
   std::optional<double> Lookup(const QueryFingerprint& key);
 
   /// Inserts or overwrites; evicts the shard's least-recently-used entry
-  /// (or, cost-aware, the cheapest of the LRU tail) when the shard is at
-  /// capacity. `table_bits` is the bitmap of base tables the sub-plan
-  /// touches and `epoch` the TableEpochRegistry::Epoch() snapshot taken
-  /// BEFORE the estimate was computed — snapshotting before guarantees an
-  /// update racing the computation invalidates the entry. `cost_micros` is
-  /// the recorded latency of computing the estimate (only consulted by
-  /// cost-aware eviction). Thread-safe (per-shard mutex).
+  /// when the shard is at capacity. `table_bits` is the bitmap of base
+  /// tables the sub-plan touches and `epoch` the TableEpochRegistry::Epoch()
+  /// snapshot taken BEFORE the estimate was computed — snapshotting before
+  /// guarantees an update racing the computation invalidates the entry.
+  /// Thread-safe (per-shard mutex).
   void Insert(const QueryFingerprint& key, double value,
-              uint64_t table_bits = 0, uint64_t epoch = 0,
-              double cost_micros = 0.0);
+              uint64_t table_bits = 0, uint64_t epoch = 0);
 
   /// Drops every entry in every shard (stop-the-world; prefer epoch-based
   /// invalidation via TableEpochRegistry for data updates). Thread-safe.
@@ -97,12 +81,11 @@ class ShardedEstimateCache {
   size_t capacity() const { return shards_.size() * per_shard_capacity_; }
 
  private:
-  /// One cached estimate with its staleness tag and recompute cost.
+  /// One cached estimate with its staleness tag.
   struct CachedEstimate {
     double value = 0.0;
     uint64_t epoch = 0;       // registry epoch when the estimate started
     uint64_t table_bits = 0;  // base tables the sub-plan touches
-    double cost_micros = 0.0;  // latency of the estimate that produced it
   };
   using LruList = std::list<std::pair<QueryFingerprint, CachedEstimate>>;
 
@@ -118,11 +101,7 @@ class ShardedEstimateCache {
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t invalidations = 0;
-    uint64_t cost_weighted_evictions = 0;
   };
-
-  /// Removes one entry to make room, honoring the eviction policy.
-  void EvictOne(Shard& shard);
 
   Shard& ShardFor(const QueryFingerprint& key) {
     // The fingerprint is already well mixed; low bits of lo^hi pick a shard.
@@ -133,7 +112,6 @@ class ShardedEstimateCache {
   size_t shard_mask_;
   size_t per_shard_capacity_;
   const TableEpochRegistry* epochs_;  // not owned; may be nullptr
-  bool cost_aware_ = false;
 };
 
 }  // namespace fj

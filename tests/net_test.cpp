@@ -10,8 +10,13 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "factorjoin/estimator.h"
@@ -328,29 +333,14 @@ TEST(ProtocolTest, RequestBodiesCarryTheModelId) {
   EXPECT_EQ(net::DecodeStatsReq(net::EncodeStatsReq("")), "");
 }
 
-TEST(ProtocolTest, ServiceStatsRoundTrip) {
+// ServiceStats with a distinct value in every counter and non-empty
+// histograms.
+ServiceStats DistinctStats() {
   ServiceStats stats;
-  stats.requests = 11;
-  stats.subplan_requests = 22;
-  stats.subplans_estimated = 333;
-  stats.errors = 1;
-  stats.batches_split = 6;
-  stats.split_chunks = 18;
-  stats.fresh_first_pops = 7;
-  stats.updates_notified = 4;
-  stats.epoch = 4;
-  stats.pending_requests = 9;
-  stats.queue_depth = 5;
-  stats.cache.hits = 100;
-  stats.cache.misses = 50;
-  stats.cache.evictions = 3;
-  stats.cache.invalidations = 2;
-  stats.cache.cost_weighted_evictions = 1;
-  stats.cache.entries = 77;
-  stats.slow_requests = 3;
-  stats.slow_suppressed = 17;
-  // The wire carries full histograms; quantiles are re-derived on decode,
-  // never trusted from the peer.
+  uint64_t value = 1000;
+  for (const ServiceCounter& counter : kServiceCounters) {
+    counter.Of(stats) = value += 7;
+  }
   obs::LatencyHistogram lat;
   for (uint64_t v : {10, 10, 45, 800, 123456}) lat.Record(v);
   stats.latency = lat.Snapshot();
@@ -358,24 +348,44 @@ TEST(ProtocolTest, ServiceStatsRoundTrip) {
   est_stage.Record(700);
   stats.stages[static_cast<size_t>(obs::Stage::kEstimate)] =
       est_stage.Snapshot();
+  return stats;
+}
+
+using CounterPairs = std::vector<std::pair<std::string, uint64_t>>;
+
+// A stats body: the `extra` pairs, then every counter of DistinctStats(),
+// then empty histograms. The pair count claims `overrun` more pairs than
+// the body holds.
+std::vector<uint8_t> StatsBody(const CounterPairs& extra,
+                               uint32_t overrun = 0) {
+  ServiceStats stats = DistinctStats();
+  ByteWriter w;
+  w.U32(static_cast<uint32_t>(extra.size() + std::size(kServiceCounters)) +
+        overrun);
+  for (const auto& [name, value] : extra) {
+    w.Str(name);
+    w.U64(value);
+  }
+  for (const ServiceCounter& counter : kServiceCounters) {
+    w.Str(counter.name);
+    w.U64(counter.Of(stats));
+  }
+  obs::EncodeHistogramSnapshot({}, &w);
+  w.U8(static_cast<uint8_t>(obs::kNumStages));
+  for (size_t i = 0; i < obs::kNumStages; ++i) {
+    obs::EncodeHistogramSnapshot({}, &w);
+  }
+  return w.Take();
+}
+
+TEST(ProtocolTest, ServiceStatsRoundTrip) {
+  ServiceStats stats = DistinctStats();
   ServiceStats back = net::DecodeServiceStats(net::EncodeServiceStats(stats));
-  EXPECT_EQ(back.requests, stats.requests);
-  EXPECT_EQ(back.subplan_requests, stats.subplan_requests);
-  EXPECT_EQ(back.subplans_estimated, stats.subplans_estimated);
-  EXPECT_EQ(back.errors, stats.errors);
-  EXPECT_EQ(back.batches_split, stats.batches_split);
-  EXPECT_EQ(back.split_chunks, stats.split_chunks);
-  EXPECT_EQ(back.fresh_first_pops, stats.fresh_first_pops);
-  EXPECT_EQ(back.cache.cost_weighted_evictions,
-            stats.cache.cost_weighted_evictions);
-  EXPECT_EQ(back.updates_notified, stats.updates_notified);
-  EXPECT_EQ(back.epoch, stats.epoch);
-  EXPECT_EQ(back.pending_requests, stats.pending_requests);
-  EXPECT_EQ(back.queue_depth, stats.queue_depth);
-  EXPECT_EQ(back.cache.hits, stats.cache.hits);
-  EXPECT_EQ(back.cache.entries, stats.cache.entries);
-  EXPECT_EQ(back.slow_requests, stats.slow_requests);
-  EXPECT_EQ(back.slow_suppressed, stats.slow_suppressed);
+  for (const ServiceCounter& counter : kServiceCounters) {
+    EXPECT_EQ(counter.Of(back), counter.Of(stats)) << counter.name;
+  }
+  // The wire carries full histograms; quantiles are re-derived on decode,
+  // never trusted from the peer.
   EXPECT_EQ(back.latency.count, stats.latency.count);
   EXPECT_EQ(back.latency.sum, stats.latency.sum);
   EXPECT_EQ(back.latency.max, stats.latency.max);
@@ -392,6 +402,36 @@ TEST(ProtocolTest, ServiceStatsRoundTrip) {
   EXPECT_EQ(back.p99_micros, expect.p99_micros);
   EXPECT_EQ(back.p999_micros, expect.p999_micros);
   EXPECT_EQ(back.max_micros, 123456.0);
+}
+
+// Names this build does not know (a newer peer's counters) are skipped; a
+// name sent twice, a pair count past the end of the frame and every
+// truncation are malformed.
+TEST(ProtocolTest, ServiceStatsNameValueBody) {
+  ServiceStats back = net::DecodeServiceStats(
+      StatsBody({{"fj_from_a_newer_peer_total", 5}, {"", 6}}));
+  ServiceStats expect = DistinctStats();
+  for (const ServiceCounter& counter : kServiceCounters) {
+    EXPECT_EQ(counter.Of(back), counter.Of(expect)) << counter.name;
+  }
+
+  EXPECT_THROW(net::DecodeServiceStats(StatsBody({{"fj_requests_total", 1}})),
+               SerializeError);
+  EXPECT_THROW(net::DecodeServiceStats(StatsBody(
+                   {{"fj_unknown_total", 1}, {"fj_unknown_total", 2}})),
+               SerializeError);
+  for (uint32_t overrun : {1u, 1000u, UINT32_MAX - 100}) {
+    EXPECT_THROW(net::DecodeServiceStats(StatsBody({}, overrun)),
+                 SerializeError)
+        << "overrun " << overrun;
+  }
+  std::vector<uint8_t> body = net::EncodeServiceStats(DistinctStats());
+  for (size_t len = 0; len < body.size(); ++len) {
+    std::vector<uint8_t> prefix(body.begin(),
+                                body.begin() + static_cast<long>(len));
+    EXPECT_THROW(net::DecodeServiceStats(prefix), SerializeError)
+        << "len " << len;
+  }
 }
 
 TEST(ProtocolTest, ServiceStatsRejectsWrongStageCount) {
@@ -571,7 +611,6 @@ TEST(RemoteTest, NotifyUpdateAndStatsRpcs) {
   EXPECT_EQ(stack.service.Epoch(), 1u);
   ServiceStats stats = stack.client->Stats();
   EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.updates_notified, 1u);
   EXPECT_EQ(stats.epoch, 1u);
 }
 
@@ -631,9 +670,11 @@ TEST(RemoteTest, TruncatedFrameMidBodyDropsConnection) {
 TEST(RemoteTest, HandshakeVersionMismatchRejected) {
   RemoteStack stack;
   // A from-the-future version and every retired one (v1 requests lack the
-  // model-id field; v2 lacks the trace flag and histogram stats bodies)
-  // must be rejected cleanly at the handshake, never half-spoken.
-  for (uint16_t version : {uint16_t{99}, uint16_t{1}, uint16_t{2}}) {
+  // model-id field; v2 lacks the trace flag and histogram stats bodies; v3
+  // lacks the suppressed counter; v4 stats counters are positional) must
+  // be rejected cleanly at the handshake, never half-spoken.
+  for (uint16_t version : {uint16_t{99}, uint16_t{1}, uint16_t{2},
+                           uint16_t{3}, uint16_t{4}}) {
     int fd = net::ConnectSocket(stack.server.endpoint());
     net::Hello hello;
     hello.version = version;
@@ -677,10 +718,20 @@ TEST(RemoteTest, TracedRequestsCarryServerStageBreakdown) {
   EXPECT_GT(single.trace.total_micros, 0u);
   EXPECT_EQ(single.estimate, stack.client->Estimate(ChainQuery(31, 260)));
 
-  // Untraced requests stay trace-free on the wire (flag off).
-  net::EstimatorClient::TracedSubplans again =
-      stack.client->EstimateSubplansTraced(q, masks);
-  EXPECT_TRUE(again.has_trace);
+  // Untraced requests stay trace-free on the wire (flag off), seen on a
+  // raw connection so nothing but the frame itself is inspected.
+  int fd = net::ConnectSocket(stack.server.endpoint());
+  ASSERT_TRUE(net::WriteFrame(fd, MsgType::kHello, 0, net::EncodeHello({})));
+  ASSERT_TRUE(net::ReadFrame(fd, net::kDefaultMaxFrameBytes).has_value());
+  ASSERT_TRUE(net::WriteFrame(fd, MsgType::kSubplansReq, 1,
+                              net::EncodeSubplansReq("", q, masks)));
+  auto resp = net::ReadFrame(fd, net::kDefaultMaxFrameBytes);
+  net::CloseSocket(fd);
+  ASSERT_TRUE(resp.has_value());
+  ASSERT_EQ(resp->type, MsgType::kSubplansResp);
+  net::SubplansResp raw = net::DecodeSubplansRespFull(resp->body);
+  EXPECT_FALSE(raw.has_trace);
+  EXPECT_EQ(raw.estimates, untraced);
 
   // The aggregate net-stage histograms on the server saw every frame.
   net::ServerStats server_stats = stack.server.Stats();
@@ -828,35 +879,130 @@ TEST(MultiModelTest, EpochsAndStatsArePerModel) {
   EXPECT_EQ(stats_b.requests, 1u);
 }
 
-TEST(RemoteTest, LostConnectionFailsOutstandingFutures) {
-  Database db = MakeDb();
-  FactorJoinConfig config;
-  config.num_bins = 32;
-  FactorJoinEstimator estimator(db, config);
-  EstimatorService service(estimator, {.num_threads = 1});
-  auto server = std::make_unique<EstimatorServer>(service);
-  server->Start();
-  EstimatorClientOptions client_options;
-  client_options.endpoint.port = server->port();
-  client_options.reconnect_attempts = 1;
-  EstimatorClient client(client_options);
-  client.Connect();
+// ---------------------------------------------------------------------------
+// Client completion callbacks: EstimateAsync(model, query, done).
 
-  // Requests the server will never answer: stop it while they're parked.
-  std::vector<std::future<double>> futures;
-  for (int i = 0; i < 4; ++i) {
-    futures.push_back(client.EstimateAsync(ChainQuery(20 + i, 400)));
+// Records each request's callback runs (count, value, error) and waits
+// until every request has completed.
+struct Completions {
+  explicit Completions(size_t n) : calls(n), values(n), errors(n) {}
+
+  EstimatorClient::EstimateCallback For(size_t i) {
+    return [this, i](double value, std::exception_ptr error) {
+      std::lock_guard<std::mutex> lock(mu);
+      ++calls[i];
+      values[i] = value;
+      errors[i] = std::move(error);
+      ++total;
+      all_done.notify_all();
+    };
   }
-  server.reset();
-  size_t failed = 0;
-  for (auto& f : futures) {
+
+  bool WaitAll() {
+    std::unique_lock<std::mutex> lock(mu);
+    return all_done.wait_for(lock, std::chrono::seconds(30),
+                             [&] { return total >= calls.size(); });
+  }
+
+  std::mutex mu;
+  std::condition_variable all_done;
+  std::vector<int> calls;
+  std::vector<double> values;
+  std::vector<std::exception_ptr> errors;
+  size_t total = 0;
+};
+
+// Responses arrive with values bit-identical to in-process estimation; a
+// server-side failure arrives as RemoteError.
+TEST(ClientCallbackTest, DeliversValuesAndServerErrors) {
+  RemoteStack stack;
+  std::vector<Query> queries;
+  for (int i = 0; i < 16; ++i) {
+    queries.push_back(ChainQuery(20 + i, 150 + 20 * i));
+  }
+  Query disconnected;  // no join path: the estimator rejects it
+  disconnected.AddTable("users", "u").AddTable("items", "i");
+  queries.push_back(disconnected);
+  Completions done(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    stack.client->EstimateAsync("", queries[i], done.For(i));
+  }
+  ASSERT_TRUE(done.WaitAll());
+  std::lock_guard<std::mutex> lock(done.mu);
+  for (size_t i = 0; i + 1 < queries.size(); ++i) {
+    EXPECT_EQ(done.calls[i], 1);
+    EXPECT_EQ(done.errors[i], nullptr);
+    EXPECT_EQ(std::bit_cast<uint64_t>(done.values[i]),
+              std::bit_cast<uint64_t>(stack.estimator.Estimate(queries[i])));
+  }
+  EXPECT_EQ(done.calls.back(), 1);
+  ASSERT_NE(done.errors.back(), nullptr);
+  EXPECT_THROW(std::rethrow_exception(done.errors.back()), RemoteError);
+}
+
+// A failed dial is a completion like any other: the callback runs once,
+// before EstimateAsync returns, and the future overload fails through get().
+TEST(ClientCallbackTest, FailedDialCompletesOnTheCallingThread) {
+  EstimatorClientOptions options;
+  options.endpoint.unix_path =
+      "/tmp/fj_net_test_nobody_" + std::to_string(::getpid()) + ".sock";
+  options.reconnect_attempts = 1;
+  EstimatorClient client(options);
+  Query q = ChainQuery(30, 250);
+
+  std::atomic<int> calls{0};
+  std::thread::id ran_on;
+  std::exception_ptr error;
+  auto done = [&](double, std::exception_ptr e) {
+    calls.fetch_add(1);
+    ran_on = std::this_thread::get_id();
+    error = std::move(e);
+  };
+  EXPECT_NO_THROW(client.EstimateAsync("", q, done));
+  ASSERT_EQ(calls.load(), 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_THROW(std::rethrow_exception(error), NetError);
+
+  std::future<double> future;
+  EXPECT_NO_THROW(future = client.EstimateAsync(q));
+  EXPECT_THROW(future.get(), NetError);
+}
+
+// Requests outstanding when the server stops each complete exactly once,
+// through a callback or a future: served before the stop (bit-identical
+// value) or failed with NetError by the disconnect sweep.
+TEST(RemoteTest, LostConnectionFailsOutstandingFutures) {
+  RemoteStack stack;
+  std::vector<Query> queries;
+  for (int i = 0; i < 32; ++i) {
+    queries.push_back(ChainQuery(20 + i % 30, 400 - i));
+  }
+  Completions done(queries.size());
+  std::vector<std::future<double>> futures;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    stack.client->EstimateAsync("", queries[i], done.For(i));
+    futures.push_back(stack.client->EstimateAsync(queries[i]));
+  }
+  stack.server.Stop();
+  ASSERT_TRUE(done.WaitAll());
+  stack.client->Disconnect();  // no receiver left to run a callback again
+
+  std::lock_guard<std::mutex> lock(done.mu);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    uint64_t expect =
+        std::bit_cast<uint64_t>(stack.estimator.Estimate(queries[i]));
+    EXPECT_EQ(done.calls[i], 1) << "request " << i;
+    if (done.errors[i] == nullptr) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(done.values[i]), expect);
+    } else {
+      EXPECT_THROW(std::rethrow_exception(done.errors[i]), NetError);
+    }
     try {
-      f.get();  // may have been served before the stop — also fine
-    } catch (const std::runtime_error&) {
-      ++failed;
+      EXPECT_EQ(std::bit_cast<uint64_t>(futures[i].get()), expect);
+    } catch (const NetError&) {
+      // failed by the disconnect sweep — also a single completion
     }
   }
-  SUCCEED() << failed << " of 4 futures failed with the connection";
 }
 
 }  // namespace

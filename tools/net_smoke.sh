@@ -12,9 +12,10 @@
 #     and protocol-v2 model routing are bit-exact across processes.
 #
 #  3. observability: restart fj_server with --metrics-port 0, scrape
-#     /metrics before and after a traced client run, and assert the
-#     expected metric families are present and the request counters
-#     moved; also checks /metrics.json and the fj_client --trace output.
+#     /metrics before and after a traced client run that also sends one
+#     NotifyUpdate, and assert the expected metric families are present,
+#     the request counters moved and the epoch and update counters read 1;
+#     also checks /metrics.json and the fj_client --trace output.
 #
 #  4. health under overload: restart fj_server with an SLO spec, confirm
 #     /healthz reports ok at idle, drive an fj_loadgen burst far past
@@ -164,9 +165,11 @@ for name in \
 done
 
 # A traced client run: the --trace breakdown must come back, and the slow
-# log (threshold 1us) must emit at least one line into the server log.
+# log (threshold 1us) must emit at least one line into the server log. The
+# run also sends one NotifyUpdate through the binaries.
 CLIENT_OUT="$WORKDIR/client_trace.log"
-"$CLIENT_BIN" "${WORKLOAD_FLAGS[@]}" --port "$PORT" --trace | tee "$CLIENT_OUT"
+"$CLIENT_BIN" "${WORKLOAD_FLAGS[@]}" --port "$PORT" --trace --update title \
+  | tee "$CLIENT_OUT"
 grep -q "fj_client: trace: remote request total=" "$CLIENT_OUT" || {
   echo "net_smoke: client --trace printed no remote breakdown" >&2; exit 1; }
 
@@ -184,6 +187,21 @@ if ! awk -v a="$SUBPLANS_BEFORE" -v b="$SUBPLANS_AFTER" \
        "($SUBPLANS_BEFORE -> $SUBPLANS_AFTER)" >&2
   exit 1
 fi
+# The one NotifyUpdate moved the epoch, which the update counter reads.
+for series in 'fj_epoch{model="default"}' \
+    'fj_updates_notified_total{model="default"}'; do
+  VALUE=$(metric_value "$AFTER" "$series")
+  if ! awk -v v="$VALUE" 'BEGIN { exit !(v != "" && v + 0 == 1) }'; then
+    echo "net_smoke: $series is '$VALUE' after one NotifyUpdate, want 1" >&2
+    cat "$AFTER" >&2
+    exit 1
+  fi
+done
+grep -qF 'fj_slow_suppressed_total{model="default"}' "$AFTER" || {
+  echo "net_smoke: fj_slow_suppressed_total missing from scrape:" >&2
+  cat "$AFTER" >&2
+  exit 1
+}
 # Tracing was requested, so per-stage histograms must now be populated.
 grep -qF 'fj_stage_latency_micros_count{model="default",stage="estimate"}' "$AFTER" || {
   echo "net_smoke: per-stage histogram missing after traced run:" >&2
