@@ -10,9 +10,9 @@
 //   1. In-process sweep: saturation probe measures capacity C, then
 //      constant-rate points at {25, 50, 75, 100, 125}% of C against the
 //      in-process EstimatorService. Past 100% the p99/p999 blow up — that
-//      knee is the headline. An SLO section then replays each point's
-//      histogram through obs::SloTracker and checks the burn rate crosses
-//      1 exactly where the offered load crosses C.
+//      knee is the headline. An SLO section then pushes each point's
+//      histogram as one window through obs::BurnRates and checks the burn
+//      rate crosses 1 exactly where the offered load crosses C.
 //   2. Remote sweep: the same service behind EstimatorServer/Client over
 //      loopback TCP, driven through the client's completion-callback hook.
 //   3. Mixed poisson traffic: poisson arrivals at 10% of C with a 2%
@@ -40,6 +40,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/slo.h"
+#include "obs/time_series.h"
 #include "service/estimator_service.h"
 #include "workload/loadgen.h"
 #include "workload/openloop.h"
@@ -120,14 +121,14 @@ std::vector<OpenLoopResult> Sweep(const Workload& workload, LoadTarget* target,
 
 /// SLO burn-rate validation against the measured knee: derive a p99
 /// latency objective from the healthy 75% point (threshold = 2x its p999,
-/// so boundary noise cannot trip it), then feed each sweep point's
-/// histogram through an SloTracker — the objective's error budget is 1%
-/// over threshold, CountOver is the bad-event counter, exactly the math
-/// the live monitor runs per second. Below the knee the burn must sit
-/// under 1; past it the open-loop backlog puts nearly every request over
-/// any fixed threshold and the burn explodes. This pins the tentpole's
-/// core promise: burn-rate fires exactly when offered load crosses
-/// capacity, not before.
+/// so boundary noise cannot trip it), then push each sweep point's
+/// histogram as the one window of a ring and read its burn rate — the
+/// objective's error budget is 1% over threshold, CountOver is the
+/// bad-event counter, exactly the math the live monitor runs per second.
+/// Below the knee the burn must sit under 1; past it the open-loop backlog
+/// puts nearly every request over any fixed threshold and the burn
+/// explodes. This pins the tentpole's core promise: burn-rate fires
+/// exactly when offered load crosses capacity, not before.
 void SloSection(const std::vector<OpenLoopResult>& sweep,
                 JsonReport* report) {
   const OpenLoopResult& healthy = sweep[2];  // 75% of capacity
@@ -142,17 +143,17 @@ void SloSection(const std::vector<OpenLoopResult>& sweep,
   const double fractions[] = {0.25, 0.5, 0.75, 1.0, 1.25};
   std::vector<double> burns;
   for (size_t i = 0; i < sweep.size(); ++i) {
-    obs::SloTracker tracker(spec, /*fast=*/1, /*slow=*/2);
-    obs::SloInput in;
-    in.total = sweep[i].latency.count;
-    in.over_threshold = {sweep[i].latency.CountOver(threshold)};
-    tracker.Feed(in);
-    double burn = tracker.Status().objectives[0].fast_burn;
+    obs::WindowSample w;
+    w.latency_count = sweep[i].latency.count;
+    w.over_threshold[0] = sweep[i].latency.CountOver(threshold);
+    obs::TimeSeriesRing ring(1);
+    ring.Push(w);
+    double burn = obs::BurnRates(spec, ring)[0].fast_burn;
     std::printf("  %4.0f%% of capacity: %8llu reqs, %6llu over %llu us "
                 "-> burn %.2f %s\n",
                 fractions[i] * 100.0,
-                static_cast<unsigned long long>(in.total),
-                static_cast<unsigned long long>(in.over_threshold[0]),
+                static_cast<unsigned long long>(w.latency_count),
+                static_cast<unsigned long long>(w.over_threshold[0]),
                 static_cast<unsigned long long>(threshold), burn,
                 burn > 1.0 ? "(budget burning)" : "");
     report->Add("openloop_slo_burn_p" + std::to_string(i), burn);

@@ -311,10 +311,7 @@ int main(int argc, char** argv) {
       options.queue_capacity = 256;
       options.cache_capacity = 1 << 18;
       options.enable_tracing = true;
-      if (record) {
-        options.flight_recorder = &recorder;
-        options.flight_sample_every = 16;
-      }
+      if (record) options.flight_recorder = &recorder;
       auto service = std::make_unique<EstimatorService>(estimator, options);
       for (size_t i = 0; i < workload->queries.size(); ++i) {
         service->EstimateSubplans(workload->queries[i], masks[i]);

@@ -46,6 +46,7 @@
 #include "net/protocol.h"
 #include "net/socket.h"
 #include "obs/latency_histogram.h"
+#include "obs/metrics_registry.h"
 #include "obs/request_trace.h"
 #include "service/estimator_service.h"
 #include "service/model_registry.h"
@@ -91,6 +92,47 @@ struct ServerStats {
   /// ServiceStats::stages — together the two arrays cover a remote
   /// request's full path without double counting.
   std::array<obs::HistogramSnapshot, obs::kNumStages> stages;
+};
+
+/// One row of kServerCounters: a ServerStats counter or gauge with its
+/// metric name, kind and help text.
+struct ServerCounter {
+  const char* name;
+  obs::MetricKind kind;
+  const char* help;
+  uint64_t ServerStats::*field;
+
+  /// The row's value in `stats` (const or mutable).
+  template <typename Stats>
+  auto& Of(Stats& stats) const {
+    return stats.*field;
+  }
+};
+
+/// Every counter and gauge of ServerStats, each exactly once. The exporter
+/// (obs/metrics_export.h) and the monitor's per-second windows
+/// (obs/time_series.h) walk it, so a new counter is one field plus one row.
+inline constexpr ServerCounter kServerCounters[] = {
+    {"fj_server_connections_accepted_total", obs::MetricKind::kCounter,
+     "Client connections accepted.", &ServerStats::connections_accepted},
+    {"fj_server_connections_rejected_total", obs::MetricKind::kCounter,
+     "Connections rejected at the client cap.",
+     &ServerStats::connections_rejected},
+    {"fj_server_connections_active", obs::MetricKind::kGauge,
+     "Currently open client connections.", &ServerStats::connections_active},
+    {"fj_server_frames_received_total", obs::MetricKind::kCounter,
+     "Request frames received.", &ServerStats::frames_received},
+    {"fj_server_responses_sent_total", obs::MetricKind::kCounter,
+     "Response frames written.", &ServerStats::responses_sent},
+    {"fj_server_bytes_received_total", obs::MetricKind::kCounter,
+     "Bytes read off client sockets.", &ServerStats::bytes_received},
+    {"fj_server_bytes_sent_total", obs::MetricKind::kCounter,
+     "Bytes written to client sockets.", &ServerStats::bytes_sent},
+    {"fj_server_protocol_errors_total", obs::MetricKind::kCounter,
+     "Connections dropped for protocol violations.",
+     &ServerStats::protocol_errors},
+    {"fj_server_request_errors_total", obs::MetricKind::kCounter,
+     "Per-request error responses sent.", &ServerStats::request_errors},
 };
 
 class EstimatorServer {

@@ -2,23 +2,12 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
+
+#include "obs/metrics_registry.h"
 
 namespace fj::obs {
 namespace {
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out->append(buf, static_cast<size_t>(n) < sizeof(buf)
-                                  ? static_cast<size_t>(n)
-                                  : sizeof(buf) - 1);
-}
 
 void CopyName(char* dst, size_t dst_size, const char* src) {
   std::strncpy(dst, src != nullptr ? src : "", dst_size - 1);
@@ -45,6 +34,17 @@ void AppendRecordJson(std::string* out, const FlightRecord& r) {
   *out += "}}";
 }
 
+/// Renders records (as from Recent/Slowest) to a JSON array body.
+std::string RenderFlightRecordsJson(const std::vector<FlightRecord>& records) {
+  std::string out = "[";
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (i > 0) out += ',';
+    AppendRecordJson(&out, records[i]);
+  }
+  out += "]";
+  return out;
+}
+
 }  // namespace
 
 Stage FlightRecord::DominantStage() const {
@@ -55,16 +55,8 @@ Stage FlightRecord::DominantStage() const {
   return static_cast<Stage>(best);
 }
 
-FlightRecorder::FlightRecorder(size_t capacity, uint64_t window_micros,
-                               size_t window_slots)
-    : slots_(capacity > 0 ? capacity : 1),
-      window_micros_(window_micros > 0 ? window_micros : 1'000'000),
-      window_best_(window_slots > 0 ? window_slots : 1),
-      window_ids_(window_slots > 0 ? window_slots : 1),
-      windows_(window_slots > 0 ? window_slots : 1) {
-  for (auto& b : window_best_) b.store(0, std::memory_order_relaxed);
-  for (auto& id : window_ids_) id.store(0, std::memory_order_relaxed);
-}
+FlightRecorder::FlightRecorder(size_t capacity)
+    : slots_(capacity > 0 ? capacity : 1) {}
 
 void FlightRecorder::Append(const char* kind,
                             const QueryFingerprint& fingerprint, size_t masks,
@@ -95,8 +87,8 @@ void FlightRecorder::Append(const char* kind,
   // Slowest-per-window reservoir. The relaxed pre-check rejects the
   // common case (not the window's worst so far) without touching the
   // mutex; a stale best from a recycled slot only costs a spurious trip.
-  uint64_t window_id = record.t_micros / window_micros_;
-  size_t w = static_cast<size_t>(window_id % window_best_.size());
+  uint64_t window_id = record.t_micros / kFlightWindowMicros;
+  size_t w = static_cast<size_t>(window_id % kFlightWindowSlots);
   bool fresh_window =
       window_ids_[w].load(std::memory_order_relaxed) != window_id;
   if (fresh_window ||
@@ -152,16 +144,6 @@ std::vector<FlightRecord> FlightRecorder::Slowest() const {
             [](const FlightRecord& a, const FlightRecord& b) {
               return a.t_micros > b.t_micros;
             });
-  return out;
-}
-
-std::string RenderFlightRecordsJson(const std::vector<FlightRecord>& records) {
-  std::string out = "[";
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendRecordJson(&out, records[i]);
-  }
-  out += "]";
   return out;
 }
 

@@ -36,6 +36,14 @@
 
 namespace fj::obs {
 
+/// The slowest-per-window reservoir keeps one request per one-second
+/// window, for the last 64 windows.
+inline constexpr uint64_t kFlightWindowMicros = 1'000'000;
+inline constexpr size_t kFlightWindowSlots = 64;
+/// EstimatorService appends every 16th completed request (plus every
+/// slow-log offender) to its recorder.
+inline constexpr uint64_t kFlightSampleEvery = 16;
+
 /// One retained request: trivially copyable, fixed size (~120 bytes), no
 /// heap — slots are copied under a spinlock.
 struct FlightRecord {
@@ -55,11 +63,8 @@ struct FlightRecord {
 
 class FlightRecorder {
  public:
-  /// `capacity` recent-ring slots (rounded up to 1); `window_micros` is
-  /// the reservoir granularity and `window_slots` its depth — defaults
-  /// keep the slowest request of each of the last 64 seconds.
-  explicit FlightRecorder(size_t capacity, uint64_t window_micros = 1'000'000,
-                          size_t window_slots = 64);
+  /// `capacity` recent-ring slots (rounded up to 1).
+  explicit FlightRecorder(size_t capacity);
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -80,8 +85,6 @@ class FlightRecorder {
     return ticket_.load(std::memory_order_relaxed);
   }
 
-  size_t capacity() const { return slots_.size(); }
-
   /// Full dump: {"appended":N,"recent":[...],"slowest":[...]} with each
   /// record's stages (zeros elided) and dominant_stage.
   std::string DumpJson(size_t max_recent = 64) const;
@@ -97,22 +100,19 @@ class FlightRecorder {
   std::vector<Slot> slots_;
   std::atomic<uint64_t> ticket_{0};
 
-  // Slowest-per-window reservoir: slot = (t / window_micros) % window_slots.
-  // window_id disambiguates a reused slot from a stale epoch.
+  // Slowest-per-window reservoir:
+  // slot = (t / kFlightWindowMicros) % kFlightWindowSlots. window_id
+  // disambiguates a reused slot from a stale epoch.
   struct WindowSlot {
     uint64_t window_id = 0;
     FlightRecord record;
   };
-  const uint64_t window_micros_;
   /// Relaxed pre-check: the slowest total seen for the *current* window of
   /// each slot; stale values only cause a harmless extra mutex trip.
-  std::vector<std::atomic<uint64_t>> window_best_;
-  std::vector<std::atomic<uint64_t>> window_ids_;
+  std::array<std::atomic<uint64_t>, kFlightWindowSlots> window_best_{};
+  std::array<std::atomic<uint64_t>, kFlightWindowSlots> window_ids_{};
   mutable std::mutex window_mu_;
-  std::vector<WindowSlot> windows_;
+  std::array<WindowSlot, kFlightWindowSlots> windows_{};
 };
-
-/// Renders records (as from Recent/Slowest) to a JSON array body.
-std::string RenderFlightRecordsJson(const std::vector<FlightRecord>& records);
 
 }  // namespace fj::obs

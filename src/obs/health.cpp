@@ -11,17 +11,13 @@ const char* HealthStateName(HealthState state) {
   return "unknown";
 }
 
-HealthTracker::HealthTracker(HealthOptions options) : options_(options) {}
-
 HealthState HealthTracker::Classify(const HealthInput& input) const {
-  if (input.queue_frac >= options_.overloaded_queue_frac ||
-      input.queue_wait_p99_micros >=
-          static_cast<double>(options_.overloaded_queue_wait_p99_micros)) {
+  if (input.queue_frac >= kOverloadedQueueFrac ||
+      input.queue_wait_p99_micros >= kOverloadedQueueWaitP99Micros) {
     return HealthState::kOverloaded;
   }
-  if (input.queue_frac >= options_.degraded_queue_frac ||
-      input.queue_wait_p99_micros >=
-          static_cast<double>(options_.degraded_queue_wait_p99_micros)) {
+  if (input.queue_frac >= kDegradedQueueFrac ||
+      input.queue_wait_p99_micros >= kDegradedQueueWaitP99Micros) {
     return HealthState::kDegraded;
   }
   return HealthState::kOk;
@@ -52,10 +48,10 @@ HealthState HealthTracker::Tick(const HealthInput& input) {
   }
 
   HealthState next = current;
-  if (above_streak_ >= options_.enter_ticks) {
+  if (above_streak_ >= kHealthEnterTicks) {
     next = above_min_;
     above_streak_ = 0;
-  } else if (below_streak_ >= options_.exit_ticks) {
+  } else if (below_streak_ >= kHealthExitTicks) {
     next = below_max_;
     below_streak_ = 0;
   }

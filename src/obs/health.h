@@ -9,8 +9,8 @@
 // last window (time on the floor before a worker picks the request up).
 // Either signal crossing its threshold makes the *instantaneous* level
 // degraded or overloaded; the published state only follows with
-// hysteresis — `enter_ticks` consecutive ticks at or above a level to
-// escalate, `exit_ticks` consecutive ticks below it to de-escalate — so
+// hysteresis — kHealthEnterTicks consecutive ticks at or above a level to
+// escalate, kHealthExitTicks consecutive ticks below it to de-escalate — so
 // boundary load (exactly at the knee, signals straddling the threshold
 // tick to tick) cannot flap the state and trigger a failover storm.
 //
@@ -32,19 +32,17 @@ enum class HealthState : uint8_t {
 
 const char* HealthStateName(HealthState state);
 
-/// Thresholds and hysteresis. Defaults: degraded when the queue is half
-/// full or queue-wait p99 passes 5ms; overloaded when the queue is nearly
-/// full (90%) or waits pass 50ms — by then requests spend most of their
-/// latency on the floor. Escalate after 2 consecutive ticks, de-escalate
-/// after 5: entering protection fast matters more than leaving it fast.
-struct HealthOptions {
-  double degraded_queue_frac = 0.5;
-  uint64_t degraded_queue_wait_p99_micros = 5'000;
-  double overloaded_queue_frac = 0.9;
-  uint64_t overloaded_queue_wait_p99_micros = 50'000;
-  uint32_t enter_ticks = 2;
-  uint32_t exit_ticks = 5;
-};
+/// Thresholds and hysteresis: degraded when the queue is half full or
+/// queue-wait p99 passes 5ms; overloaded when the queue is nearly full
+/// (90%) or waits pass 50ms — by then requests spend most of their latency
+/// on the floor. Escalate after 2 consecutive ticks, de-escalate after 5:
+/// entering protection fast matters more than leaving it fast.
+inline constexpr double kDegradedQueueFrac = 0.5;
+inline constexpr double kDegradedQueueWaitP99Micros = 5'000;
+inline constexpr double kOverloadedQueueFrac = 0.9;
+inline constexpr double kOverloadedQueueWaitP99Micros = 50'000;
+inline constexpr uint32_t kHealthEnterTicks = 2;
+inline constexpr uint32_t kHealthExitTicks = 5;
 
 /// One tick's raw signals.
 struct HealthInput {
@@ -54,7 +52,7 @@ struct HealthInput {
 
 class HealthTracker {
  public:
-  explicit HealthTracker(HealthOptions options = {});
+  HealthTracker() = default;
 
   HealthTracker(const HealthTracker&) = delete;
   HealthTracker& operator=(const HealthTracker&) = delete;
@@ -77,13 +75,10 @@ class HealthTracker {
     return transitions_.load(std::memory_order_relaxed);
   }
 
-  const HealthOptions& options() const { return options_; }
-
  private:
   /// The instantaneous level implied by one tick's signals, no hysteresis.
   HealthState Classify(const HealthInput& input) const;
 
-  const HealthOptions options_;
   std::atomic<uint8_t> state_{0};
   std::atomic<uint64_t> ticks_in_state_{0};
   std::atomic<uint64_t> transitions_{0};

@@ -17,51 +17,14 @@
 namespace fj::obs {
 namespace {
 
-MetricSample Counter(std::string name, std::string help,
-                     std::vector<MetricLabel> labels, uint64_t value) {
-  MetricSample s;
-  s.name = std::move(name);
-  s.kind = MetricKind::kCounter;
-  s.help = std::move(help);
-  s.labels = std::move(labels);
-  s.value = static_cast<double>(value);
-  return s;
-}
-
-MetricSample Gauge(std::string name, std::string help,
-                   std::vector<MetricLabel> labels, double value) {
-  MetricSample s;
-  s.name = std::move(name);
-  s.kind = MetricKind::kGauge;
-  s.help = std::move(help);
-  s.labels = std::move(labels);
-  s.value = value;
-  return s;
-}
-
-MetricSample Histogram(std::string name, std::string help,
-                       std::vector<MetricLabel> labels,
-                       HistogramSnapshot hist) {
-  MetricSample s;
-  s.name = std::move(name);
-  s.kind = MetricKind::kHistogram;
-  s.help = std::move(help);
-  s.labels = std::move(labels);
-  s.hist = std::move(hist);
-  return s;
-}
-
 void AppendServiceSamples(const std::string& model,
                           const EstimatorService& service,
                           std::vector<MetricSample>* out) {
   ServiceStats stats = service.Stats();
   std::vector<MetricLabel> m = {{"model", model}};
-  for (const ServiceCounter& counter : kServiceCounters) {
-    uint64_t value = counter.Of(stats);
-    out->push_back(counter.kind == MetricKind::kGauge
-                       ? Gauge(counter.name, counter.help, m,
-                               static_cast<double>(value))
-                       : Counter(counter.name, counter.help, m, value));
+  for (const ServiceCounter& row : kServiceCounters) {
+    out->push_back({row.name, row.kind, row.help, m,
+                    static_cast<double>(row.Of(stats))});
   }
   // NotifyUpdate bumps the epoch once per call, so the epoch is also the
   // notification count; this counter name stays for scrape consumers.
@@ -110,33 +73,10 @@ void ExportServer(MetricsRegistry* registry,
                   const net::EstimatorServer& server) {
   registry->AddCollector([&server](std::vector<MetricSample>* out) {
     net::ServerStats stats = server.Stats();
-    out->push_back(Counter("fj_server_connections_accepted_total",
-                           "Client connections accepted.", {},
-                           stats.connections_accepted));
-    out->push_back(Counter("fj_server_connections_rejected_total",
-                           "Connections rejected at the client cap.", {},
-                           stats.connections_rejected));
-    out->push_back(Gauge("fj_server_connections_active",
-                         "Currently open client connections.", {},
-                         static_cast<double>(stats.connections_active)));
-    out->push_back(Counter("fj_server_frames_received_total",
-                           "Request frames received.", {},
-                           stats.frames_received));
-    out->push_back(Counter("fj_server_responses_sent_total",
-                           "Response frames written.", {},
-                           stats.responses_sent));
-    out->push_back(Counter("fj_server_bytes_received_total",
-                           "Bytes read off client sockets.", {},
-                           stats.bytes_received));
-    out->push_back(Counter("fj_server_bytes_sent_total",
-                           "Bytes written to client sockets.", {},
-                           stats.bytes_sent));
-    out->push_back(Counter("fj_server_protocol_errors_total",
-                           "Connections dropped for protocol violations.",
-                           {}, stats.protocol_errors));
-    out->push_back(Counter("fj_server_request_errors_total",
-                           "Per-request error responses sent.", {},
-                           stats.request_errors));
+    for (const net::ServerCounter& row : net::kServerCounters) {
+      out->push_back({row.name, row.kind, row.help, {},
+                      static_cast<double>(row.Of(stats))});
+    }
     for (size_t i = 0; i < kNumStages; ++i) {
       if (stats.stages[i].count == 0) continue;
       out->push_back(Histogram(
@@ -149,8 +89,7 @@ void ExportServer(MetricsRegistry* registry,
 
 void ExportMonitor(MetricsRegistry* registry, const ServingMonitor& monitor) {
   registry->AddCollector([&monitor](std::vector<MetricSample>* out) {
-    SloStatus slo = monitor.slo_status();
-    for (const SloBurn& b : slo.objectives) {
+    for (const SloBurn& b : monitor.slo_status()) {
       std::vector<MetricLabel> labels = {{"objective", b.name}};
       out->push_back(Gauge("fj_slo_fast_burn",
                            "Error-budget burn rate over the fast window.",

@@ -35,8 +35,8 @@ void ExportService(MetricsRegistry* registry, std::string model,
 void ExportRegistryModels(MetricsRegistry* registry,
                           const ModelRegistry& models);
 
-/// Registers the net front end's connection/frame/byte counters and its
-/// decode/encode/socket-write stage histograms.
+/// Registers every row of net::kServerCounters (connection, frame and byte
+/// counters) and the decode/encode/socket-write stage histograms.
 void ExportServer(MetricsRegistry* registry,
                   const net::EstimatorServer& server);
 

@@ -1,6 +1,7 @@
 #include "obs/metrics_registry.h"
 
 #include <cinttypes>
+#include <cstdarg>
 #include <cstdio>
 #include <unordered_map>
 #include <utility>
@@ -77,6 +78,17 @@ std::string LabelBlock(const std::vector<MetricLabel>& labels,
 
 }  // namespace
 
+void AppendF(std::string* out, const char* fmt, ...) {
+  char buf[256];
+  va_list ap;
+  va_start(ap, fmt);
+  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_end(ap);
+  if (n > 0) out->append(buf, static_cast<size_t>(n) < sizeof(buf)
+                                  ? static_cast<size_t>(n)
+                                  : sizeof(buf) - 1);
+}
+
 const std::vector<uint64_t>& MetricsRegistry::PrometheusLeBoundaries() {
   // Powers of 4 from 1us to ~4.2s: 13 bucket lines per histogram, aligned
   // with fine-bucket edges (each is a power of two, always a bucket lower
@@ -90,54 +102,6 @@ const std::vector<uint64_t>& MetricsRegistry::PrometheusLeBoundaries() {
 void MetricsRegistry::AddCollector(Collector collector) {
   std::lock_guard<std::mutex> lock(mu_);
   collectors_.push_back(std::move(collector));
-}
-
-void MetricsRegistry::AddCounter(std::string name, std::string help,
-                                 std::vector<MetricLabel> labels,
-                                 std::function<uint64_t()> fn) {
-  AddCollector([name = std::move(name), help = std::move(help),
-                labels = std::move(labels),
-                fn = std::move(fn)](std::vector<MetricSample>* out) {
-    MetricSample s;
-    s.name = name;
-    s.kind = MetricKind::kCounter;
-    s.help = help;
-    s.labels = labels;
-    s.value = static_cast<double>(fn());
-    out->push_back(std::move(s));
-  });
-}
-
-void MetricsRegistry::AddGauge(std::string name, std::string help,
-                               std::vector<MetricLabel> labels,
-                               std::function<double()> fn) {
-  AddCollector([name = std::move(name), help = std::move(help),
-                labels = std::move(labels),
-                fn = std::move(fn)](std::vector<MetricSample>* out) {
-    MetricSample s;
-    s.name = name;
-    s.kind = MetricKind::kGauge;
-    s.help = help;
-    s.labels = labels;
-    s.value = fn();
-    out->push_back(std::move(s));
-  });
-}
-
-void MetricsRegistry::AddHistogram(std::string name, std::string help,
-                                   std::vector<MetricLabel> labels,
-                                   std::function<HistogramSnapshot()> fn) {
-  AddCollector([name = std::move(name), help = std::move(help),
-                labels = std::move(labels),
-                fn = std::move(fn)](std::vector<MetricSample>* out) {
-    MetricSample s;
-    s.name = name;
-    s.kind = MetricKind::kHistogram;
-    s.help = help;
-    s.labels = labels;
-    s.hist = fn();
-    out->push_back(std::move(s));
-  });
 }
 
 std::vector<MetricSample> MetricsRegistry::Collect() const {

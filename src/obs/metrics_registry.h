@@ -5,8 +5,8 @@
 // callback producing Samples — and every scrape evaluates the collectors
 // against live state. Nothing is double-counted, no background thread, and
 // a component's whole metric family costs one Stats() snapshot per scrape
-// instead of one per metric. Convenience adders (AddCounter / AddGauge /
-// AddHistogram) wrap single-value callbacks in a collector.
+// instead of one per metric. Collectors build their samples with the
+// Counter / Gauge / Histogram helpers below.
 //
 // Who registers what (see obs/metrics_export.h for the canonical sets):
 //   EstimatorService / ModelRegistry  per-model request, error, cache, and
@@ -30,6 +30,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/latency_histogram.h"
@@ -51,8 +52,33 @@ struct MetricSample {
   std::string help;
   std::vector<MetricLabel> labels;
   double value = 0.0;
-  HistogramSnapshot hist;
+  HistogramSnapshot hist{};
 };
+
+inline MetricSample Counter(std::string name, std::string help,
+                            std::vector<MetricLabel> labels, uint64_t value) {
+  return {std::move(name), MetricKind::kCounter, std::move(help),
+          std::move(labels), static_cast<double>(value)};
+}
+
+inline MetricSample Gauge(std::string name, std::string help,
+                          std::vector<MetricLabel> labels, double value) {
+  return {std::move(name), MetricKind::kGauge, std::move(help),
+          std::move(labels), value};
+}
+
+inline MetricSample Histogram(std::string name, std::string help,
+                              std::vector<MetricLabel> labels,
+                              HistogramSnapshot hist) {
+  return {std::move(name), MetricKind::kHistogram, std::move(help),
+          std::move(labels), 0.0, std::move(hist)};
+}
+
+/// Appends printf-style text to `out`, truncated at 255 bytes per call —
+/// the formatter of the obs JSON bodies (/healthz, /metrics/history,
+/// /debug/traces).
+void AppendF(std::string* out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 class MetricsRegistry {
  public:
@@ -65,16 +91,6 @@ class MetricsRegistry {
   /// Registers a collector evaluated on every scrape. Captured references
   /// must outlive the registry's last scrape.
   void AddCollector(Collector collector);
-
-  // Single-metric conveniences (each wraps one collector).
-  void AddCounter(std::string name, std::string help,
-                  std::vector<MetricLabel> labels,
-                  std::function<uint64_t()> fn);
-  void AddGauge(std::string name, std::string help,
-                std::vector<MetricLabel> labels, std::function<double()> fn);
-  void AddHistogram(std::string name, std::string help,
-                    std::vector<MetricLabel> labels,
-                    std::function<HistogramSnapshot()> fn);
 
   /// Evaluates every collector and renders the Prometheus text exposition.
   std::string RenderPrometheus() const;

@@ -1,27 +1,34 @@
 #include "obs/monitor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
+#include <condition_variable>
+#include <stop_token>
 #include <utility>
+
+#include "obs/metrics_registry.h"
 
 namespace fj::obs {
 namespace {
 
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out->append(buf, static_cast<size_t>(n) < sizeof(buf)
-                                  ? static_cast<size_t>(n)
-                                  : sizeof(buf) - 1);
-}
+constexpr size_t kQueueDepthRow = ServiceCounterRow("fj_queue_depth");
 
 uint64_t Delta(uint64_t now, uint64_t then) {
   return now > then ? now - then : 0;
+}
+
+/// One window value per row of `table`: the delta since `then` for a
+/// counter, the value at `now` for a gauge.
+template <typename Table, typename Stats, size_t N>
+void DiffRows(const Table& table, const Stats& now, const Stats& then,
+              std::array<uint64_t, N>* out) {
+  for (size_t i = 0; i < N; ++i) {
+    uint64_t value = table[i].Of(now);
+    (*out)[i] = table[i].kind == MetricKind::kGauge
+                    ? value
+                    : Delta(value, table[i].Of(then));
+  }
 }
 
 }  // namespace
@@ -30,45 +37,35 @@ ServingMonitor::ServingMonitor(MonitorOptions options,
                                std::function<MonitorInput()> source)
     : options_(std::move(options)),
       source_(std::move(source)),
-      history_(options_.retention_seconds),
-      slo_(options_.slo, options_.slo_fast_window_seconds,
-           options_.slo_slow_window_seconds),
-      health_(options_.health) {}
+      history_(options_.slo.Empty()
+                   ? options_.retention_seconds
+                   : std::max(options_.retention_seconds,
+                              kSloSlowWindowSeconds)),
+      // Validates the spec and names every objective before the first tick.
+      slo_status_(BurnRates(options_.slo, history_)) {}
 
 ServingMonitor::~ServingMonitor() { Stop(); }
 
 void ServingMonitor::Start() {
-  if (started_.exchange(true)) return;
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    stopping_ = false;
-  }
-  thread_ = std::thread([this] { Loop(); });
+  if (thread_.joinable()) return;
+  thread_ = std::jthread([this](std::stop_token stop) {
+    // Establish the baseline immediately so the first real window starts
+    // at thread start, not one tick after. Stop() cuts a wait short.
+    std::mutex mu;
+    std::condition_variable_any cv;
+    std::unique_lock<std::mutex> lock(mu);
+    do {
+      Tick();
+    } while (!cv.wait_for(lock, stop,
+                          std::chrono::microseconds(kMonitorTickMicros),
+                          [&stop] { return stop.stop_requested(); }));
+  });
 }
 
 void ServingMonitor::Stop() {
-  if (!started_.exchange(false)) return;
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    stopping_ = true;
-  }
-  stop_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void ServingMonitor::Loop() {
-  // Establish the baseline immediately so the first real window starts at
-  // thread start, not one tick after.
-  Tick();
-  std::unique_lock<std::mutex> lock(stop_mu_);
-  while (!stopping_) {
-    stop_cv_.wait_for(lock, std::chrono::microseconds(options_.tick_micros),
-                      [this] { return stopping_; });
-    if (stopping_) break;
-    lock.unlock();
-    Tick();
-    lock.lock();
-  }
+  if (!thread_.joinable()) return;
+  thread_.request_stop();
+  thread_.join();
 }
 
 void ServingMonitor::Tick() {
@@ -88,28 +85,24 @@ void ServingMonitor::TickWith(const MonitorInput& input) {
   double seconds =
       static_cast<double>(Delta(input.now_micros, last_.now_micros)) / 1e6;
   w.seconds = seconds > 0.0 ? seconds : 1.0;
-  w.requests = Delta(input.requests, last_.requests);
-  w.errors = Delta(input.errors, last_.errors);
-  w.cache_hits = Delta(input.cache_hits, last_.cache_hits);
-  w.cache_misses = Delta(input.cache_misses, last_.cache_misses);
-  w.cache_evictions = Delta(input.cache_evictions, last_.cache_evictions);
-  w.bytes_received = Delta(input.bytes_received, last_.bytes_received);
-  w.bytes_sent = Delta(input.bytes_sent, last_.bytes_sent);
-  w.slow_requests = Delta(input.slow_requests, last_.slow_requests);
-  w.slow_suppressed = Delta(input.slow_suppressed, last_.slow_suppressed);
-  w.queue_depth = input.queue_depth;
-  w.pending_requests = input.pending_requests;
-  w.connections_active = input.connections_active;
+  DiffRows(kServiceCounters, input.service, last_.service, &w.service);
+  DiffRows(net::kServerCounters, input.server, last_.server, &w.server);
 
-  HistogramSnapshot latency_delta = input.latency.DeltaSince(last_.latency);
+  HistogramSnapshot latency_delta =
+      input.service.latency.DeltaSince(last_.service.latency);
   w.latency_count = latency_delta.count;
   w.mean_micros = latency_delta.Mean();
   w.p50_micros = latency_delta.ValueAtQuantile(0.50);
   w.p99_micros = latency_delta.ValueAtQuantile(0.99);
   w.p999_micros = latency_delta.ValueAtQuantile(0.999);
+  for (size_t i = 0; i < options_.slo.latency.size(); ++i) {
+    w.over_threshold[i] =
+        latency_delta.CountOver(options_.slo.latency[i].threshold_micros);
+  }
 
   for (size_t s = 0; s < kNumStages; ++s) {
-    HistogramSnapshot d = input.stages[s].DeltaSince(last_.stages[s]);
+    HistogramSnapshot d =
+        input.service.stages[s].DeltaSince(last_.service.stages[s]);
     w.stage_count[s] = d.count;
     w.stage_sum_micros[s] = d.sum;
     if (s == static_cast<size_t>(Stage::kQueueWait)) {
@@ -118,20 +111,16 @@ void ServingMonitor::TickWith(const MonitorInput& input) {
   }
   history_.Push(w);
 
-  SloInput slo_input;
-  slo_input.total = latency_delta.count;
-  slo_input.errors = w.errors;
-  slo_input.over_threshold.reserve(options_.slo.latency.size());
-  for (const SloObjective& obj : options_.slo.latency) {
-    slo_input.over_threshold.push_back(
-        latency_delta.CountOver(obj.threshold_micros));
+  std::vector<SloBurn> slo = BurnRates(options_.slo, history_);
+  {
+    std::lock_guard<std::mutex> slo_lock(slo_mu_);
+    slo_status_ = std::move(slo);
   }
-  slo_.Feed(slo_input);
 
   HealthInput health_input;
   health_input.queue_frac =
       input.queue_capacity > 0
-          ? static_cast<double>(input.queue_depth) /
+          ? static_cast<double>(w.service[kQueueDepthRow]) /
                 static_cast<double>(input.queue_capacity)
           : 0.0;
   health_input.queue_wait_p99_micros = w.queue_wait_p99_micros;
@@ -145,6 +134,11 @@ void ServingMonitor::TickWith(const MonitorInput& input) {
   ticks_.fetch_add(1, std::memory_order_relaxed);
 }
 
+std::vector<SloBurn> ServingMonitor::slo_status() const {
+  std::lock_guard<std::mutex> lock(slo_mu_);
+  return slo_status_;
+}
+
 std::string ServingMonitor::HealthJson(int* http_status) const {
   HealthState state = health_.state();
   if (http_status != nullptr) {
@@ -155,18 +149,17 @@ std::string ServingMonitor::HealthJson(int* http_status) const {
                 ",\"transitions\":%" PRIu64,
           HealthStateName(state), health_.ticks_in_state(),
           health_.transitions());
-  std::vector<WindowSample> recent = history_.Window(1);
-  if (!recent.empty()) {
-    const WindowSample& w = recent.back();
+  history_.ForEachNewest(1, [&out](const WindowSample& w) {
     AppendF(&out,
             ",\"qps\":%.1f,\"p99_us\":%.1f,\"queue_depth\":%" PRIu64
             ",\"queue_wait_p99_us\":%.1f",
-            w.Qps(), w.p99_micros, w.queue_depth, w.queue_wait_p99_micros);
-  }
+            w.Qps(), w.p99_micros, w.service[kQueueDepthRow],
+            w.queue_wait_p99_micros);
+  });
   out += ",\"slo\":[";
-  SloStatus slo = slo_.Status();
-  for (size_t i = 0; i < slo.objectives.size(); ++i) {
-    const SloBurn& b = slo.objectives[i];
+  std::vector<SloBurn> slo = slo_status();
+  for (size_t i = 0; i < slo.size(); ++i) {
+    const SloBurn& b = slo[i];
     if (i > 0) out += ',';
     AppendF(&out,
             "{\"name\":\"%s\",\"fast_burn\":%.3f,\"slow_burn\":%.3f,"
@@ -179,8 +172,9 @@ std::string ServingMonitor::HealthJson(int* http_status) const {
 }
 
 std::string ServingMonitor::HistoryJson(size_t last_n) const {
-  return RenderHistoryJson(history_.Window(last_n),
-                           options_.retention_seconds);
+  return RenderHistoryJson(
+      history_.Window(std::min(last_n, options_.retention_seconds)),
+      options_.retention_seconds);
 }
 
 }  // namespace fj::obs

@@ -1,25 +1,44 @@
 #include "obs/slo.h"
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
+
+#include "obs/time_series.h"
 
 namespace fj::obs {
 namespace {
 
-/// "5ms" → micros. Accepts us/ms/s suffixes; bare numbers are rejected so
-/// a spec never silently means the wrong unit.
-uint64_t ParseDuration(const std::string& token) {
+/// The number `token` starts with; *rest gets what follows it. Throws
+/// unless there is one and it is finite.
+double LeadingNumber(const std::string& token, const std::string& what,
+                     std::string* rest) {
   size_t pos = 0;
   double value = 0.0;
   try {
     value = std::stod(token, &pos);
   } catch (const std::exception&) {
-    throw std::invalid_argument("slo: bad duration '" + token + "'");
+    throw std::invalid_argument("slo: bad " + what + " '" + token + "'");
   }
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument("slo: " + what + " '" + token +
+                                "' is not finite");
+  }
+  *rest = token.substr(pos);
+  return value;
+}
+
+/// "5ms" → micros. Accepts us/ms/s suffixes; bare numbers are rejected so
+/// a spec never silently means the wrong unit.
+uint64_t ParseDuration(const std::string& token) {
+  std::string unit;
+  double value = LeadingNumber(token, "duration", &unit);
   if (value < 0.0) {
     throw std::invalid_argument("slo: negative duration '" + token + "'");
   }
-  std::string unit = token.substr(pos);
   double scale = 0.0;
   if (unit == "us") scale = 1.0;
   else if (unit == "ms") scale = 1e3;
@@ -28,8 +47,21 @@ uint64_t ParseDuration(const std::string& token) {
     throw std::invalid_argument("slo: duration '" + token +
                                 "' needs a us/ms/s suffix");
   }
+  // 2^64, the first value a uint64_t cannot hold.
+  if (value * scale >= 18446744073709551616.0) {
+    throw std::invalid_argument("slo: duration '" + token +
+                                "' is out of range");
+  }
   return static_cast<uint64_t>(value * scale);
 }
+
+/// The latency objective keys and the quantile each names.
+struct QuantileKey {
+  const char* key;
+  double quantile;
+};
+constexpr QuantileKey kQuantileKeys[] = {
+    {"p50", 0.5}, {"p90", 0.9}, {"p99", 0.99}, {"p999", 0.999}};
 
 std::string FormatThreshold(uint64_t micros) {
   char buf[32];
@@ -50,10 +82,9 @@ std::string FormatThreshold(uint64_t micros) {
 
 std::string SloObjective::Name() const {
   const char* q = "p99";
-  if (quantile == 0.5) q = "p50";
-  else if (quantile == 0.9) q = "p90";
-  else if (quantile == 0.99) q = "p99";
-  else if (quantile == 0.999) q = "p999";
+  for (const QuantileKey& k : kQuantileKeys) {
+    if (k.quantile == quantile) q = k.key;
+  }
   return std::string(q) + "_" + FormatThreshold(threshold_micros);
 }
 
@@ -73,28 +104,36 @@ SloSpec SloSpec::Parse(const std::string& spec) {
     }
     std::string key = token.substr(0, eq);
     std::string value = token.substr(eq + 1);
+    const QuantileKey* q = std::find_if(
+        std::begin(kQuantileKeys), std::end(kQuantileKeys),
+        [&key](const QuantileKey& k) { return key == k.key; });
     if (key == "avail") {
-      double pct = 0.0;
-      try {
-        pct = std::stod(value);
-      } catch (const std::exception&) {
-        throw std::invalid_argument("slo: bad availability '" + value + "'");
-      }
-      if (pct <= 0.0 || pct >= 100.0) {
+      std::string rest;
+      double pct = LeadingNumber(value, "availability", &rest);
+      if (!rest.empty() || pct <= 0.0 || pct >= 100.0) {
         throw std::invalid_argument(
-            "slo: availability must be in (0,100), got '" + value + "'");
+            "slo: availability must be a number in (0,100), got '" + value +
+            "'");
+      }
+      if (out.availability != 0.0) {
+        throw std::invalid_argument("slo: availability given twice");
       }
       out.availability = pct / 100.0;
-    } else if (key == "p50" || key == "p90" || key == "p99" ||
-               key == "p999") {
-      SloObjective obj;
-      if (key == "p50") obj.quantile = 0.5;
-      else if (key == "p90") obj.quantile = 0.9;
-      else if (key == "p99") obj.quantile = 0.99;
-      else obj.quantile = 0.999;
-      obj.threshold_micros = ParseDuration(value);
+    } else if (q != std::end(kQuantileKeys)) {
+      SloObjective obj{q->quantile, ParseDuration(value)};
       if (obj.threshold_micros == 0) {
         throw std::invalid_argument("slo: zero threshold in '" + token + "'");
+      }
+      for (const SloObjective& other : out.latency) {
+        if (other.Name() == obj.Name()) {
+          throw std::invalid_argument("slo: objective " + obj.Name() +
+                                      " given twice");
+        }
+      }
+      if (out.latency.size() == kMaxLatencyObjectives) {
+        throw std::invalid_argument(
+            "slo: at most " + std::to_string(kMaxLatencyObjectives) +
+            " latency objectives");
       }
       out.latency.push_back(obj);
     } else {
@@ -105,89 +144,50 @@ SloSpec SloSpec::Parse(const std::string& spec) {
   return out;
 }
 
-bool SloStatus::AnyBurning() const {
-  for (const SloBurn& b : objectives) {
-    if (b.Burning()) return true;
+std::vector<SloBurn> BurnRates(const SloSpec& spec,
+                               const TimeSeriesRing& ring) {
+  if (spec.latency.size() > kMaxLatencyObjectives) {
+    throw std::invalid_argument("slo: more than " +
+                                std::to_string(kMaxLatencyObjectives) +
+                                " latency objectives");
   }
-  return false;
-}
-
-SloTracker::SloTracker(SloSpec spec, size_t fast_window_seconds,
-                       size_t slow_window_seconds)
-    : spec_(std::move(spec)),
-      fast_window_(fast_window_seconds > 0 ? fast_window_seconds : 1),
-      slow_window_(slow_window_seconds > fast_window_ ? slow_window_seconds
-                                                      : fast_window_),
-      ring_(slow_window_) {
-  for (Second& s : ring_) s.bad.resize(spec_.latency.size(), 0);
-  fast_sum_.bad.resize(spec_.latency.size(), 0);
-  slow_sum_.bad.resize(spec_.latency.size(), 0);
-}
-
-void SloTracker::Subtract(RollingSum* sum, const Second& s) const {
-  sum->total -= s.total;
-  sum->errors -= s.errors;
-  for (size_t i = 0; i < sum->bad.size(); ++i) sum->bad[i] -= s.bad[i];
-}
-
-void SloTracker::Add(RollingSum* sum, const Second& s) const {
-  sum->total += s.total;
-  sum->errors += s.errors;
-  for (size_t i = 0; i < sum->bad.size(); ++i) sum->bad[i] += s.bad[i];
-}
-
-void SloTracker::Feed(const SloInput& input) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Retire the seconds leaving each window. The fast window's trailing
-  // edge is fast_window_ slots behind the write cursor; the slow window's
-  // is the slot being overwritten.
-  if (fed_ >= fast_window_) {
-    size_t leaving = (next_ + slow_window_ - fast_window_) % slow_window_;
-    Subtract(&fast_sum_, ring_[leaving]);
+  constexpr size_t kErrors = ServiceCounterRow("fj_errors_total");
+  struct Span {
+    uint64_t total = 0;
+    uint64_t errors = 0;
+    std::array<uint64_t, kMaxLatencyObjectives> bad{};
+    void Add(const WindowSample& w) {
+      total += w.latency_count;
+      errors += w.service[kErrors];
+      for (size_t i = 0; i < bad.size(); ++i) bad[i] += w.over_threshold[i];
+    }
+  };
+  Span fast;
+  Span slow;
+  if (!spec.Empty()) {
+    size_t newer = 0;  // windows visited so far, newest first
+    ring.ForEachNewest(kSloSlowWindowSeconds, [&](const WindowSample& w) {
+      if (newer++ < kSloFastWindowSeconds) fast.Add(w);
+      slow.Add(w);
+    });
   }
-  if (fed_ >= slow_window_) Subtract(&slow_sum_, ring_[next_]);
-
-  Second& slot = ring_[next_];
-  slot.total = input.total;
-  slot.errors = input.errors;
-  for (size_t i = 0; i < slot.bad.size(); ++i) {
-    slot.bad[i] = i < input.over_threshold.size() ? input.over_threshold[i]
-                                                  : 0;
-  }
-  Add(&fast_sum_, slot);
-  Add(&slow_sum_, slot);
-  next_ = (next_ + 1) % slow_window_;
-  ++fed_;
-}
-
-SloStatus SloTracker::Status() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  SloStatus status;
   auto burn = [](uint64_t bad, uint64_t total, double budget) {
     if (total == 0 || budget <= 0.0) return 0.0;
     return (static_cast<double>(bad) / static_cast<double>(total)) / budget;
   };
-  for (size_t i = 0; i < spec_.latency.size(); ++i) {
-    SloBurn b;
-    b.name = spec_.latency[i].Name();
-    b.budget = spec_.latency[i].Budget();
-    b.fast_burn = burn(fast_sum_.bad[i], fast_sum_.total, b.budget);
-    b.slow_burn = burn(slow_sum_.bad[i], slow_sum_.total, b.budget);
-    b.fast_bad = fast_sum_.bad[i];
-    b.fast_total = fast_sum_.total;
-    status.objectives.push_back(std::move(b));
+  std::vector<SloBurn> burns;
+  for (size_t i = 0; i < spec.latency.size(); ++i) {
+    double budget = spec.latency[i].Budget();
+    burns.push_back({spec.latency[i].Name(),
+                     burn(fast.bad[i], fast.total, budget),
+                     burn(slow.bad[i], slow.total, budget)});
   }
-  if (spec_.availability > 0.0) {
-    SloBurn b;
-    b.name = "availability";
-    b.budget = spec_.AvailabilityBudget();
-    b.fast_burn = burn(fast_sum_.errors, fast_sum_.total, b.budget);
-    b.slow_burn = burn(slow_sum_.errors, slow_sum_.total, b.budget);
-    b.fast_bad = fast_sum_.errors;
-    b.fast_total = fast_sum_.total;
-    status.objectives.push_back(std::move(b));
+  if (spec.availability > 0.0) {
+    double budget = spec.AvailabilityBudget();
+    burns.push_back({"availability", burn(fast.errors, fast.total, budget),
+                     burn(slow.errors, slow.total, budget)});
   }
-  return status;
+  return burns;
 }
 
 }  // namespace fj::obs

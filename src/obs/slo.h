@@ -1,21 +1,21 @@
-// SLO tracker: configurable latency/availability objectives evaluated as
-// multi-window burn rates, the SRE-alerting discipline applied to one
+// SLO burn rates: configurable latency/availability objectives evaluated
+// as multi-window burn rates, the SRE-alerting discipline applied to one
 // replica. An objective defines an error budget — "p99=5ms" allows 1% of
 // requests over 5ms, "avail=99.9" allows 0.1% errors — and the burn rate
 // is how fast the budget is being spent: bad_fraction / budget. Burn 1.0
 // means exactly on budget; burn 14 means the monthly budget would be gone
 // in ~2 days. Alerting on a single window is either noisy (short window)
-// or slow (long window), so the tracker evaluates each objective over a
-// fast window (default 60s — catches an active incident) and a slow
-// window (default 1800s — catches a sustained simmer), the standard
-// two-window reduction of Google's multiwindow burn alerts.
+// or slow (long window), so each objective is evaluated over a fast window
+// (60s — catches an active incident) and a slow window (1800s — catches a
+// sustained simmer), the standard two-window reduction of Google's
+// multiwindow burn alerts.
 //
-// Feed(): the monitor (obs/monitor.h) pushes one per-second observation —
-// total requests, errors, and per-objective bad counts (computed from the
-// window's latency-histogram delta via CountOver, so a latency objective
-// never false-alarms on boundary-bucket samples). The tracker keeps a ring
-// of per-second observations sized to the slow window with rolling sums,
-// so Feed and Status are both O(objectives), not O(window).
+// There is no SLO-owned state. The monitor (obs/monitor.h) stores, in each
+// per-second WindowSample of its one TimeSeriesRing, every latency
+// objective's over-threshold count (CountOver on the window's latency
+// delta, so a latency objective never false-alarms on boundary-bucket
+// samples); BurnRates() sums the newest 60 and 1800 windows of that ring
+// in place.
 //
 // Spec grammar (fj_server --slo): comma-separated objectives,
 //   p50|p90|p99|p999=<value><us|ms|s>   latency: that quantile under value
@@ -24,12 +24,21 @@
 // malformed specs so a typo fails server startup loudly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
 namespace fj::obs {
+
+class TimeSeriesRing;
+
+/// Burn windows, in seconds (one WindowSample per second).
+inline constexpr size_t kSloFastWindowSeconds = 60;
+inline constexpr size_t kSloSlowWindowSeconds = 1800;
+/// Latency objectives a spec may hold: each window stores one
+/// over-threshold count per objective in a fixed array.
+inline constexpr size_t kMaxLatencyObjectives = 4;
 
 /// One latency objective: `quantile` of requests must complete within
 /// `threshold_micros`. The error budget is 1 - quantile.
@@ -42,8 +51,8 @@ struct SloObjective {
   double Budget() const { return 1.0 - quantile; }
 };
 
-/// A full SLO spec: any number of latency objectives plus an optional
-/// availability target.
+/// A full SLO spec: up to kMaxLatencyObjectives latency objectives plus an
+/// optional availability target.
 struct SloSpec {
   std::vector<SloObjective> latency;
   /// Availability target as a fraction (0.999 for "avail=99.9"); 0 means
@@ -54,85 +63,31 @@ struct SloSpec {
   double AvailabilityBudget() const { return 1.0 - availability; }
 
   /// Parses the --slo grammar above. Throws std::invalid_argument with a
-  /// pointed message on any malformed token.
+  /// pointed message on any malformed token: a value that is not finite,
+  /// out of range, or followed by junk; a repeated objective; or more than
+  /// kMaxLatencyObjectives latency objectives.
   static SloSpec Parse(const std::string& spec);
 };
 
 /// Burn state of one objective at one instant.
 struct SloBurn {
-  std::string name;       // objective slug ("p99_5ms", "availability")
-  double budget = 0.0;
+  std::string name;         // objective slug ("p99_5ms", "availability")
   double fast_burn = 0.0;   // over the fast window
   double slow_burn = 0.0;   // over the slow window
-  uint64_t fast_bad = 0;    // bad events in the fast window
-  uint64_t fast_total = 0;  // total events in the fast window
   /// The alerting condition: both windows burning above 1 means the
   /// budget is being actively spent, not just a blip.
   bool Burning() const { return fast_burn > 1.0 && slow_burn > 1.0; }
 };
 
-/// Point-in-time view of every objective, for gauges and /healthz.
-struct SloStatus {
-  std::vector<SloBurn> objectives;
-  /// True if any objective satisfies Burning().
-  bool AnyBurning() const;
-};
-
-/// One second of observations from the monitor.
-struct SloInput {
-  uint64_t total = 0;   // requests completed this second
-  uint64_t errors = 0;  // of which failed
-  /// Requests over each latency objective's threshold, parallel to
-  /// SloSpec::latency (CountOver on the window's histogram delta).
-  std::vector<uint64_t> over_threshold;
-};
-
-class SloTracker {
- public:
-  /// Window lengths in seconds; the ring holds `slow_window_seconds`
-  /// observations (~44 KB at the default 1800s with two objectives).
-  explicit SloTracker(SloSpec spec, size_t fast_window_seconds = 60,
-                      size_t slow_window_seconds = 1800);
-
-  SloTracker(const SloTracker&) = delete;
-  SloTracker& operator=(const SloTracker&) = delete;
-
-  /// Pushes one second of observations. Thread-safe (monitor thread).
-  void Feed(const SloInput& input);
-
-  /// Current burn rates. Thread-safe (scrape threads). With zero traffic
-  /// in a window the burn is 0 — no requests, no budget spent.
-  SloStatus Status() const;
-
-  const SloSpec& spec() const { return spec_; }
-  size_t fast_window_seconds() const { return fast_window_; }
-  size_t slow_window_seconds() const { return slow_window_; }
-
- private:
-  struct Second {
-    uint64_t total = 0;
-    uint64_t errors = 0;
-    std::vector<uint64_t> bad;  // parallel to spec_.latency
-  };
-  struct RollingSum {
-    uint64_t total = 0;
-    uint64_t errors = 0;
-    std::vector<uint64_t> bad;
-  };
-
-  void Subtract(RollingSum* sum, const Second& s) const;
-  void Add(RollingSum* sum, const Second& s) const;
-
-  const SloSpec spec_;
-  const size_t fast_window_;
-  const size_t slow_window_;
-
-  mutable std::mutex mu_;
-  std::vector<Second> ring_;  // slow_window_ slots
-  size_t next_ = 0;
-  uint64_t fed_ = 0;
-  RollingSum fast_sum_;  // last fast_window_ seconds
-  RollingSum slow_sum_;  // last slow_window_ seconds
-};
+/// Burn rates of every objective of `spec` (latency objectives in spec
+/// order, then availability) over the newest kSloFastWindowSeconds and
+/// kSloSlowWindowSeconds windows of `ring`, read in place under the ring's
+/// lock. A window's total is its latency_count; its bad events are
+/// over_threshold[i] for latency objective i and the fj_errors_total row
+/// for availability. With zero traffic in a window span the burn is 0 — no
+/// requests, no budget spent. Throws std::invalid_argument when `spec` has
+/// more than kMaxLatencyObjectives latency objectives.
+std::vector<SloBurn> BurnRates(const SloSpec& spec,
+                               const TimeSeriesRing& ring);
 
 }  // namespace fj::obs

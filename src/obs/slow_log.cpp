@@ -5,16 +5,12 @@
 namespace fj::obs {
 
 SlowRequestLog::SlowRequestLog(uint64_t threshold_micros, std::FILE* sink,
-                               std::string model, double lines_per_second,
-                               double burst,
+                               std::string model,
                                std::function<uint64_t()> clock)
     : threshold_micros_(threshold_micros),
       sink_(sink != nullptr ? sink : stderr),
       model_(model.empty() ? "default" : std::move(model)),
-      lines_per_second_(lines_per_second),
-      burst_(burst >= 1.0 ? burst : 1.0),
-      clock_(clock ? std::move(clock) : MonotonicMicros),
-      tokens_(burst_) {}
+      clock_(clock ? std::move(clock) : MonotonicMicros) {}
 
 bool SlowRequestLog::MaybeLog(const char* kind,
                               const QueryFingerprint& fingerprint,
@@ -42,22 +38,20 @@ bool SlowRequestLog::MaybeLog(const char* kind,
   uint64_t flushed_suppressed = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (lines_per_second_ > 0.0) {
-      uint64_t now = clock_();
-      if (last_refill_micros_ == 0) last_refill_micros_ = now;
-      if (now > last_refill_micros_) {
-        tokens_ += static_cast<double>(now - last_refill_micros_) / 1e6 *
-                   lines_per_second_;
-        if (tokens_ > burst_) tokens_ = burst_;
-        last_refill_micros_ = now;
-      }
-      if (tokens_ < 1.0) {
-        ++pending_suppressed_;
-        suppressed_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      tokens_ -= 1.0;
+    uint64_t now = clock_();
+    if (last_refill_micros_ == 0) last_refill_micros_ = now;
+    if (now > last_refill_micros_) {
+      tokens_ += static_cast<double>(now - last_refill_micros_) / 1e6 *
+                 kSlowLogLinesPerSecond;
+      if (tokens_ > kSlowLogBurst) tokens_ = kSlowLogBurst;
+      last_refill_micros_ = now;
     }
+    if (tokens_ < 1.0) {
+      ++pending_suppressed_;
+      suppressed_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    tokens_ -= 1.0;
     // Acknowledge any gap the limiter created before resuming, so the line
     // stream accounts for every offender.
     flushed_suppressed = pending_suppressed_;

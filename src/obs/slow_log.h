@@ -11,8 +11,8 @@
 // Threshold 0 disables logging entirely (the default); the line count is
 // exported as ServiceStats::slow_requests / fj_slow_requests_total.
 //
-// Emission is rate-limited by a token bucket (default ~10 lines/s with a
-// small burst): during an overload episode nearly EVERY request crosses the
+// Emission is rate-limited by a token bucket (10 lines/s with a burst of
+// 20): during an overload episode nearly EVERY request crosses the
 // threshold, and an unthrottled log would hammer stderr with thousands of
 // lines per second — I/O spent worsening the very overload it reports.
 // Suppressed offenders are counted (ServiceStats::slow_suppressed /
@@ -21,8 +21,7 @@
 //
 //   fj_slow_request_suppressed model=default suppressed=N
 //
-// so a log reader knows exactly how many offenders the gap hides. Rate 0
-// disables the limiter (every offender logs — tests use this).
+// so a log reader knows exactly how many offenders the gap hides.
 //
 // Lines go to stderr unless a sink FILE* is injected (tests use
 // open_memstream; fj_server --slow-log-micros leaves stderr). One mutex
@@ -42,16 +41,17 @@
 
 namespace fj::obs {
 
+/// The token bucket: lines per second, and the tokens it banks at most.
+inline constexpr double kSlowLogLinesPerSecond = 10.0;
+inline constexpr double kSlowLogBurst = 20.0;
+
 class SlowRequestLog {
  public:
   /// `threshold_micros` 0 disables; `sink` nullptr means stderr; `model`
-  /// stamps every line (empty → "default"). `lines_per_second` caps
-  /// emission (0 = unlimited) with up to `burst` tokens banked; `clock`
-  /// overrides the time source for the bucket (tests; nullptr =
-  /// MonotonicMicros).
+  /// stamps every line (empty → "default"); `clock` overrides the time
+  /// source for the bucket (tests; nullptr = MonotonicMicros).
   SlowRequestLog(uint64_t threshold_micros, std::FILE* sink,
-                 std::string model, double lines_per_second = 10.0,
-                 double burst = 20.0,
+                 std::string model,
                  std::function<uint64_t()> clock = nullptr);
 
   SlowRequestLog(const SlowRequestLog&) = delete;
@@ -79,12 +79,10 @@ class SlowRequestLog {
   const uint64_t threshold_micros_;
   std::FILE* const sink_;
   const std::string model_;
-  const double lines_per_second_;
-  const double burst_;
   const std::function<uint64_t()> clock_;
   std::mutex mu_;
   // Token bucket, guarded by mu_ (taken only for offenders).
-  double tokens_;
+  double tokens_ = kSlowLogBurst;
   uint64_t last_refill_micros_ = 0;
   uint64_t pending_suppressed_ = 0;  // since the last summary line
   std::atomic<uint64_t> logged_{0};

@@ -1,24 +1,11 @@
 #include "obs/time_series.h"
 
+#include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
+
+#include "obs/metrics_registry.h"
 
 namespace fj::obs {
-namespace {
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out->append(buf, static_cast<size_t>(n) < sizeof(buf)
-                                  ? static_cast<size_t>(n)
-                                  : sizeof(buf) - 1);
-}
-
-}  // namespace
 
 TimeSeriesRing::TimeSeriesRing(size_t capacity)
     : slots_(capacity > 0 ? capacity : 1) {}
@@ -31,17 +18,9 @@ void TimeSeriesRing::Push(const WindowSample& sample) {
 }
 
 std::vector<WindowSample> TimeSeriesRing::Window(size_t last_n) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t have = pushed_ < slots_.size() ? static_cast<size_t>(pushed_)
-                                        : slots_.size();
-  size_t take = last_n < have ? last_n : have;
   std::vector<WindowSample> out;
-  out.reserve(take);
-  // Oldest of the taken span sits `take` slots behind the write cursor.
-  size_t start = (next_ + slots_.size() - take) % slots_.size();
-  for (size_t i = 0; i < take; ++i) {
-    out.push_back(slots_[(start + i) % slots_.size()]);
-  }
+  ForEachNewest(last_n, [&out](const WindowSample& w) { out.push_back(w); });
+  std::reverse(out.begin(), out.end());
   return out;
 }
 
@@ -59,7 +38,7 @@ uint64_t TimeSeriesRing::total_pushed() const {
 std::string RenderHistoryJson(const std::vector<WindowSample>& windows,
                               size_t retention_seconds) {
   std::string out;
-  out.reserve(256 + windows.size() * 320);
+  out.reserve(256 + windows.size() * 1280);
   AppendF(&out, "{\"retention_seconds\":%zu,\"window_count\":%zu,",
           retention_seconds, windows.size());
   out += "\"windows\":[";
@@ -67,28 +46,24 @@ std::string RenderHistoryJson(const std::vector<WindowSample>& windows,
   for (const WindowSample& w : windows) {
     if (!first_window) out += ',';
     first_window = false;
-    AppendF(&out, "{\"t_us\":%" PRIu64 ",\"seconds\":%.3f", w.end_micros,
-            w.seconds);
-    AppendF(&out, ",\"requests\":%" PRIu64 ",\"qps\":%.1f,\"errors\":%" PRIu64,
-            w.requests, w.Qps(), w.errors);
+    AppendF(&out, "{\"t_us\":%" PRIu64 ",\"seconds\":%.3f,\"qps\":%.1f",
+            w.end_micros, w.seconds, w.Qps());
+    AppendF(&out, ",\"latency_count\":%" PRIu64 ",\"mean_us\":%.1f",
+            w.latency_count, w.mean_micros);
     AppendF(&out, ",\"p50_us\":%.1f,\"p99_us\":%.1f,\"p999_us\":%.1f",
             w.p50_micros, w.p99_micros, w.p999_micros);
-    AppendF(&out, ",\"mean_us\":%.1f,\"latency_count\":%" PRIu64,
-            w.mean_micros, w.latency_count);
-    AppendF(&out, ",\"hit_rate\":%.4f,\"cache_evictions\":%" PRIu64,
-            w.HitRate(), w.cache_evictions);
-    AppendF(&out,
-            ",\"bytes_received\":%" PRIu64 ",\"bytes_sent\":%" PRIu64,
-            w.bytes_received, w.bytes_sent);
-    AppendF(&out,
-            ",\"slow_requests\":%" PRIu64 ",\"slow_suppressed\":%" PRIu64,
-            w.slow_requests, w.slow_suppressed);
-    AppendF(&out,
-            ",\"queue_depth\":%" PRIu64 ",\"pending_requests\":%" PRIu64
-            ",\"connections_active\":%" PRIu64,
-            w.queue_depth, w.pending_requests, w.connections_active);
-    AppendF(&out, ",\"queue_wait_p99_us\":%.1f", w.queue_wait_p99_micros);
-    out += ",\"stages\":{";
+    AppendF(&out, ",\"hit_rate\":%.4f,\"queue_wait_p99_us\":%.1f",
+            w.HitRate(), w.queue_wait_p99_micros);
+    out += ",\"counters\":{";
+    for (size_t i = 0; i < w.service.size(); ++i) {
+      AppendF(&out, "%s\"%s\":%" PRIu64, i > 0 ? "," : "",
+              kServiceCounters[i].name, w.service[i]);
+    }
+    for (size_t i = 0; i < w.server.size(); ++i) {
+      AppendF(&out, ",\"%s\":%" PRIu64, net::kServerCounters[i].name,
+              w.server[i]);
+    }
+    out += "},\"stages\":{";
     bool first_stage = true;
     for (size_t s = 0; s < kNumStages; ++s) {
       if (w.stage_count[s] == 0) continue;  // elide empty stages

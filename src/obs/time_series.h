@@ -1,59 +1,53 @@
 // Metrics time-series: a fixed-memory ring of per-second windows over the
 // serving counters and latency histograms — the retained half of the
-// observability layer. A scrape of /metrics shows the instant; the ring
-// shows the last ~5 minutes, so an operator (or the SLO tracker and health
-// state machine built on it, obs/slo.h / obs/health.h) can see rate trends,
-// knees, and the seconds around a p999 spike after the fact.
+// observability layer and its only per-second store. A scrape of /metrics
+// shows the instant; the ring shows the last ~5 minutes, and the SLO burn
+// rates and health state machine built on it (obs/slo.h / obs/health.h)
+// read their signals from the same windows.
 //
-// Each WindowSample is a *derived* per-window record — counter deltas plus
+// Each WindowSample is a *derived* per-window record — one value per row of
+// the counter tables (kServiceCounters, net::kServerCounters), plus
 // exact-bucket quantiles computed from the window's histogram DeltaSince at
-// sampling time — not a retained histogram. That keeps a slot ~400 bytes,
-// so 5 minutes of per-second windows is ~120 KB regardless of traffic, and
-// pushing one sample per second costs nothing on the serving path (the
-// sampler thread in obs/monitor.h does the snapshot/delta work).
+// sampling time — not a retained histogram. That keeps a slot at a few
+// hundred bytes regardless of traffic (docs/OBSERVABILITY.md gives the
+// size), and pushing one sample per second costs nothing on the serving
+// path (the sampler thread in obs/monitor.h does the snapshot/delta work).
 //
 // The ring is mutex-protected: one writer at 1 Hz and occasional readers
-// (scrapes of /metrics/history) make lock-freedom pointless here.
+// (scrapes of /metrics/history, the once-per-tick burn-rate walk) make
+// lock-freedom pointless here.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "net/server.h"
 #include "obs/request_trace.h"
+#include "obs/slo.h"
+#include "service/service_stats.h"
 
 namespace fj::obs {
 
-/// One window (nominally one second) of serving activity: counter deltas
-/// over the window plus gauges and derived latency quantiles sampled at the
-/// window's end. Plain data, copyable.
+/// One window (nominally one second) of serving activity. Plain data,
+/// copyable.
 struct WindowSample {
   /// Monotonic timestamp (MonotonicMicros) at the window's end.
   uint64_t end_micros = 0;
   /// Window length in seconds (the divisor for all rates below).
   double seconds = 1.0;
 
-  // Deltas over the window.
-  uint64_t requests = 0;  // completed requests (single + batched)
-  uint64_t errors = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t bytes_received = 0;
-  uint64_t bytes_sent = 0;
-  uint64_t slow_requests = 0;
-  uint64_t slow_suppressed = 0;
+  /// One value per row of kServiceCounters / net::kServerCounters: the
+  /// delta over the window for a counter, the end value for a gauge.
+  std::array<uint64_t, std::size(kServiceCounters)> service{};
+  std::array<uint64_t, std::size(net::kServerCounters)> server{};
 
-  // Gauges at the window's end.
-  uint64_t queue_depth = 0;
-  uint64_t pending_requests = 0;
-  uint64_t connections_active = 0;
-
-  // Latency of requests completed inside the window: exact-bucket quantiles
-  // of the end-to-end histogram's DeltaSince, derived at sampling time.
+  // Latency of requests completed inside the window, errored ones included:
+  // exact-bucket quantiles of the end-to-end histogram's DeltaSince.
   uint64_t latency_count = 0;
   double mean_micros = 0.0;
   double p50_micros = 0.0;
@@ -66,11 +60,18 @@ struct WindowSample {
   std::array<uint64_t, kNumStages> stage_sum_micros{};
   double queue_wait_p99_micros = 0.0;
 
-  double Qps() const { return seconds > 0.0 ? requests / seconds : 0.0; }
+  /// Requests over each latency objective's threshold in this window,
+  /// parallel to SloSpec::latency (CountOver on the latency delta).
+  std::array<uint64_t, kMaxLatencyObjectives> over_threshold{};
+
+  /// Completed requests per second, errored ones included.
+  double Qps() const { return seconds > 0.0 ? latency_count / seconds : 0.0; }
   double HitRate() const {
-    uint64_t lookups = cache_hits + cache_misses;
+    uint64_t hits = service[ServiceCounterRow("fj_cache_hits_total")];
+    uint64_t lookups =
+        hits + service[ServiceCounterRow("fj_cache_misses_total")];
     return lookups == 0 ? 0.0
-                        : static_cast<double>(cache_hits) /
+                        : static_cast<double>(hits) /
                               static_cast<double>(lookups);
   }
 };
@@ -91,6 +92,18 @@ class TimeSeriesRing {
   /// from the newest). Thread-safe.
   std::vector<WindowSample> Window(size_t last_n = SIZE_MAX) const;
 
+  /// Calls `fn(const WindowSample&)` on the newest `last_n` windows in
+  /// place, newest first, holding the ring's lock (`fn` must not touch the
+  /// ring).
+  template <typename Fn>
+  void ForEachNewest(size_t last_n, Fn fn) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 1; i <= last_n && i <= pushed_ && i <= slots_.size();
+         ++i) {
+      fn(slots_[(next_ + slots_.size() - i) % slots_.size()]);
+    }
+  }
+
   size_t capacity() const { return slots_.size(); }
   /// Retained windows right now (<= capacity). Thread-safe.
   size_t size() const;
@@ -105,9 +118,12 @@ class TimeSeriesRing {
 };
 
 /// Renders windows as the /metrics/history JSON body:
-///   {"retention_seconds":N,"windows":[{"t_us":...,"qps":...,"errors":...,
+///   {"retention_seconds":N,"window_count":M,"windows":[{"t_us":...,
+///    "seconds":...,"qps":...,"latency_count":...,"mean_us":...,
 ///    "p50_us":...,"p99_us":...,"p999_us":...,"hit_rate":...,
-///    "queue_depth":...,"stages":{"queue_wait":{"count":..,"mean_us":..}}}]}
+///    "queue_wait_p99_us":...,"counters":{"fj_requests_total":...,...},
+///    "stages":{"queue_wait":{"count":..,"mean_us":..}}}]}
+/// `counters` holds every row of both counter tables, keyed by metric name.
 /// Timestamps are monotonic microseconds (the subsystem's shared clock);
 /// consumers correlate windows by relative age, not wall time. Stages with
 /// zero samples are elided, exactly as on the Prometheus scrape.

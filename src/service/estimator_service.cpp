@@ -55,8 +55,7 @@ EstimatorService::EstimatorService(const CardinalityEstimator& estimator,
       cache_(options.cache_capacity, options.cache_shards, &epochs_),
       queue_(options.queue_capacity),
       slow_log_(options.slow_request_micros, options.slow_log_sink,
-                options.model_name, options.slow_log_per_second,
-                options.slow_log_burst) {
+                options.model_name) {
   size_t threads = options_.num_threads == 0 ? 1 : options_.num_threads;
   workers_.reserve(threads);
   worker_ids_.reserve(threads);
@@ -353,8 +352,7 @@ void EstimatorService::ServeAndComplete(Request& req, const char* kind,
   // offender: the sampled stream keeps the recent ring representative, the
   // offenders make sure the requests worth dumping are never sampled away.
   bool record = options_.flight_recorder != nullptr &&
-                (slow || (options_.flight_sample_every != 0 &&
-                          finished % options_.flight_sample_every == 0));
+                (slow || finished % obs::kFlightSampleEvery == 0);
   if (!slow && !record) return;
   // Fingerprinted once, and only for requests that are logged or recorded;
   // never on the fast path.

@@ -90,23 +90,16 @@ struct EstimatorServiceOptions {
   /// end-to-end latency reaches it produces one structured line (query
   /// fingerprint, model, stage breakdown — obs/slow_log.h). 0 disables.
   uint64_t slow_request_micros = 0;
-  /// Slow-log destination; nullptr = stderr. Not owned.
+  /// Slow-log destination; nullptr = stderr. Not owned. Emission is
+  /// rate-limited (obs::kSlowLogLinesPerSecond): during overload nearly
+  /// every request is an offender, and the cap keeps the log from flooding
+  /// stderr and worsening the episode it reports.
   std::FILE* slow_log_sink = nullptr;
-  /// Slow-log rate limit (lines/s, token bucket with `slow_log_burst`
-  /// banked; obs/slow_log.h). 0 disables the limiter. During overload
-  /// nearly every request is an offender; the cap keeps the log from
-  /// flooding stderr and worsening the episode it reports. Suppressed
-  /// offenders surface as ServiceStats::slow_suppressed and one
-  /// `suppressed=N` summary line when emission resumes.
-  double slow_log_per_second = 10.0;
-  double slow_log_burst = 20.0;
-  /// Flight recorder (obs/flight_recorder.h) receiving sampled completed
-  /// requests; nullptr disables. Not owned — must outlive the service.
+  /// Flight recorder (obs/flight_recorder.h) receiving every
+  /// obs::kFlightSampleEvery-th completed request plus every slow-log
+  /// offender — the slowest requests are exactly the ones a post-hoc dump
+  /// is for; nullptr disables. Not owned — must outlive the service.
   obs::FlightRecorder* flight_recorder = nullptr;
-  /// Append every Nth completed request to the recorder (1 = all, 0 = only
-  /// slow-log offenders). Offenders are always appended: the slowest
-  /// requests are exactly the ones a post-hoc dump is for.
-  size_t flight_sample_every = 16;
   /// Model name stamped on slow-log lines and metrics labels; "" renders
   /// as "default". ModelRegistry::AddModel fills it with the registered
   /// name automatically.

@@ -8,6 +8,8 @@
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
+#include <string_view>
 
 #include "obs/latency_histogram.h"
 #include "obs/metrics_registry.h"
@@ -51,8 +53,8 @@ struct ServiceStats {
   /// EstimatorServiceOptions::slow_request_micros; 0 while disabled).
   uint64_t slow_requests = 0;
   /// Offenders the slow-log rate limiter swallowed (token bucket,
-  /// EstimatorServiceOptions::slow_log_per_second). Each is acknowledged
-  /// in the log by a `suppressed=N` summary line when emission resumes.
+  /// obs::kSlowLogLinesPerSecond). Each is acknowledged in the log by a
+  /// `suppressed=N` summary line when emission resumes.
   uint64_t slow_suppressed = 0;
 
   CacheStats cache;
@@ -86,6 +88,11 @@ struct ServiceStats {
     p999_micros = latency.ValueAtQuantile(0.999);
     max_micros = static_cast<double>(latency.max);
   }
+
+  /// Adds `other` into this snapshot: every kServiceCounters row (the
+  /// gauges sum too, so a merge over models reads their total queue depth)
+  /// and every histogram; then refreshes the quantiles.
+  void Merge(const ServiceStats& other);
 };
 
 /// One row of kServiceCounters: a ServiceStats counter or gauge with its
@@ -145,5 +152,23 @@ inline constexpr ServiceCounter kServiceCounters[] = {
     {"fj_cache_entries", obs::MetricKind::kGauge,
      "Live estimate-cache entries.", nullptr, &CacheStats::entries},
 };
+
+/// Index of the kServiceCounters row named `name`, resolved at compile
+/// time: an unknown name does not compile.
+consteval size_t ServiceCounterRow(std::string_view name) {
+  for (size_t i = 0; i < std::size(kServiceCounters); ++i) {
+    if (name == kServiceCounters[i].name) return i;
+  }
+  throw std::invalid_argument("no such service counter");
+}
+
+inline void ServiceStats::Merge(const ServiceStats& other) {
+  for (const ServiceCounter& row : kServiceCounters) {
+    row.Of(*this) += row.Of(other);
+  }
+  latency.Merge(other.latency);
+  for (size_t i = 0; i < obs::kNumStages; ++i) stages[i].Merge(other.stages[i]);
+  RefreshQuantiles();
+}
 
 }  // namespace fj

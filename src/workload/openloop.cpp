@@ -237,7 +237,6 @@ OpenLoopResult RunOpenLoop(const Trace& trace,
     obs::WindowSample w;
     w.end_micros = (static_cast<uint64_t>(i) + 1) * kWindowMicros;
     w.seconds = 1.0;
-    w.requests = snap.count;
     w.latency_count = snap.count;
     w.mean_micros = snap.Mean();
     w.p50_micros = snap.ValueAtQuantile(0.50);

@@ -1,8 +1,9 @@
 // Tests for the retained observability layer (obs/time_series.h,
 // obs/slo.h, obs/health.h, obs/flight_recorder.h, obs/monitor.h): burn
 // rates against hand-computed windows, ring wraparound, hysteresis at the
-// knee, concurrent flight-recorder appends (the tsan build runs this file),
-// and the monitor's tick pipeline fed synthetic inputs through TickWith.
+// knee, concurrent flight-recorder appends, the monitor's tick pipeline fed
+// synthetic inputs through TickWith, and a ticking monitor raced by
+// scrapes (the tsan build runs this file).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,8 @@
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/latency_histogram.h"
+#include "obs/metrics_export.h"
+#include "obs/metrics_registry.h"
 #include "obs/monitor.h"
 #include "obs/slo.h"
 #include "obs/time_series.h"
@@ -48,69 +51,91 @@ TEST(SloSpecTest, RejectsMalformedSpecsLoudly) {
   EXPECT_THROW(SloSpec::Parse("avail=100"), std::invalid_argument);
   EXPECT_THROW(SloSpec::Parse("avail=0"), std::invalid_argument);
   EXPECT_THROW(SloSpec::Parse("p99"), std::invalid_argument);     // no '='
+  // Values a double holds but a threshold or target cannot.
+  EXPECT_THROW(SloSpec::Parse("p99=infms"), std::invalid_argument);
+  EXPECT_THROW(SloSpec::Parse("p99=1e300s"), std::invalid_argument);
+  EXPECT_THROW(SloSpec::Parse("p99=nanms"), std::invalid_argument);
+  EXPECT_THROW(SloSpec::Parse("avail=nan"), std::invalid_argument);
+  EXPECT_THROW(SloSpec::Parse("avail=99.9abc"), std::invalid_argument);
+  // Repeated objectives, including one spelled in another unit.
+  EXPECT_THROW(SloSpec::Parse("p99=5ms,p99=5ms"), std::invalid_argument);
+  EXPECT_THROW(SloSpec::Parse("p99=5ms,p99=5000us"), std::invalid_argument);
+  EXPECT_THROW(SloSpec::Parse("avail=99,avail=99.9"), std::invalid_argument);
+  // Four latency objectives fit a window; a fifth does not.
+  EXPECT_EQ(SloSpec::Parse("p50=1ms,p90=1ms,p99=1ms,p999=1ms").latency.size(),
+            kMaxLatencyObjectives);
+  EXPECT_THROW(SloSpec::Parse("p50=1ms,p90=1ms,p99=1ms,p999=1ms,p99=2ms"),
+               std::invalid_argument);
 }
 
 // ----------------------------------------------------------- burn-rate math
 
-TEST(SloTrackerTest, BurnMatchesHandComputedWindows) {
-  SloSpec spec = SloSpec::Parse("p99=1ms,avail=99");
-  // Fast window 2s, slow window 4s: small enough to hand-compute exactly.
-  SloTracker tracker(spec, /*fast=*/2, /*slow=*/4);
+constexpr size_t kErrorsRow = ServiceCounterRow("fj_errors_total");
 
-  auto feed = [&](uint64_t total, uint64_t bad, uint64_t errors) {
-    SloInput in;
-    in.total = total;
-    in.errors = errors;
-    in.over_threshold = {bad};
-    tracker.Feed(in);
-  };
+// One second with `total` requests, `bad` of them over the first latency
+// objective's threshold, and `errors` failed.
+WindowSample Second(uint64_t total, uint64_t bad, uint64_t errors) {
+  WindowSample w;
+  w.latency_count = total;
+  w.over_threshold[0] = bad;
+  w.service[kErrorsRow] = errors;
+  return w;
+}
+
+TEST(SloBurnTest, BurnMatchesHandComputedWindows) {
+  SloSpec spec = SloSpec::Parse("p99=1ms,avail=99");
+  // Larger than the slow window, so the window spans, not the ring's
+  // capacity, decide which seconds count.
+  TimeSeriesRing ring(kSloSlowWindowSeconds + 100);
+  auto clean = [&] { ring.Push(Second(100, 0, 0)); };
 
   // Seconds 1-2: 1 then 3 bad of 100 each. Fast = slow = 4/200 over a 1%
   // budget -> burn 2.
-  feed(100, 1, 0);
-  feed(100, 3, 0);
-  SloStatus s = tracker.Status();
-  ASSERT_EQ(s.objectives.size(), 2u);
-  EXPECT_EQ(s.objectives[0].name, "p99_1ms");
-  EXPECT_NEAR(s.objectives[0].fast_burn, 2.0, 1e-9);
-  EXPECT_NEAR(s.objectives[0].slow_burn, 2.0, 1e-9);
-  EXPECT_EQ(s.objectives[0].fast_bad, 4u);
-  EXPECT_EQ(s.objectives[0].fast_total, 200u);
-  EXPECT_TRUE(s.objectives[0].Burning());
-  EXPECT_TRUE(s.AnyBurning());
+  ring.Push(Second(100, 1, 0));
+  ring.Push(Second(100, 3, 0));
+  std::vector<SloBurn> s = BurnRates(spec, ring);
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_EQ(s[0].name, "p99_1ms");
+  EXPECT_NEAR(s[0].fast_burn, 2.0, 1e-9);
+  EXPECT_NEAR(s[0].slow_burn, 2.0, 1e-9);
+  EXPECT_TRUE(s[0].Burning());
 
-  // Seconds 3-4 are clean: the fast window (3-4) drops to 0 while the slow
-  // window (1-4) still holds 4/400 -> exactly on budget, burn 1.
-  feed(100, 0, 0);
-  feed(100, 0, 0);
-  s = tracker.Status();
-  EXPECT_NEAR(s.objectives[0].fast_burn, 0.0, 1e-9);
-  EXPECT_NEAR(s.objectives[0].slow_burn, 1.0, 1e-9);
-  EXPECT_FALSE(s.objectives[0].Burning());
+  // A fast window of clean seconds: fast drops to 0 while the slow window
+  // (the two bad seconds plus 60 clean ones) still holds 4/6200.
+  for (size_t i = 0; i < kSloFastWindowSeconds; ++i) clean();
+  s = BurnRates(spec, ring);
+  EXPECT_NEAR(s[0].fast_burn, 0.0, 1e-9);
+  EXPECT_NEAR(s[0].slow_burn, 4.0 / 6200 / 0.01, 1e-9);
+  EXPECT_FALSE(s[0].Burning());
 
-  // Second 5 wraps the ring: second 1 retires, slow covers 2-5 = 3/400.
-  feed(100, 0, 0);
-  s = tracker.Status();
-  EXPECT_NEAR(s.objectives[0].slow_burn, 0.75, 1e-9);
+  // With the slow window exactly full it covers seconds 1-1800 = 4/180000;
+  // one more clean second retires second 1: slow covers 2-1801 = 3/180000.
+  while (ring.total_pushed() < kSloSlowWindowSeconds) clean();
+  s = BurnRates(spec, ring);
+  EXPECT_NEAR(s[0].slow_burn, 4.0 / 180000 / 0.01, 1e-12);
+  clean();
+  s = BurnRates(spec, ring);
+  EXPECT_NEAR(s[0].slow_burn, 3.0 / 180000 / 0.01, 1e-12);
 
-  // Availability rides the same windows on the errors counter: 5 errors of
-  // the fast window's 200 against a 1% budget -> burn 2.5.
-  feed(100, 0, 5);
-  s = tracker.Status();
-  EXPECT_EQ(s.objectives[1].name, "availability");
-  EXPECT_NEAR(s.objectives[1].fast_burn, 2.5, 1e-9);
+  // Availability rides the same windows on the errors row: 150 errors of
+  // the fast window's 6000 requests against a 1% budget -> burn 2.5.
+  ring.Push(Second(100, 0, 150));
+  s = BurnRates(spec, ring);
+  EXPECT_EQ(s[1].name, "availability");
+  EXPECT_NEAR(s[1].fast_burn, 2.5, 1e-9);
 }
 
-TEST(SloTrackerTest, ZeroTrafficBurnsNothing) {
-  SloTracker tracker(SloSpec::Parse("p99=1ms"), 2, 4);
-  SloStatus s = tracker.Status();
-  ASSERT_EQ(s.objectives.size(), 1u);
-  EXPECT_DOUBLE_EQ(s.objectives[0].fast_burn, 0.0);
-  EXPECT_DOUBLE_EQ(s.objectives[0].slow_burn, 0.0);
-  tracker.Feed(SloInput{});  // a quiet second changes nothing
-  s = tracker.Status();
-  EXPECT_DOUBLE_EQ(s.objectives[0].fast_burn, 0.0);
-  EXPECT_FALSE(s.AnyBurning());
+TEST(SloBurnTest, ZeroTrafficBurnsNothing) {
+  SloSpec spec = SloSpec::Parse("p99=1ms");
+  TimeSeriesRing ring(4);
+  std::vector<SloBurn> s = BurnRates(spec, ring);
+  ASSERT_EQ(s.size(), 1u);
+  EXPECT_DOUBLE_EQ(s[0].fast_burn, 0.0);
+  EXPECT_DOUBLE_EQ(s[0].slow_burn, 0.0);
+  ring.Push(WindowSample{});  // a quiet second changes nothing
+  s = BurnRates(spec, ring);
+  EXPECT_DOUBLE_EQ(s[0].fast_burn, 0.0);
+  EXPECT_FALSE(s[0].Burning());
 }
 
 // --------------------------------------------------------- time-series ring
@@ -122,7 +147,7 @@ TEST(TimeSeriesRingTest, WrapsAroundKeepingTheNewest) {
   for (uint64_t i = 0; i < 10; ++i) {
     WindowSample w;
     w.end_micros = i;
-    w.requests = i * 10;
+    w.latency_count = i * 10;
     ring.Push(w);
   }
   EXPECT_EQ(ring.size(), 4u);
@@ -133,7 +158,7 @@ TEST(TimeSeriesRingTest, WrapsAroundKeepingTheNewest) {
   ASSERT_EQ(got.size(), 4u);
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].end_micros, 6 + i);
-    EXPECT_EQ(got[i].requests, (6 + i) * 10);
+    EXPECT_EQ(got[i].latency_count, (6 + i) * 10);
   }
 
   // last_n counts from the newest.
@@ -306,20 +331,20 @@ TEST(ServingMonitorTest, TickPipelineDerivesWindowsBurnAndHealth) {
   MonitorOptions options;
   options.retention_seconds = 16;
   options.slo = SloSpec::Parse("p99=1ms");
-  options.slo_fast_window_seconds = 2;
-  options.slo_slow_window_seconds = 4;
   std::vector<std::pair<HealthState, HealthState>> transitions;
   options.on_transition = [&](HealthState from, HealthState to) {
     transitions.emplace_back(from, to);
   };
   // Tests drive TickWith directly; the source is never sampled.
   ServingMonitor monitor(options, [] { return MonitorInput{}; });
+  // The SLO needs the slow window's worth of seconds in the one ring.
+  EXPECT_EQ(monitor.history().capacity(), kSloSlowWindowSeconds);
 
   LatencyHistogram lat;
   LatencyHistogram queue_wait;
   MonitorInput in;
   in.now_micros = 1'000'000;
-  in.latency = lat.Snapshot();
+  in.service.latency = lat.Snapshot();
   monitor.TickWith(in);  // baseline only: nothing to diff yet
   EXPECT_EQ(monitor.history().size(), 0u);
 
@@ -329,32 +354,35 @@ TEST(ServingMonitorTest, TickPipelineDerivesWindowsBurnAndHealth) {
   for (int i = 0; i < 100; ++i) lat.Record(100'000);
   for (int i = 0; i < 100; ++i) queue_wait.Record(80'000);
   in.now_micros = 2'000'000;
-  in.requests = 1000;
-  in.errors = 10;
-  in.cache_hits = 500;
-  in.cache_misses = 500;
-  in.queue_depth = 95;
+  in.service.subplan_requests = 1000;
+  in.service.errors = 10;
+  in.service.cache.hits = 500;
+  in.service.cache.misses = 500;
+  in.service.queue_depth = 95;
+  in.service.latency = lat.Snapshot();
+  in.service.stages[static_cast<size_t>(Stage::kQueueWait)] =
+      queue_wait.Snapshot();
+  in.server.bytes_received = 4096;
   in.queue_capacity = 100;
-  in.latency = lat.Snapshot();
-  in.stages[static_cast<size_t>(Stage::kQueueWait)] = queue_wait.Snapshot();
   monitor.TickWith(in);
 
   ASSERT_EQ(monitor.history().size(), 1u);
   WindowSample w = monitor.history().Window()[0];
-  EXPECT_EQ(w.requests, 1000u);
-  EXPECT_EQ(w.errors, 10u);
+  EXPECT_EQ(w.service[ServiceCounterRow("fj_subplan_requests_total")], 1000u);
+  EXPECT_EQ(w.service[kErrorsRow], 10u);
   EXPECT_EQ(w.latency_count, 1000u);
-  EXPECT_EQ(w.queue_depth, 95u);
+  EXPECT_EQ(w.service[ServiceCounterRow("fj_queue_depth")], 95u);
   EXPECT_NEAR(w.HitRate(), 0.5, 1e-12);
   EXPECT_GT(w.p99_micros, 1000.0);
   EXPECT_GT(w.queue_wait_p99_micros, 50'000.0);
+  EXPECT_EQ(w.over_threshold[0], 100u);
 
   // 100 of 1000 over threshold against a 1% budget: burn exactly 10.
-  SloStatus slo = monitor.slo_status();
-  ASSERT_EQ(slo.objectives.size(), 1u);
-  EXPECT_NEAR(slo.objectives[0].fast_burn, 10.0, 1e-9);
+  std::vector<SloBurn> slo = monitor.slo_status();
+  ASSERT_EQ(slo.size(), 1u);
+  EXPECT_NEAR(slo[0].fast_burn, 10.0, 1e-9);
 
-  // One overloaded tick is not enough (hysteresis enter_ticks=2)...
+  // One overloaded tick is not enough (kHealthEnterTicks = 2)...
   EXPECT_EQ(monitor.health_state(), HealthState::kOk);
   EXPECT_TRUE(transitions.empty());
 
@@ -371,11 +399,32 @@ TEST(ServingMonitorTest, TickPipelineDerivesWindowsBurnAndHealth) {
   EXPECT_EQ(status, 503);
   EXPECT_NE(health.find("\"state\":\"overloaded\""), std::string::npos)
       << health;
+  EXPECT_NE(health.find("\"queue_depth\":95"), std::string::npos) << health;
   EXPECT_NE(health.find("\"name\":\"p99_1ms\""), std::string::npos) << health;
 
+  // History carries every counter-table row by metric name.
   std::string history = monitor.HistoryJson();
   EXPECT_NE(history.find("\"windows\":["), std::string::npos) << history;
   EXPECT_NE(history.find("\"queue_wait\""), std::string::npos) << history;
+  EXPECT_NE(history.find("\"qps\":1000.0"), std::string::npos) << history;
+  EXPECT_NE(history.find("\"counters\":{\"fj_requests_total\":0,"),
+            std::string::npos)
+      << history;
+  EXPECT_NE(history.find("\"fj_errors_total\":10,"), std::string::npos)
+      << history;
+  EXPECT_NE(history.find("\"fj_server_bytes_received_total\":4096,"),
+            std::string::npos)
+      << history;
+
+  // The ring keeps the SLO's windows; /metrics/history serves only the
+  // newest retention_seconds of them.
+  for (int i = 0; i < 20; ++i) {
+    in.now_micros += 1'000'000;
+    monitor.TickWith(in);
+  }
+  EXPECT_EQ(monitor.history().size(), 22u);
+  EXPECT_NE(monitor.HistoryJson().find("\"window_count\":16,"),
+            std::string::npos);
 }
 
 TEST(ServingMonitorTest, CountersNeverGoBackwardsAcrossRestarts) {
@@ -383,15 +432,81 @@ TEST(ServingMonitorTest, CountersNeverGoBackwardsAcrossRestarts) {
   // must clamp to zero-delta windows, not underflow.
   MonitorOptions options;
   ServingMonitor monitor(options, [] { return MonitorInput{}; });
+  EXPECT_EQ(monitor.history().capacity(), options.retention_seconds);
   MonitorInput in;
   in.now_micros = 1'000'000;
-  in.requests = 1000;
+  in.service.requests = 1000;
   monitor.TickWith(in);
   in.now_micros = 2'000'000;
-  in.requests = 400;  // regressed
+  in.service.requests = 400;  // regressed
   monitor.TickWith(in);
   ASSERT_EQ(monitor.history().size(), 1u);
-  EXPECT_EQ(monitor.history().Window()[0].requests, 0u);
+  EXPECT_EQ(
+      monitor.history().Window()[0].service[ServiceCounterRow(
+          "fj_requests_total")],
+      0u);
+}
+
+TEST(ServingMonitorTest, TicksRaceWritersAndScrapes) {
+  // A live source: one thread keeps writing the counters and the latency
+  // histogram the source samples, one thread ticks, two threads scrape
+  // every monitor view. The tsan build is the real assertion.
+  std::atomic<uint64_t> requests{0};
+  LatencyHistogram latency;
+  MonitorOptions options;
+  options.slo = SloSpec::Parse("p99=1ms,avail=99.9");
+  ServingMonitor monitor(options, [&] {
+    MonitorInput in;
+    in.now_micros = MonotonicMicros();
+    in.service.requests = requests.load(std::memory_order_relaxed);
+    in.service.latency = latency.Snapshot();
+    in.queue_capacity = 64;
+    return in;
+  });
+  MetricsRegistry registry;
+  ExportMonitor(&registry, monitor);
+
+  constexpr int kTicks = 200;
+  std::atomic<bool> stop{false};
+  std::atomic<int> scrapes{0};
+  std::thread writer([&] {
+    for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      requests.fetch_add(1, std::memory_order_relaxed);
+      latency.Record(i % 4096);
+    }
+  });
+  std::vector<std::thread> scrapers;
+  for (int t = 0; t < 2; ++t) {
+    scrapers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        EXPECT_NE(monitor.HealthJson().find("\"state\":"), std::string::npos);
+        EXPECT_NE(monitor.HistoryJson().find("\"windows\":["),
+                  std::string::npos);
+        EXPECT_NE(registry.RenderPrometheus().find("fj_slo_fast_burn"),
+                  std::string::npos);
+        scrapes.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  std::thread ticker([&] {
+    // Start once both scrapers are running, so the ticks overlap them.
+    while (scrapes.load(std::memory_order_relaxed) < 2) {
+      std::this_thread::yield();
+    }
+    for (int i = 0; i < kTicks; ++i) monitor.Tick();
+  });
+  ticker.join();
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  for (std::thread& t : scrapers) t.join();
+  // The first tick only sets the baseline.
+  EXPECT_EQ(monitor.ticks(), static_cast<uint64_t>(kTicks - 1));
+
+  // The background thread ticks once as it starts, then sleeps until Stop.
+  monitor.Start();
+  monitor.Stop();
+  EXPECT_EQ(monitor.ticks(), static_cast<uint64_t>(kTicks));
+  EXPECT_EQ(monitor.history().size(), static_cast<size_t>(kTicks));
 }
 
 }  // namespace

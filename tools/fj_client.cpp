@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
   // deterministic) and demand bit-identical values from the remote path.
   std::printf("fj_client: verify: training local model...\n");
   fj::FactorJoinConfig config;
-  config.num_bins = static_cast<uint32_t>(args.common.bins);
+  config.num_bins = args.common.bins;
   fj::FactorJoinEstimator estimator(workload->db, config);
   fj::EstimatorService service(estimator, {});
   size_t mismatches = 0;

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "obs/time_series.h"
 #include "factorjoin/estimator.h"
 #include "net/client.h"
 #include "service/estimator_service.h"
@@ -93,20 +92,21 @@ bool Parse(int argc, char** argv, Args* args) {
       return false;
     }
     std::string flag = argv[i];
+    bool ok = true;
     if (flag == "--schedule" && i + 1 < argc) {
       args->schedule = argv[++i];
-    } else if (flag == "--ops" && i + 1 < argc) {
-      args->ops = static_cast<size_t>(std::atoll(argv[++i]));
+    } else if (flag == "--ops") {
+      ok = fj::tools::ParseIntFlag(argc, argv, &i, &args->ops);
     } else if (flag == "--theta" && i + 1 < argc) {
       args->theta = std::atof(argv[++i]);
     } else if (flag == "--update-fraction" && i + 1 < argc) {
       args->update_fraction = std::atof(argv[++i]);
-    } else if (flag == "--update-rows" && i + 1 < argc) {
-      args->update_rows = static_cast<uint32_t>(std::atoll(argv[++i]));
-    } else if (flag == "--gen-seed" && i + 1 < argc) {
-      args->gen_seed = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (flag == "--threads" && i + 1 < argc) {
-      args->threads = static_cast<size_t>(std::atoll(argv[++i]));
+    } else if (flag == "--update-rows") {
+      ok = fj::tools::ParseIntFlag(argc, argv, &i, &args->update_rows);
+    } else if (flag == "--gen-seed") {
+      ok = fj::tools::ParseIntFlag(argc, argv, &i, &args->gen_seed);
+    } else if (flag == "--threads") {
+      ok = fj::tools::ParseIntFlag(argc, argv, &i, &args->threads);
     } else if (flag == "--remote") {
       args->remote = true;
     } else if (flag == "--model" && i + 1 < argc) {
@@ -123,6 +123,9 @@ bool Parse(int argc, char** argv, Args* args) {
     } else if (flag.rfind("--json=", 0) == 0) {
       // consumed by JsonReport::FromArgs
     } else {
+      ok = false;
+    }
+    if (!ok) {
       Usage(argv[0]);
       return false;
     }
@@ -200,7 +203,7 @@ int main(int argc, char** argv) {
       result = fj::RunOpenLoop(trace, workload->queries, &target);
     } else {
       fj::FactorJoinConfig config;
-      config.num_bins = static_cast<uint32_t>(args.common.bins);
+      config.num_bins = args.common.bins;
       fj::FactorJoinEstimator estimator(workload->db, config);
       std::printf("fj_loadgen: trained factorjoin in %.1f ms (in-process)\n",
                   estimator.TrainSeconds() * 1e3);
@@ -236,18 +239,13 @@ int main(int argc, char** argv) {
   report.Add("loadgen_updates", static_cast<double>(result.updates));
   report.Add("loadgen_errors", static_cast<double>(result.errors));
 
-  // Per-second series, routed through the same TimeSeriesRing shape the
-  // server's /metrics/history uses so harness-side and server-side windows
-  // line up one-to-one (both key on 1s windows; the harness keys on
-  // *scheduled* arrival, charging queueing delay to the second that
-  // offered the load).
-  fj::obs::TimeSeriesRing ring(
-      result.windows.empty() ? 1 : result.windows.size());
-  for (const fj::obs::WindowSample& w : result.windows) ring.Push(w);
-  std::vector<fj::obs::WindowSample> windows = ring.Window();
-  report.Add("loadgen_windows", static_cast<double>(windows.size()));
-  for (size_t i = 0; i < windows.size(); ++i) {
-    const fj::obs::WindowSample& w = windows[i];
+  // Per-second series in the WindowSample shape of the server's
+  // /metrics/history, so harness-side and server-side windows line up
+  // one-to-one (both key on 1s windows; the harness keys on *scheduled*
+  // arrival, charging queueing delay to the second that offered the load).
+  report.Add("loadgen_windows", static_cast<double>(result.windows.size()));
+  for (size_t i = 0; i < result.windows.size(); ++i) {
+    const fj::obs::WindowSample& w = result.windows[i];
     std::string prefix = "loadgen_w" + std::to_string(i);
     report.Add(prefix + "_qps", w.Qps(), "1/s");
     report.Add(prefix + "_p50_us", w.p50_micros, "us");

@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <ctime>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,9 +61,9 @@ struct Args {
   bool save_only = false;  // exit after training/saving (no serving)
   // --load-model NAME=PATH entries; non-empty skips training entirely.
   std::vector<std::pair<std::string, std::string>> load_models;
-  // --metrics-port: expose /metrics (+ /metrics.json); -1 = disabled,
+  // --metrics-port: expose /metrics (+ /metrics.json); unset = disabled,
   // 0 = ephemeral (the resolved port is printed).
-  int metrics_port = -1;
+  std::optional<uint16_t> metrics_port;
   // --slow-log-micros: slow-request log threshold; 0 = disabled.
   uint64_t slow_log_micros = 0;
   // --slo: objective spec ("p99=5ms,avail=99.9"); parsed in main so a typo
@@ -105,22 +106,24 @@ bool Parse(int argc, char** argv, Args* args) {
       return false;
     }
     std::string flag = argv[i];
-    if (flag == "--threads" && i + 1 < argc) {
-      args->threads = static_cast<size_t>(std::atoll(argv[++i]));
+    bool ok = true;
+    if (flag == "--threads") {
+      ok = fj::tools::ParseIntFlag(argc, argv, &i, &args->threads);
     } else if (flag == "--save-model" && i + 1 < argc) {
       args->save_model = argv[++i];
     } else if (flag == "--save-only") {
       args->save_only = true;
-    } else if (flag == "--metrics-port" && i + 1 < argc) {
-      args->metrics_port = std::atoi(argv[++i]);
-    } else if (flag == "--slow-log-micros" && i + 1 < argc) {
-      args->slow_log_micros = static_cast<uint64_t>(std::atoll(argv[++i]));
+    } else if (flag == "--metrics-port") {
+      ok = fj::tools::ParseIntFlag(argc, argv, &i,
+                                   &args->metrics_port.emplace());
+    } else if (flag == "--slow-log-micros") {
+      ok = fj::tools::ParseIntFlag(argc, argv, &i, &args->slow_log_micros);
     } else if (flag == "--slo" && i + 1 < argc) {
       args->slo_spec = argv[++i];
-    } else if (flag == "--history-seconds" && i + 1 < argc) {
-      args->history_seconds = static_cast<size_t>(std::atoll(argv[++i]));
-    } else if (flag == "--flight-capacity" && i + 1 < argc) {
-      args->flight_capacity = static_cast<size_t>(std::atoll(argv[++i]));
+    } else if (flag == "--history-seconds") {
+      ok = fj::tools::ParseIntFlag(argc, argv, &i, &args->history_seconds);
+    } else if (flag == "--flight-capacity") {
+      ok = fj::tools::ParseIntFlag(argc, argv, &i, &args->flight_capacity);
     } else if (flag == "--load-model" && i + 1 < argc) {
       std::string spec = argv[++i];
       size_t eq = spec.find('=');
@@ -131,6 +134,9 @@ bool Parse(int argc, char** argv, Args* args) {
       }
       args->load_models.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
     } else {
+      ok = false;
+    }
+    if (!ok) {
       Usage(argv[0]);
       return false;
     }
@@ -184,7 +190,7 @@ int main(int argc, char** argv) {
   if (args.load_models.empty()) {
     // Train the default model from the flagged workload.
     fj::FactorJoinConfig config;
-    config.num_bins = static_cast<uint32_t>(args.common.bins);
+    config.num_bins = args.common.bins;
     auto estimator =
         std::make_unique<fj::FactorJoinEstimator>(workload->db, config);
     std::printf("fj_server: trained factorjoin on %s in %.1f ms (%zu bytes)\n",
@@ -244,7 +250,7 @@ int main(int argc, char** argv) {
   fj::obs::MetricsRegistry metrics;
   std::unique_ptr<fj::obs::MetricsHttpServer> metrics_http;
   std::unique_ptr<fj::obs::ServingMonitor> monitor;
-  if (args.metrics_port >= 0) {
+  if (args.metrics_port.has_value()) {
     fj::obs::ExportRegistryModels(&metrics, registry);
     fj::obs::ExportServer(&metrics, server);
     fj::obs::ExportProcess(&metrics, server.Stats().start_micros);
@@ -253,8 +259,8 @@ int main(int argc, char** argv) {
     }
 
     // Monitor: samples every model's service plus the net front end once
-    // per second into the time-series ring, the SLO tracker, and the
-    // health state machine.
+    // per second into the time-series ring that feeds history, SLO burn
+    // rates and the health state machine.
     fj::obs::MonitorOptions monitor_options;
     monitor_options.retention_seconds = args.history_seconds;
     monitor_options.slo = slo;
@@ -280,32 +286,16 @@ int main(int argc, char** argv) {
           in.now_micros = fj::obs::MonotonicMicros();
           std::vector<std::string> names = registry.ModelNames();
           for (const std::string& name : names) {
-            fj::ServiceStats s = registry.Find(name)->Stats();
-            in.requests += s.requests + s.subplan_requests;
-            in.errors += s.errors;
-            in.cache_hits += s.cache.hits;
-            in.cache_misses += s.cache.misses;
-            in.cache_evictions += s.cache.evictions;
-            in.slow_requests += s.slow_requests;
-            in.slow_suppressed += s.slow_suppressed;
-            in.queue_depth += s.queue_depth;
-            in.pending_requests += s.pending_requests;
-            in.latency.Merge(s.latency);
-            for (size_t i = 0; i < fj::obs::kNumStages; ++i) {
-              in.stages[i].Merge(s.stages[i]);
-            }
+            in.service.Merge(registry.Find(name)->Stats());
           }
+          in.server = server.Stats();
           in.queue_capacity = queue_capacity_per_model * names.size();
-          fj::net::ServerStats ns = server.Stats();
-          in.bytes_received = ns.bytes_received;
-          in.bytes_sent = ns.bytes_sent;
-          in.connections_active = ns.connections_active;
           return in;
         });
     fj::obs::ExportMonitor(&metrics, *monitor);
 
     fj::obs::MetricsHttpOptions http_options;
-    http_options.port = static_cast<uint16_t>(args.metrics_port);
+    http_options.port = *args.metrics_port;
     metrics_http =
         std::make_unique<fj::obs::MetricsHttpServer>(metrics, http_options);
     fj::obs::ServingMonitor* mon = monitor.get();
@@ -351,23 +341,20 @@ int main(int argc, char** argv) {
   if (metrics_http != nullptr) metrics_http->Stop();
   if (monitor != nullptr) monitor->Stop();
   server.Stop();
+  // Final counters: every row of the counter tables, one line per model
+  // and one for the net front end.
+  auto print_rows = [](std::string line, const auto& table,
+                       const auto& stats) {
+    for (const auto& row : table) {
+      line.append(" ").append(row.name).append("=").append(
+          std::to_string(row.Of(stats)));
+    }
+    std::printf("%s\n", line.c_str());
+  };
   for (const std::string& name : registry.ModelNames()) {
-    fj::ServiceStats stats = registry.Find(name)->Stats();
-    std::printf(
-        "fj_server: model %s served requests=%llu subplan_requests=%llu "
-        "hit_rate=%.0f%% errors=%llu\n",
-        name.c_str(), static_cast<unsigned long long>(stats.requests),
-        static_cast<unsigned long long>(stats.subplan_requests),
-        stats.cache.HitRate() * 100.0,
-        static_cast<unsigned long long>(stats.errors));
+    print_rows("fj_server: model " + name, fj::kServiceCounters,
+               registry.Find(name)->Stats());
   }
-  fj::net::ServerStats net = server.Stats();
-  std::printf(
-      "fj_server: connections=%llu frames=%llu responses=%llu "
-      "protocol_errors=%llu\n",
-      static_cast<unsigned long long>(net.connections_accepted),
-      static_cast<unsigned long long>(net.frames_received),
-      static_cast<unsigned long long>(net.responses_sent),
-      static_cast<unsigned long long>(net.protocol_errors));
+  print_rows("fj_server: server", fj::net::kServerCounters, server.Stats());
   return 0;
 }

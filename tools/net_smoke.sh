@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Loopback smoke test of the remote-estimation binaries, in three phases:
+# Loopback smoke test of the remote-estimation binaries. A flag check comes
+# first: fj_server --history-seconds -1 must exit 2 (usage) before it trains.
+# Then four phases:
 #
 #  1. train-and-serve: start fj_server on an ephemeral port, connect
 #     fj_client --verify from a second process, require bit-identical
@@ -90,6 +92,17 @@ stop_server() {
   echo "net_smoke: server log:"
   cat "$SERVER_LOG"
 }
+
+# ------------------------------------------------------------- flag check
+# A negative count is a usage error: exit 2 before any training.
+STATUS=0
+"$SERVER_BIN" "${WORKLOAD_FLAGS[@]}" --port 0 --history-seconds -1 \
+  > "$SERVER_LOG" 2>&1 || STATUS=$?
+if [[ $STATUS -ne 2 ]] || grep -q "^fj_server: trained" "$SERVER_LOG"; then
+  echo "net_smoke: --history-seconds -1 exited $STATUS, want 2:" >&2
+  cat "$SERVER_LOG" >&2; exit 1
+fi
+echo "net_smoke: flag check (--history-seconds -1 exits 2) OK"
 
 # ---------------------------------------------------------- phase 1: train
 start_server "${WORKLOAD_FLAGS[@]}"

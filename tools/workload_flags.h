@@ -4,10 +4,14 @@
 // workload construction live here, once.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "net/socket.h"
 #include "workload/imdb_job.h"
@@ -19,10 +23,10 @@ struct WorkloadFlags {
   std::string workload = "stats";
   double scale = 0.1;
   size_t queries = 16;
-  size_t bins = 64;
+  uint32_t bins = 64;
   uint64_t seed = 0;  // 0: workload default
   std::string host = "127.0.0.1";
-  int port = 9977;
+  uint16_t port = 9977;
   std::string unix_path;
 };
 
@@ -36,44 +40,56 @@ inline constexpr const char* kWorkloadFlagsUsage =
     "  --port P                TCP port; 0 = ephemeral (default 9977)\n"
     "  --unix PATH             Unix-domain socket instead of TCP\n";
 
+/// Consumes argv[*i + 1] (advancing *i) as the value of the integer flag
+/// argv[*i]: decimal digits only, at most the largest `T`. A missing,
+/// non-numeric, negative or out-of-range value returns false, after saying
+/// why for a present one; every tool then exits 2 with its usage, before
+/// it trains anything.
+template <typename T>
+bool ParseIntFlag(int argc, char** argv, int* i, T* out) {
+  static_assert(std::is_unsigned_v<T>);
+  if (*i + 1 >= argc) return false;
+  const char* flag = argv[*i];
+  std::string_view text = argv[++*i];
+  const char* end = text.data() + text.size();
+  auto [parsed_end, error] = std::from_chars(text.data(), end, *out);
+  if (error != std::errc() || parsed_end != end) {
+    std::fprintf(stderr, "%s wants an integer in [0, %llu], got '%s'\n", flag,
+                 static_cast<unsigned long long>(std::numeric_limits<T>::max()),
+                 argv[*i]);
+    return false;
+  }
+  return true;
+}
+
 /// Tries to consume argv[*i] (advancing past its value) as one of the
 /// shared flags. Returns 1 when consumed, 0 when the flag is not a shared
-/// one (the caller may have tool-specific flags), -1 on a missing value.
+/// one (the caller may have tool-specific flags), -1 on a missing or
+/// malformed value.
 inline int TryParseWorkloadFlag(int argc, char** argv, int* i,
                                 WorkloadFlags* flags) {
   std::string flag = argv[*i];
-  auto next = [&]() -> const char* {
-    return *i + 1 < argc ? argv[++*i] : nullptr;
+  auto text = [&](std::string* field) {
+    if (*i + 1 >= argc) return -1;
+    *field = argv[++*i];
+    return 1;
   };
-  const char* v = nullptr;
-  if (flag == "--workload") {
-    if ((v = next()) == nullptr) return -1;
-    flags->workload = v;
-  } else if (flag == "--scale") {
-    if ((v = next()) == nullptr) return -1;
-    flags->scale = std::atof(v);
-  } else if (flag == "--queries") {
-    if ((v = next()) == nullptr) return -1;
-    flags->queries = static_cast<size_t>(std::atoll(v));
-  } else if (flag == "--bins") {
-    if ((v = next()) == nullptr) return -1;
-    flags->bins = static_cast<size_t>(std::atoll(v));
-  } else if (flag == "--seed") {
-    if ((v = next()) == nullptr) return -1;
-    flags->seed = static_cast<uint64_t>(std::atoll(v));
-  } else if (flag == "--host") {
-    if ((v = next()) == nullptr) return -1;
-    flags->host = v;
-  } else if (flag == "--port") {
-    if ((v = next()) == nullptr) return -1;
-    flags->port = std::atoi(v);
-  } else if (flag == "--unix") {
-    if ((v = next()) == nullptr) return -1;
-    flags->unix_path = v;
-  } else {
-    return 0;
+  auto integer = [&](auto* field) {
+    return ParseIntFlag(argc, argv, i, field) ? 1 : -1;
+  };
+  if (flag == "--workload") return text(&flags->workload);
+  if (flag == "--scale") {
+    if (*i + 1 >= argc) return -1;
+    flags->scale = std::atof(argv[++*i]);
+    return 1;
   }
-  return 1;
+  if (flag == "--queries") return integer(&flags->queries);
+  if (flag == "--bins") return integer(&flags->bins);
+  if (flag == "--seed") return integer(&flags->seed);
+  if (flag == "--host") return text(&flags->host);
+  if (flag == "--port") return integer(&flags->port);
+  if (flag == "--unix") return text(&flags->unix_path);
+  return 0;
 }
 
 /// The deterministic workload both sides must agree on.
@@ -99,7 +115,7 @@ inline net::Endpoint EndpointFromFlags(const WorkloadFlags& flags) {
     endpoint.unix_path = flags.unix_path;
   } else {
     endpoint.host = flags.host;
-    endpoint.port = static_cast<uint16_t>(flags.port);
+    endpoint.port = flags.port;
   }
   return endpoint;
 }
