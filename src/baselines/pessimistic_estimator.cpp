@@ -76,6 +76,7 @@ double PessimisticEstimator::Estimate(const Query& query) const {
   if (query.NumTables() == 1) return leaves[0].card;
 
   std::vector<uint64_t> adj = query.AliasAdjacency();
+  std::vector<uint64_t> group_masks = KeyGroupAliasMasks(query, groups);
   size_t start = 0;
   for (size_t i = 1; i < leaves.size(); ++i) {
     if (leaves[i].card < leaves[start].card) start = i;
@@ -105,7 +106,7 @@ double PessimisticEstimator::Estimate(const Query& query) const {
       if (current.FindGroup(g.gid) != nullptr) connecting.push_back(g.gid);
     }
     current = JoinBoundFactors(current, leaves[static_cast<size_t>(best)],
-                               connecting, &arena);
+                               connecting, group_masks, &arena);
     remaining &= ~(uint64_t{1} << best);
   }
   return current.card;

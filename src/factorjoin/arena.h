@@ -7,7 +7,8 @@
 // std::map<int, GroupBound> layout the allocator dominated the inner loop.
 // The arena turns all of that into pointer bumps over a few large blocks,
 // keeps the arrays contiguous (the kernels in kernels.h stream over them),
-// and frees everything at once when the call returns.
+// and frees everything at once when the call returns. Blocks are left
+// uninitialized: every span is written before it is read.
 //
 // Pointer stability: blocks are never reallocated or released while the
 // arena lives, so a span handed out by Alloc stays valid for the arena's
@@ -72,7 +73,7 @@ class FactorArena {
  private:
   void Grow(size_t n) {
     size_t block = std::max(n, kBlockDoubles);
-    blocks_.push_back(std::make_unique<double[]>(block));
+    blocks_.push_back(std::make_unique_for_overwrite<double[]>(block));
     capacity_ = block;
     used_ = 0;
   }

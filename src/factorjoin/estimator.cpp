@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "factorjoin/kernels.h"
 #include "query/subplan.h"
@@ -193,53 +192,119 @@ BoundFactor FactorJoinEstimator::MakeLeafFactor(
     kernels::LeafFinalize(mass, mfv, k.stats->totals().data(),
                           k.stats->mfvs().data(), bins, mass_sum, factor.card,
                           k.stats->total_rows());
+    GroupSpan span{k.query_group, bins, mass, mfv};
     GroupSpan* existing = factor.FindGroup(k.query_group);
     if (existing == nullptr) {
-      factor.groups.push_back(
-          GroupSpan{k.query_group, bins, mass, mfv});
+      factor.groups.push_back(span);
     } else {
       // Two columns of the same alias in one group (intra-alias equality):
       // keep the elementwise minimum, a valid bound for the conjunction.
-      uint32_t merged = std::min(existing->bins, bins);
-      kernels::MinInto(existing->mass, mass, merged);
-      kernels::MinInto(existing->mfv, mfv, merged);
+      existing->MinWith(span);
     }
   }
+  // Leaf spans never change within a request: memoize once, after merges.
+  for (GroupSpan& g : factor.groups) g.Memoize();
   return factor;
+}
+
+FactorJoinEstimator::Leaves FactorJoinEstimator::MakeLeaves(
+    const Query& query, FactorArena* arena) const {
+  std::vector<QueryKeyGroup> groups = query.KeyGroups();
+  Leaves leaves;
+  leaves.factors.reserve(query.NumTables());
+  for (size_t i = 0; i < query.NumTables(); ++i) {
+    leaves.factors.push_back(MakeLeafFactor(query, i, groups, arena));
+  }
+  leaves.adj = query.AliasAdjacency();
+  leaves.group_masks = KeyGroupAliasMasks(query, groups);
+  return leaves;
 }
 
 std::unordered_map<uint64_t, double> FactorJoinEstimator::EstimateSubplans(
     const Query& query, const std::vector<uint64_t>& masks) const {
-  std::vector<QueryKeyGroup> groups = query.KeyGroups();
-
   // Leaf factors for every alias (estimated once, reused by every sub-plan —
   // the heart of the progressive algorithm's saving). One arena backs every
   // per-bin array the call produces, leaves and joined factors alike.
   FactorArena arena;
-  std::vector<BoundFactor> leaves;
-  leaves.reserve(query.NumTables());
-  for (size_t i = 0; i < query.NumTables(); ++i) {
-    leaves.push_back(MakeLeafFactor(query, i, groups, &arena));
+  Leaves leaves = MakeLeaves(query, &arena);
+  return EstimateSubplansWithLeaves(query, masks, leaves, &arena);
+}
+
+namespace {
+
+/// Mask -> factor memo of one decomposition: an open-addressing table
+/// (linear probing, power-of-two capacity, Fibonacci hashing) over masks of
+/// two or more aliases, so mask 0 marks an empty slot. A value indexes the
+/// call's factor vector, or is kUndecomposable.
+class FactorMemo {
+ public:
+  static constexpr uint32_t kUndecomposable = ~uint32_t{0};
+  static constexpr uint32_t kAbsent = kUndecomposable - 1;
+
+  /// Sized for `expected` entries; grows past them (a sparse mask set can
+  /// need more on-demand ancestors than it has masks).
+  explicit FactorMemo(size_t expected) {
+    size_t capacity = 16;
+    while (capacity * 3 < expected * 4) capacity *= 2;
+    Rehash(capacity);
   }
 
-  std::vector<uint64_t> adj = query.AliasAdjacency();
-  return EstimateSubplansWithLeaves(query, masks, leaves, adj, &arena);
-}
+  /// The value stored for `mask`, or kAbsent.
+  uint32_t Find(uint64_t mask) const {
+    for (size_t i = Home(mask);; i = (i + 1) & (entries_.size() - 1)) {
+      if (entries_[i].mask == mask) return entries_[i].value;
+      if (entries_[i].mask == 0) return kAbsent;
+    }
+  }
+
+  /// Stores a mask that Find reported absent. Keeps the load <= 3/4.
+  void Insert(uint64_t mask, uint32_t value) {
+    if ((size_ + 1) * 4 > entries_.size() * 3) Rehash(entries_.size() * 2);
+    Place(mask, value);
+    ++size_;
+  }
+
+ private:
+  struct Entry {
+    uint64_t mask = 0;
+    uint32_t value = 0;
+  };
+
+  size_t Home(uint64_t mask) const {
+    return static_cast<size_t>((mask * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  void Place(uint64_t mask, uint32_t value) {
+    size_t i = Home(mask);
+    while (entries_[i].mask != 0) i = (i + 1) & (entries_.size() - 1);
+    entries_[i] = {mask, value};
+  }
+
+  void Rehash(size_t capacity) {
+    std::vector<Entry> old = std::move(entries_);
+    entries_.assign(capacity, Entry{});
+    shift_ = 64 - std::countr_zero(capacity);
+    for (const Entry& e : old) {
+      if (e.mask != 0) Place(e.mask, e.value);
+    }
+  }
+
+  std::vector<Entry> entries_;
+  int shift_ = 64;
+  size_t size_ = 0;
+};
+
+}  // namespace
 
 std::unordered_map<uint64_t, double>
 FactorJoinEstimator::EstimateSubplansWithLeaves(
     const Query& query, const std::vector<uint64_t>& masks,
-    const std::vector<BoundFactor>& leaves, const std::vector<uint64_t>& adj,
-    FactorArena* arena) const {
-  // Factors are span headers over arena memory, so the cache holds them by
-  // value: seeding it with the leaves copies a few words per group, not the
-  // per-bin data. Sized upfront — each requested mask caches at most one
-  // decomposition factor.
-  std::unordered_map<uint64_t, BoundFactor> cache;
-  cache.reserve(masks.size() + leaves.size());
-  for (size_t i = 0; i < leaves.size(); ++i) {
-    cache.emplace(uint64_t{1} << i, leaves[i]);
-  }
+    const Leaves& leaves, FactorArena* arena) const {
+  // Joined factors are span headers over arena memory, held by value. A
+  // pointer into `factors` stays valid until the next factor is stored.
+  std::vector<BoundFactor> factors;
+  factors.reserve(masks.size());
+  FactorMemo memo(masks.size());
 
   // Canonical decomposition, independent of which masks were requested: the
   // factor for a mask splits off the lowest-bit alias whose removal keeps
@@ -248,32 +313,38 @@ FactorJoinEstimator::EstimateSubplansWithLeaves(
   // layer's cache can recompute an invalidated subset of a batch, and the
   // batch splitter can chunk one mask set across workers, both still
   // producing values bit-identical to a full-batch run.
-  std::unordered_set<uint64_t> undecomposable;
-  undecomposable.reserve(masks.size());
   std::vector<int> connecting;  // reused across join steps
   auto factor_of = [&](auto&& self, uint64_t mask) -> const BoundFactor* {
-    auto it = cache.find(mask);
-    if (it != cache.end()) return &it->second;
-    if (undecomposable.count(mask) > 0) return nullptr;
+    if (std::has_single_bit(mask)) {
+      return &leaves.factors[static_cast<size_t>(std::countr_zero(mask))];
+    }
+    if (mask == 0) return nullptr;
+    uint32_t slot = memo.Find(mask);
+    if (slot == FactorMemo::kUndecomposable) return nullptr;
+    if (slot != FactorMemo::kAbsent) return &factors[slot];
     uint64_t m = mask;
     while (m != 0) {
       size_t a = static_cast<size_t>(std::countr_zero(m));
       m &= m - 1;
       uint64_t rest = mask & ~(uint64_t{1} << a);
-      if ((adj[a] & rest) == 0) continue;
-      if (!ConnectedAliasMask(rest, adj)) continue;
+      if ((leaves.adj[a] & rest) == 0) continue;
+      if (!ConnectedAliasMask(rest, leaves.adj)) continue;
       const BoundFactor* rf = self(self, rest);
       if (rf == nullptr) continue;
       // Connecting query key groups: groups with bound state on both sides.
+      const BoundFactor& leaf = leaves.factors[a];
       connecting.clear();
-      for (const GroupSpan& g : leaves[a].groups) {
+      for (const GroupSpan& g : leaf.groups) {
         if (rf->FindGroup(g.gid) != nullptr) connecting.push_back(g.gid);
       }
       if (connecting.empty()) continue;
-      BoundFactor joined = JoinBoundFactors(*rf, leaves[a], connecting, arena);
-      return &(cache[mask] = std::move(joined));
+      BoundFactor joined = JoinBoundFactors(*rf, leaf, connecting,
+                                            leaves.group_masks, arena);
+      memo.Insert(mask, static_cast<uint32_t>(factors.size()));
+      factors.push_back(std::move(joined));
+      return &factors.back();
     }
-    undecomposable.insert(mask);
+    memo.Insert(mask, FactorMemo::kUndecomposable);
     return nullptr;
   };
 
@@ -310,28 +381,22 @@ FactorJoinEstimator::EstimateSubplansWithLeaves(
 class FactorJoinEstimator::Session : public CardinalityEstimator::SubplanSession {
  public:
   Session(const FactorJoinEstimator* owner, Query query)
-      : owner_(owner), query_(std::move(query)) {
-    std::vector<QueryKeyGroup> groups = query_.KeyGroups();
-    adj_ = query_.AliasAdjacency();
-    leaves_.reserve(query_.NumTables());
-    for (size_t i = 0; i < query_.NumTables(); ++i) {
-      leaves_.push_back(owner_->MakeLeafFactor(query_, i, groups, &arena_));
-    }
-  }
+      : owner_(owner),
+        query_(std::move(query)),
+        leaves_(owner_->MakeLeaves(query_, &arena_)) {}
 
   std::unordered_map<uint64_t, double> EstimateSubplans(
       const std::vector<uint64_t>& masks) const override {
     FactorArena join_arena;
-    return owner_->EstimateSubplansWithLeaves(query_, masks, leaves_, adj_,
+    return owner_->EstimateSubplansWithLeaves(query_, masks, leaves_,
                                               &join_arena);
   }
 
  private:
   const FactorJoinEstimator* owner_;  // not owned; must outlive the session
   Query query_;
-  std::vector<uint64_t> adj_;
   FactorArena arena_;  // owns the leaves' per-bin arrays
-  std::vector<BoundFactor> leaves_;
+  Leaves leaves_;
 };
 
 std::unique_ptr<CardinalityEstimator::SubplanSession>
@@ -346,15 +411,9 @@ double FactorJoinEstimator::Estimate(const Query& query) const {
     return estimators_.at(ref.table)
         ->EstimateFilteredRows(*query.FilterFor(ref.alias));
   }
-  std::vector<QueryKeyGroup> groups = query.KeyGroups();
-  std::vector<uint64_t> adj = query.AliasAdjacency();
-
   FactorArena arena;
-  std::vector<BoundFactor> leaves;
-  leaves.reserve(query.NumTables());
-  for (size_t i = 0; i < query.NumTables(); ++i) {
-    leaves.push_back(MakeLeafFactor(query, i, groups, &arena));
-  }
+  Leaves prepared = MakeLeaves(query, &arena);
+  const std::vector<BoundFactor>& leaves = prepared.factors;
 
   // Greedy left-deep accumulation starting from the smallest leaf.
   size_t start = 0;
@@ -374,7 +433,7 @@ double FactorJoinEstimator::Estimate(const Query& query) const {
     while (m != 0) {
       size_t a = static_cast<size_t>(std::countr_zero(m));
       m &= m - 1;
-      if ((adj[a] & current.alias_mask) == 0) continue;
+      if ((prepared.adj[a] & current.alias_mask) == 0) continue;
       if (best < 0 || leaves[a].card < leaves[static_cast<size_t>(best)].card) {
         best = static_cast<int>(a);
       }
@@ -388,7 +447,7 @@ double FactorJoinEstimator::Estimate(const Query& query) const {
       if (current.FindGroup(g.gid) != nullptr) connecting.push_back(g.gid);
     }
     current = JoinBoundFactors(current, leaves[static_cast<size_t>(best)],
-                               connecting, &arena);
+                               connecting, prepared.group_masks, &arena);
     remaining &= ~(uint64_t{1} << best);
   }
   return std::max(current.card, 1.0);

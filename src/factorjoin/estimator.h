@@ -139,6 +139,15 @@ class FactorJoinEstimator : public CardinalityEstimator {
   struct UntrainedTag {};
   FactorJoinEstimator(const Database& db, UntrainedTag) : db_(&db) {}
 
+  /// Everything mask-independent a decomposition of one query reads, built
+  /// once per request: a leaf factor per alias (memoized spans), the alias
+  /// adjacency, and each query key group's alias mask.
+  struct Leaves {
+    std::vector<BoundFactor> factors;
+    std::vector<uint64_t> adj;
+    std::vector<uint64_t> group_masks;
+  };
+
   /// Builds the leaf bound factor for one alias of `query`, with every
   /// per-bin array allocated from `arena`. The factor covers every query
   /// key group with a member column on this alias.
@@ -146,14 +155,16 @@ class FactorJoinEstimator : public CardinalityEstimator {
                              const std::vector<QueryKeyGroup>& groups,
                              FactorArena* arena) const;
 
-  /// Progressive canonical decomposition over prebuilt leaf factors (the
-  /// shared core of EstimateSubplans and Session::EstimateSubplans).
-  /// Joined factors are allocated from `arena`; `leaves` may live in a
-  /// different arena that outlives the call.
+  /// The leaves of every alias of `query`, per-bin arrays from `arena`.
+  Leaves MakeLeaves(const Query& query, FactorArena* arena) const;
+
+  /// Progressive canonical decomposition over prebuilt leaves (the shared
+  /// core of EstimateSubplans and Session::EstimateSubplans). Joined
+  /// factors are allocated from `arena`; the leaves may live in a different
+  /// arena that outlives the call.
   std::unordered_map<uint64_t, double> EstimateSubplansWithLeaves(
       const Query& query, const std::vector<uint64_t>& masks,
-      const std::vector<BoundFactor>& leaves, const std::vector<uint64_t>& adj,
-      FactorArena* arena) const;
+      const Leaves& leaves, FactorArena* arena) const;
 
   /// Maps a query key group to the global group id (via any member column).
   int GlobalGroupOf(const Query& query, const QueryKeyGroup& group) const;

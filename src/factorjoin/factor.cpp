@@ -1,6 +1,7 @@
 #include "factorjoin/factor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "factorjoin/kernels.h"
@@ -17,22 +18,58 @@ const GroupSpan& GroupOrThrow(const BoundFactor& f, int gid) {
   return *g;
 }
 
-/// Rescaled-and-propagated copy of a carried group: mass rescaled to the
-/// joined cardinality, MFV multiplied by the other side's duplication bound
-/// and clamped by the result size.
-GroupSpan ScaledCopy(const GroupSpan& src, double card, double dup,
-                     FactorArena* arena) {
+/// The factor that rescales a span summing to `sum` so it sums to `target`;
+/// 1.0 (masses left as they are) when the span sums to <= 0.
+double RescaleFactor(double sum, double target) {
+  return sum <= 0.0 ? 1.0 : target / sum;
+}
+
+/// A group carried across a join, built in one pass from its source: mass
+/// rescaled to the joined cardinality, MFV multiplied by the other side's
+/// duplication bound and clamped by the result size.
+GroupSpan Carry(const GroupSpan& src, double card, double dup, double cap,
+                FactorArena* arena) {
   GroupSpan g;
   g.gid = src.gid;
   g.bins = src.bins;
-  g.mass = arena->AllocCopy(src.mass, src.bins);
-  kernels::RescaleTo(g.mass, g.bins, card);
+  g.mass = arena->Alloc(src.bins);
   g.mfv = arena->Alloc(src.bins);
-  kernels::ScaleMfv(g.mfv, src.mfv, src.bins, dup, std::max(card, 1.0));
+  double sum = src.MassSum();
+  double f = RescaleFactor(sum, card);
+  kernels::ScaleCarried(src.mass, src.mfv, src.bins, f, dup, cap, g.mass,
+                        g.mfv);
+  // x * 1.0 == x, so an unscaled copy keeps its source's exact sum.
+  if (f == 1.0) g.mass_sum = sum;
+  // The MFV map m -> min(max(m, 1) * dup, cap) is monotone (dup >= 1), so
+  // the output's maximum is the map of the source's.
+  if (g.bins > 0 && !std::isnan(src.mfv_max)) {
+    g.mfv_max = std::min(src.mfv_max * dup, cap);
+  }
   return g;
 }
 
 }  // namespace
+
+double GroupSpan::MassSum() const {
+  return std::isnan(mass_sum) ? kernels::Sum(mass, bins) : mass_sum;
+}
+
+double GroupSpan::MfvMax() const {
+  return std::isnan(mfv_max) ? kernels::MaxOr1(mfv, bins) : mfv_max;
+}
+
+void GroupSpan::Memoize() {
+  mass_sum = kernels::Sum(mass, bins);
+  mfv_max = kernels::MaxOr1(mfv, bins);
+}
+
+void GroupSpan::MinWith(const GroupSpan& other) {
+  bins = std::min(bins, other.bins);
+  kernels::MinInto(mass, other.mass, bins);
+  kernels::MinInto(mfv, other.mfv, bins);
+  mass_sum = kUnknown;
+  mfv_max = kUnknown;
+}
 
 GroupSpan MakeGroupSpan(int gid, const std::vector<double>& mass,
                         const std::vector<double>& mfv, FactorArena* arena) {
@@ -44,51 +81,78 @@ GroupSpan MakeGroupSpan(int gid, const std::vector<double>& mass,
   g.bins = static_cast<uint32_t>(mass.size());
   g.mass = arena->AllocCopy(mass.data(), mass.size());
   g.mfv = arena->AllocCopy(mfv.data(), mfv.size());
+  g.Memoize();
   return g;
+}
+
+std::vector<uint64_t> KeyGroupAliasMasks(
+    const Query& query, const std::vector<QueryKeyGroup>& groups) {
+  std::vector<uint64_t> masks(groups.size(), 0);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (const AliasColumn& member : groups[g].members) {
+      masks[g] |= uint64_t{1} << query.AliasIndex(member.alias);
+    }
+  }
+  return masks;
 }
 
 double GroupJoinBound(const GroupSpan& left, const GroupSpan& right) {
   size_t bins = std::min(left.bins, right.bins);
-  return kernels::JoinBound(left.mass, left.mfv, right.mass, right.mfv, bins);
+  std::vector<double> terms(bins);
+  return kernels::JoinTerms(left.mass, left.mfv, right.mass, right.mfv, bins,
+                            terms.data());
 }
 
 BoundFactor JoinBoundFactors(const BoundFactor& left, const BoundFactor& right,
                              const std::vector<int>& connecting_groups,
+                             const std::vector<uint64_t>& group_masks,
                              FactorArena* arena) {
   if (connecting_groups.empty()) {
     throw std::invalid_argument("JoinBoundFactors: no connecting key group");
   }
 
-  // Tightest connecting group wins (each is a valid bound on its own).
+  // Tightest connecting group wins (each is a valid bound on its own). Each
+  // group's per-bin terms are computed once: the winner's become g*'s mass.
   int best_group = connecting_groups.front();
   double best_bound = -1.0;
+  const GroupSpan* gl_star = nullptr;
+  const GroupSpan* gr_star = nullptr;
+  double* star_terms = nullptr;
   for (int g : connecting_groups) {
+    const GroupSpan& l = GroupOrThrow(left, g);
+    const GroupSpan& r = GroupOrThrow(right, g);
+    uint32_t bins = std::min(l.bins, r.bins);
+    double* terms = arena->Alloc(bins);
     double bound =
-        GroupJoinBound(GroupOrThrow(left, g), GroupOrThrow(right, g));
+        kernels::JoinTerms(l.mass, l.mfv, r.mass, r.mfv, bins, terms);
     if (best_bound < 0.0 || bound < best_bound) {
       best_bound = bound;
       best_group = g;
+      gl_star = &l;
+      gr_star = &r;
+      star_terms = terms;
     }
   }
   double card = std::min(best_bound, left.card * right.card);
   card = std::max(card, 0.0);
+  // No single key value can repeat more often than the whole result.
+  const double cap = std::max(card, 1.0);
 
   BoundFactor out;
   out.alias_mask = left.alias_mask | right.alias_mask;
   out.card = card;
   out.groups.reserve(left.groups.size() + right.groups.size());
 
-  const GroupSpan& gl_star = GroupOrThrow(left, best_group);
-  const GroupSpan& gr_star = GroupOrThrow(right, best_group);
   // Duplication factors: joining on g*, one left tuple matches at most
-  // max_b mfvR[b] right tuples and vice versa.
-  double dup_from_right = kernels::MaxOr1(gr_star.mfv, gr_star.bins);
-  double dup_from_left = kernels::MaxOr1(gl_star.mfv, gl_star.bins);
+  // max_b mfvR[b] right tuples and vice versa. Memoized on the spans.
+  const double dup_from_right = gr_star->MfvMax();
+  const double dup_from_left = gl_star->MfvMax();
 
   auto is_connecting = [&](int gid) {
     return std::find(connecting_groups.begin(), connecting_groups.end(),
                      gid) != connecting_groups.end();
   };
+  const uint64_t outside = ~out.alias_mask;
 
   // Merge the two sorted group indexes; the output stays sorted by gid.
   size_t li = 0, ri = 0;
@@ -105,42 +169,43 @@ BoundFactor JoinBoundFactors(const BoundFactor& left, const BoundFactor& right,
     if (on_left) ++li;
     if (on_right) ++ri;
 
+    // Closed group: every alias joining on it is already inside.
+    if ((group_masks.at(static_cast<size_t>(gid)) & outside) == 0) continue;
+
     if (gid == best_group) {
-      // g*: per-bin bound terms become the joined mass; MFV multiplies,
-      // clamped by the result size (no single key value can repeat more
-      // often than the whole result).
+      // g*: the per-bin bound terms become the joined mass, rescaled to the
+      // (possibly clamped) card; they sum to best_bound bit for bit. MFV
+      // multiplies, clamped by the result size.
       GroupSpan g;
       g.gid = gid;
-      g.bins = std::min(gl_star.bins, gr_star.bins);
-      g.mass = arena->Alloc(g.bins);
+      g.bins = std::min(gl_star->bins, gr_star->bins);
+      g.mass = star_terms;
+      double f = RescaleFactor(best_bound, card);
+      if (f == 1.0) {
+        g.mass_sum = best_bound;
+      } else {
+        kernels::Scale(g.mass, g.bins, f);
+      }
       g.mfv = arena->Alloc(g.bins);
-      kernels::JoinStarGroup(gl_star.mass, gl_star.mfv, gr_star.mass,
-                             gr_star.mfv, g.bins, std::max(card, 1.0),
-                             g.mass, g.mfv);
-      // Keep the factor internally consistent with the (possibly clamped)
-      // card.
-      kernels::RescaleTo(g.mass, g.bins, card);
+      g.mfv_max = kernels::JoinMfv(gl_star->mfv, gr_star->mfv, g.bins, cap,
+                                   g.mfv);
       out.groups.push_back(g);
       continue;
     }
     if (on_left) {
-      GroupSpan g = ScaledCopy(*lg, card, dup_from_right, arena);
+      GroupSpan g = Carry(*lg, card, dup_from_right, cap, arena);
       if (on_right && is_connecting(gid)) {
         // Present on both sides: take the elementwise min of both rescaled
         // views (each is an upper-bound-flavored estimate of the same
         // distribution in the join result).
-        GroupSpan gr = ScaledCopy(*rg, card, dup_from_left, arena);
-        uint32_t bins = std::min(g.bins, gr.bins);
-        kernels::MinInto(g.mass, gr.mass, bins);
-        kernels::MinInto(g.mfv, gr.mfv, bins);
-        g.bins = bins;
+        g.MinWith(Carry(*rg, card, dup_from_left, cap, arena));
       }
       out.groups.push_back(g);
       continue;
     }
     // Right-only group: mass rescaled to the new cardinality, MFV
     // multiplied by the left side's maximal duplication factor.
-    out.groups.push_back(ScaledCopy(*rg, card, dup_from_left, arena));
+    out.groups.push_back(Carry(*rg, card, dup_from_left, cap, arena));
   }
   return out;
 }

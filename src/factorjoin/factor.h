@@ -9,7 +9,9 @@
 // cyclic join templates, appendix Case 5, are handled). The joined factor
 // caches the new per-bin masses and MFV bounds, which is exactly the
 // "joining factor graphs" step of the progressive sub-plan estimation
-// (Section 5.2).
+// (Section 5.2). A key group whose every alias is inside the joined factor
+// is eliminated, as in variable elimination on the factor graph: no later
+// join can connect on it, so its bound state could never be read again.
 //
 // Layout: a factor is a structure-of-arrays view into a FactorArena — each
 // key group is a GroupSpan whose mass/mfv arrays live in arena memory owned
@@ -22,15 +24,19 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "factorjoin/arena.h"
+#include "query/query.h"
 
 namespace fj {
 
 /// Per-key-group bound state inside a factor: contiguous per-bin arrays in
-/// arena memory.
+/// arena memory, plus two memos that let a join skip whole passes.
 struct GroupSpan {
+  static constexpr double kUnknown = std::numeric_limits<double>::quiet_NaN();
+
   /// Query-level key-group index.
   int gid = 0;
   /// Number of bins in both arrays.
@@ -41,6 +47,21 @@ struct GroupSpan {
   /// mfv[b]: upper bound on the count of any single key value in bin b
   /// (offline V* for leaf factors; products of V* after joins). >= 1.
   double* mfv = nullptr;
+  /// kernels::Sum(mass, bins) where it is known exactly, else kUnknown.
+  double mass_sum = kUnknown;
+  /// kernels::MaxOr1(mfv, bins) where it is known, else kUnknown.
+  double mfv_max = kUnknown;
+
+  /// The in-order mass sum: the memo, or a pass over the bins.
+  double MassSum() const;
+  /// max(1, max_b mfv[b]): the memo, or a pass over the bins.
+  double MfvMax() const;
+  /// Computes both memos from the current arrays.
+  void Memoize();
+  /// Conjunction merge (two columns of one alias in the same group, or a
+  /// group carried from both sides of a join): the elementwise minimum of
+  /// both arrays over the shorter length. Drops both memos.
+  void MinWith(const GroupSpan& other);
 };
 
 /// A factor over a set of aliases (identified by bitmask in the enclosing
@@ -50,7 +71,7 @@ struct BoundFactor {
   /// Upper bound (probabilistic) on the sub-plan's cardinality.
   double card = 0.0;
   /// Sorted ascending by gid; small (one entry per key group the factor's
-  /// aliases participate in).
+  /// aliases participate in that is still open).
   std::vector<GroupSpan> groups;
 
   /// The span for `gid`, or nullptr. Linear scan — the group count per
@@ -67,10 +88,15 @@ struct BoundFactor {
   }
 };
 
-/// Builds a GroupSpan in `arena` from explicit per-bin values (tests and
-/// leaf construction; `mass` and `mfv` must have equal length).
+/// Builds a memoized GroupSpan in `arena` from explicit per-bin values
+/// (tests and leaf construction; `mass` and `mfv` must have equal length).
 GroupSpan MakeGroupSpan(int gid, const std::vector<double>& mass,
                         const std::vector<double>& mfv, FactorArena* arena);
+
+/// Alias mask of each query key group (bit i = query.tables()[i] has a
+/// member column in the group), indexed like `groups`.
+std::vector<uint64_t> KeyGroupAliasMasks(
+    const Query& query, const std::vector<QueryKeyGroup>& groups);
 
 /// Equation 5 for one key group: sum over bins of
 ///   min(massL[b] * mfvR[b], massR[b] * mfvL[b]).
@@ -81,9 +107,12 @@ double GroupJoinBound(const GroupSpan& left, const GroupSpan& right);
 /// `arena` (which must be the arena of the enclosing call; inputs may live
 /// in a different, longer-lived arena — e.g. shared leaf factors).
 /// `connecting_groups` must be the key-group ids present in both factors
-/// (at least one). Produces the joined factor:
+/// (at least one); `group_masks[gid]` is group gid's alias mask
+/// (KeyGroupAliasMasks). Produces the joined factor:
 ///   card       = min over connecting groups of GroupJoinBound, further
 ///                clamped by the cross-product bound card_L * card_R;
+///   closed groups (no alias outside the joined mask joins on them) are
+///                not emitted;
 ///   g* (argmin) gets per-bin masses equal to its per-bin bound terms and
 ///                mfv = mfvL * mfvR;
 ///   other connecting groups get elementwise-min of both sides' rescaled
@@ -93,6 +122,7 @@ double GroupJoinBound(const GroupSpan& left, const GroupSpan& right);
 ///                (max over bins of its g* MFV).
 BoundFactor JoinBoundFactors(const BoundFactor& left, const BoundFactor& right,
                              const std::vector<int>& connecting_groups,
+                             const std::vector<uint64_t>& group_masks,
                              FactorArena* arena);
 
 }  // namespace fj

@@ -19,15 +19,9 @@ double MaxOr1(const double* x, size_t n) {
   return m;
 }
 
-void RescaleTo(double* x, size_t n, double target) {
-  double sum = Sum(x, n);
-  if (sum <= 0.0) return;
-  double f = target / sum;
-  for (size_t b = 0; b < n; ++b) x[b] *= f;
-}
-
-double JoinBound(const double* mass_l, const double* mfv_l,
-                 const double* mass_r, const double* mfv_r, size_t n) {
+double JoinTerms(const double* mass_l, const double* mfv_l,
+                 const double* mass_r, const double* mfv_r, size_t n,
+                 double* terms) {
   double bound = 0.0;
   for (size_t b = 0; b < n; ++b) {
     double ml = std::max(mass_l[b], 0.0);
@@ -41,30 +35,34 @@ double JoinBound(const double* mass_l, const double* mfv_l,
     double term = (ml == 0.0 || mr == 0.0)
                       ? 0.0
                       : std::min(std::min(ml * vr, mr * vl), ml * mr);
+    terms[b] = term;
     bound += term;
   }
   return bound;
 }
 
-void JoinStarGroup(const double* mass_l, const double* mfv_l,
-                   const double* mass_r, const double* mfv_r, size_t n,
-                   double card_cap, double* out_mass, double* out_mfv) {
+double JoinMfv(const double* mfv_l, const double* mfv_r, size_t n, double cap,
+               double* out) {
+  double m = 1.0;
   for (size_t b = 0; b < n; ++b) {
-    double ml = std::max(mass_l[b], 0.0);
-    double mr = std::max(mass_r[b], 0.0);
-    double vl = std::max(mfv_l[b], 1.0);
-    double vr = std::max(mfv_r[b], 1.0);
-    out_mass[b] = (ml == 0.0 || mr == 0.0)
-                      ? 0.0
-                      : std::min(std::min(ml * vr, mr * vl), ml * mr);
-    out_mfv[b] = std::min(vl * vr, card_cap);
+    double v = std::min(std::max(mfv_l[b], 1.0) * std::max(mfv_r[b], 1.0),
+                        cap);
+    out[b] = v;
+    m = std::max(m, v);
   }
+  return m;
 }
 
-void ScaleMfv(double* out, const double* src, size_t n, double dup,
-              double cap) {
+void Scale(double* x, size_t n, double f) {
+  for (size_t b = 0; b < n; ++b) x[b] *= f;
+}
+
+void ScaleCarried(const double* src_mass, const double* src_mfv, size_t n,
+                  double f, double dup, double cap, double* out_mass,
+                  double* out_mfv) {
   for (size_t b = 0; b < n; ++b) {
-    out[b] = std::min(std::max(src[b], 1.0) * dup, cap);
+    out_mass[b] = src_mass[b] * f;
+    out_mfv[b] = std::min(std::max(src_mfv[b], 1.0) * dup, cap);
   }
 }
 

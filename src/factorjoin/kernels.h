@@ -4,11 +4,16 @@
 // the compiler can auto-vectorize the elementwise work.
 //
 // BIT-EXACTNESS CONTRACT: each kernel evaluates exactly the expression tree
-// of the pre-arena implementation, bin by bin, and every reduction
-// accumulates strictly in bin order — results are bit-identical to the old
+// of the original per-bin implementation, bin by bin, and every sum
+// accumulates strictly in bin order, so results are bit-identical to the old
 // std::map<int, GroupBound> code path (pinned by golden_estimates_test.cpp).
 // Do not reassociate the sums or "simplify" the min/max chains: a faster
-// kernel that moves one ulp is a broken kernel.
+// kernel that moves one ulp is a broken kernel. Two facts let the join skip
+// passes without moving a bit:
+//   - JoinTerms returns the in-order sum of the terms it writes, which is
+//     the very sum a later Sum() over those terms would compute;
+//   - a maximum does not round, so MaxOr1 may be taken in any order, fused
+//     into a writing pass, or derived through a monotone map (ScaleCarried).
 #pragma once
 
 #include <cstddef>
@@ -22,29 +27,35 @@ double Sum(const double* x, size_t n);
 /// max(1.0, max_b x[b]) — a factor's maximal duplication bound.
 double MaxOr1(const double* x, size_t n);
 
-/// Rescales x so it sums to `target` (no-op if the current sum is <= 0).
-void RescaleTo(double* x, size_t n, double target);
-
-/// Equation 5 for one key group over contiguous arrays: sum over bins of
-///   min(min(mass_l*mfv_r, mass_r*mfv_l), mass_l*mass_r)
+/// Equation 5 for one key group over contiguous arrays, per bin:
+///   terms[b] = min(min(mass_l*mfv_r, mass_r*mfv_l), mass_l*mass_r)
 /// with masses clamped >= 0, MFVs clamped >= 1, and bins where either mass
-/// is zero contributing nothing.
-double JoinBound(const double* mass_l, const double* mfv_l,
-                 const double* mass_r, const double* mfv_r, size_t n);
+/// is zero contributing exactly 0.0. Returns sum_b terms[b], accumulated in
+/// bin order (the group's join bound).
+double JoinTerms(const double* mass_l, const double* mfv_l,
+                 const double* mass_r, const double* mfv_r, size_t n,
+                 double* terms);
 
-/// Per-bin outputs of the winning (g*) group of a join: out_mass[b] is the
-/// Equation 5 bound term of bin b, out_mfv[b] = min(mfv_l*mfv_r, card_cap)
-/// where card_cap = max(card, 1) (no key value repeats more often than the
-/// whole result). Call RescaleTo(out_mass, n, card) afterwards, as the join
-/// does, to keep the factor consistent with the clamped cardinality.
-void JoinStarGroup(const double* mass_l, const double* mfv_l,
-                   const double* mass_r, const double* mfv_r, size_t n,
-                   double card_cap, double* out_mass, double* out_mfv);
+/// MFV bound of the winning (g*) group of a join:
+///   out[b] = min(max(mfv_l[b], 1) * max(mfv_r[b], 1), cap)
+/// where cap = max(card, 1) (no key value repeats more often than the whole
+/// result). Returns MaxOr1(out, n).
+double JoinMfv(const double* mfv_l, const double* mfv_r, size_t n, double cap,
+               double* out);
 
-/// MFV propagation to a group carried across a join:
-///   out[b] = min(max(src[b], 1) * dup, cap).
-void ScaleMfv(double* out, const double* src, size_t n, double dup,
-              double cap);
+/// x[b] *= f.
+void Scale(double* x, size_t n, double f);
+
+/// One pass over a group carried across a join, from its source span:
+///   out_mass[b] = src_mass[b] * f
+///   out_mfv[b]  = min(max(src_mfv[b], 1) * dup, cap)
+/// f is the rescale factor to the joined cardinality (1.0 when the source
+/// sums to <= 0, which leaves the masses as they are); dup is the other
+/// side's maximal duplication bound. The output MFV's MaxOr1 equals
+/// min(MaxOr1(src_mfv) * dup, cap) for n > 0: the map is monotone.
+void ScaleCarried(const double* src_mass, const double* src_mfv, size_t n,
+                  double f, double dup, double cap, double* out_mass,
+                  double* out_mfv);
 
 /// Elementwise a[b] = min(a[b], b_arr[b]) — the conjunction merge used for
 /// intra-alias duplicate groups and two-sided carried groups.

@@ -204,6 +204,16 @@ std::unordered_map<uint64_t, double> EstimatorService::EstimateMisses(
   if (threshold == 0 || workers < 2 || miss_masks.size() < threshold) {
     return estimator_.EstimateSubplansTraced(query, miss_masks, trace);
   }
+  size_t chunk_target = std::max<size_t>(threshold / 2, 1);
+  size_t num_chunks = std::min(workers, miss_masks.size() / chunk_target);
+  if (num_chunks < 2) {
+    return estimator_.EstimateSubplansTraced(query, miss_masks, trace);
+  }
+  // Split path: the kernel span covers the session's shared work (the leaf
+  // factors) and the chunked estimation below, including time spent
+  // waiting for helper chunks — from the request's perspective, all of it
+  // is estimation.
+  obs::SpanTimer kernel_span;
   // Chunking pays only when the estimator can front-load the shared
   // (mask-independent) work; estimators without a session keep the
   // single-call path.
@@ -212,15 +222,6 @@ std::unordered_map<uint64_t, double> EstimatorService::EstimateMisses(
   if (session == nullptr) {
     return estimator_.EstimateSubplansTraced(query, miss_masks, trace);
   }
-  size_t chunk_target = std::max<size_t>(threshold / 2, 1);
-  size_t num_chunks = std::min(workers, miss_masks.size() / chunk_target);
-  if (num_chunks < 2) {
-    return estimator_.EstimateSubplansTraced(query, miss_masks, trace);
-  }
-  // Split path: the kernel span covers the chunked estimation below,
-  // including time spent waiting for helper chunks — from the request's
-  // perspective, all of it is estimation.
-  obs::SpanTimer kernel_span;
 
   auto job = std::make_shared<SplitJob>();
   job->session = session.get();

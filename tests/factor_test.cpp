@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -96,6 +98,10 @@ BoundFactor MakeFactor(uint64_t mask, double card,
   return f;
 }
 
+// Group alias masks under which no key group ever closes: every alias
+// outside a factor still joins on every group.
+const std::vector<uint64_t> kOpen(8, ~uint64_t{0});
+
 std::vector<double> MassOf(const BoundFactor& f, int gid) {
   const GroupSpan* g = f.FindGroup(gid);
   EXPECT_NE(g, nullptr);
@@ -118,7 +124,7 @@ TEST(FactorJoinStepTest, JoinPicksTightestGroup) {
                                  {{0, {{30.0}, {5.0}}}, {1, {{30.0}, {1.0}}}},
                                  &arena);
   // Group 0 bound: min(20*5, 30*4) = 100. Group 1: min(20*1, 30*1) = 20.
-  BoundFactor joined = JoinBoundFactors(left, right, {0, 1}, &arena);
+  BoundFactor joined = JoinBoundFactors(left, right, {0, 1}, kOpen, &arena);
   EXPECT_DOUBLE_EQ(joined.card, 20.0);
   EXPECT_EQ(joined.alias_mask, 0b11u);
 }
@@ -128,7 +134,7 @@ TEST(FactorJoinStepTest, CrossProductClamp) {
   BoundFactor left = MakeFactor(0b01, 3.0, {{0, {{3.0}, {100.0}}}}, &arena);
   BoundFactor right = MakeFactor(0b10, 4.0, {{0, {{4.0}, {100.0}}}}, &arena);
   // Group bound min(3*100, 4*100) = 300, but |A x B| = 12 caps it.
-  BoundFactor joined = JoinBoundFactors(left, right, {0}, &arena);
+  BoundFactor joined = JoinBoundFactors(left, right, {0}, kOpen, &arena);
   EXPECT_DOUBLE_EQ(joined.card, 12.0);
 }
 
@@ -138,7 +144,7 @@ TEST(FactorJoinStepTest, JoinedMassSumsToCard) {
       MakeFactor(0b01, 16.0, {{0, {{10.0, 6.0}, {4.0, 2.0}}}}, &arena);
   BoundFactor right =
       MakeFactor(0b10, 24.0, {{0, {{12.0, 12.0}, {6.0, 3.0}}}}, &arena);
-  BoundFactor joined = JoinBoundFactors(left, right, {0}, &arena);
+  BoundFactor joined = JoinBoundFactors(left, right, {0}, kOpen, &arena);
   double sum = 0.0;
   for (double m : MassOf(joined, 0)) sum += m;
   EXPECT_NEAR(sum, joined.card, 1e-9);
@@ -148,7 +154,7 @@ TEST(FactorJoinStepTest, MfvMultipliesOnJoinedGroup) {
   FactorArena arena;
   BoundFactor left = MakeFactor(0b01, 16.0, {{0, {{16.0}, {8.0}}}}, &arena);
   BoundFactor right = MakeFactor(0b10, 24.0, {{0, {{24.0}, {6.0}}}}, &arena);
-  BoundFactor joined = JoinBoundFactors(left, right, {0}, &arena);
+  BoundFactor joined = JoinBoundFactors(left, right, {0}, kOpen, &arena);
   EXPECT_DOUBLE_EQ(MfvOf(joined, 0)[0], 48.0);
   EXPECT_DOUBLE_EQ(joined.card, 96.0);  // Figure 5 again, through the join
 }
@@ -163,7 +169,7 @@ TEST(FactorJoinStepTest, CarriedGroupRescaledAndMfvPropagated) {
                                  {7, {{4.0, 6.0}, {3.0, 2.0}}}},
                                 &arena);
   BoundFactor right = MakeFactor(0b10, 5.0, {{0, {{5.0}, {5.0}}}}, &arena);
-  BoundFactor joined = JoinBoundFactors(left, right, {0}, &arena);
+  BoundFactor joined = JoinBoundFactors(left, right, {0}, kOpen, &arena);
   // card = min(10*5, 5*2) = 10.
   EXPECT_DOUBLE_EQ(joined.card, 10.0);
   std::vector<double> mass = MassOf(joined, 7);
@@ -183,8 +189,8 @@ TEST(FactorJoinStepTest, ThreeWayStarMatchesSequentialBound) {
   BoundFactor a = MakeFactor(0b001, 16.0, {{0, {{16.0}, {8.0}}}}, &arena);
   BoundFactor b = MakeFactor(0b010, 24.0, {{0, {{24.0}, {6.0}}}}, &arena);
   BoundFactor c = MakeFactor(0b100, 10.0, {{0, {{10.0}, {2.0}}}}, &arena);
-  BoundFactor ab = JoinBoundFactors(a, b, {0}, &arena);
-  BoundFactor abc = JoinBoundFactors(ab, c, {0}, &arena);
+  BoundFactor ab = JoinBoundFactors(a, b, {0}, kOpen, &arena);
+  BoundFactor abc = JoinBoundFactors(ab, c, {0}, kOpen, &arena);
   // ab: card 96, mfv 48. abc: min(96*2, 10*48) = 192.
   EXPECT_DOUBLE_EQ(abc.card, 192.0);
   EXPECT_EQ(abc.alias_mask, 0b111u);
@@ -194,7 +200,8 @@ TEST(FactorJoinStepTest, ThrowsWithoutConnectingGroup) {
   FactorArena arena;
   BoundFactor a = MakeFactor(0b01, 5.0, {{0, {{5.0}, {1.0}}}}, &arena);
   BoundFactor b = MakeFactor(0b10, 5.0, {{1, {{5.0}, {1.0}}}}, &arena);
-  EXPECT_THROW(JoinBoundFactors(a, b, {}, &arena), std::invalid_argument);
+  EXPECT_THROW(JoinBoundFactors(a, b, {}, kOpen, &arena),
+               std::invalid_argument);
 }
 
 TEST(FactorJoinStepTest, GroupIndexStaysSortedAfterJoin) {
@@ -205,11 +212,112 @@ TEST(FactorJoinStepTest, GroupIndexStaysSortedAfterJoin) {
   BoundFactor right = MakeFactor(0b10, 8.0,
                                  {{1, {{8.0}, {2.0}}}, {3, {{8.0}, {4.0}}}},
                                  &arena);
-  BoundFactor joined = JoinBoundFactors(left, right, {1}, &arena);
+  BoundFactor joined = JoinBoundFactors(left, right, {1}, kOpen, &arena);
   ASSERT_EQ(joined.groups.size(), 3u);
   EXPECT_EQ(joined.groups[0].gid, 1);
   EXPECT_EQ(joined.groups[1].gid, 3);
   EXPECT_EQ(joined.groups[2].gid, 5);
+}
+
+TEST(FactorJoinStepTest, ClosedGroupIsNotEmitted) {
+  FactorArena arena;
+  // Group 0 is joined on by aliases 0 and 1 only; group 1 also by alias 2.
+  const std::vector<uint64_t> group_masks = {0b011, 0b101};
+  BoundFactor left = MakeFactor(0b001, 10.0,
+                                {{0, {{7.0, 3.0}, {2.0, 1.0}}},
+                                 {1, {{6.0, 4.0}, {3.0, 2.0}}}},
+                                &arena);
+  BoundFactor right =
+      MakeFactor(0b010, 8.0, {{0, {{5.0, 3.0}, {2.0, 3.0}}}}, &arena);
+  BoundFactor closed = JoinBoundFactors(left, right, {0}, group_masks, &arena);
+  BoundFactor open = JoinBoundFactors(left, right, {0}, kOpen, &arena);
+  ASSERT_EQ(closed.groups.size(), 1u);
+  EXPECT_EQ(closed.groups[0].gid, 1);
+  EXPECT_EQ(open.groups.size(), 2u);
+  EXPECT_EQ(closed.card, open.card);
+  EXPECT_EQ(MassOf(closed, 1), MassOf(open, 1));
+  EXPECT_EQ(MfvOf(closed, 1), MfvOf(open, 1));
+
+  // Alias 2 joins on group 1 only: the eliminated group is never read.
+  BoundFactor c =
+      MakeFactor(0b100, 9.0, {{1, {{4.0, 5.0}, {2.0, 2.0}}}}, &arena);
+  BoundFactor closed_abc = JoinBoundFactors(closed, c, {1}, group_masks,
+                                            &arena);
+  BoundFactor open_abc = JoinBoundFactors(open, c, {1}, kOpen, &arena);
+  EXPECT_TRUE(closed_abc.groups.empty());
+  EXPECT_EQ(closed_abc.card, open_abc.card);
+}
+
+TEST(FactorJoinStepTest, CyclicJoinPicksTheGroupJoinBoundWinner) {
+  FactorArena arena;
+  // Two connecting groups (a cyclic template): per-bin values chosen so
+  // the bounds are not round numbers and group 1 is the tighter one.
+  BoundFactor left = MakeFactor(0b01, 1e6,
+                                {{0, {{20.3, 11.7, 9.1}, {4.0, 2.0, 3.0}}},
+                                 {1, {{13.9, 21.1, 6.3}, {1.5, 3.0, 2.0}}}},
+                                &arena);
+  BoundFactor right = MakeFactor(0b10, 1e6,
+                                 {{0, {{17.7, 8.2, 4.4}, {5.0, 2.0, 7.0}}},
+                                  {1, {{9.9, 3.1, 12.7}, {1.0, 2.5, 1.5}}}},
+                                 &arena);
+  double bound0 = GroupJoinBound(*left.FindGroup(0), *right.FindGroup(0));
+  double bound1 = GroupJoinBound(*left.FindGroup(1), *right.FindGroup(1));
+  ASSERT_LT(bound1, bound0);
+  BoundFactor joined = JoinBoundFactors(left, right, {0, 1}, kOpen, &arena);
+  EXPECT_EQ(std::bit_cast<uint64_t>(joined.card),
+            std::bit_cast<uint64_t>(bound1));
+  // g* = group 1: its mass is its per-bin terms (unscaled, card == bound),
+  // summing to the bound in bin order, and its MFVs multiply.
+  std::vector<double> star_mass = MassOf(joined, 1);
+  double sum = 0.0;
+  for (double m : star_mass) sum += m;
+  EXPECT_EQ(std::bit_cast<uint64_t>(sum), std::bit_cast<uint64_t>(bound1));
+  EXPECT_EQ(MfvOf(joined, 1), (std::vector<double>{1.5, 7.5, 3.0}));
+  // Group 0 is the other connecting group: both sides rescaled, MFVs
+  // propagated by the other side's g* maximum (2.5 and 3.0), then min'ed.
+  std::vector<double> mfv0 = MfvOf(joined, 0);
+  EXPECT_EQ(mfv0, (std::vector<double>{10.0, 5.0, 7.5}));
+}
+
+TEST(FactorJoinStepTest, IntraAliasMergeDropsSpanMemos) {
+  FactorArena arena;
+  GroupSpan merged = MakeGroupSpan(1, {9.0, 7.0}, {5.0, 6.0}, &arena);
+  EXPECT_EQ(merged.mass_sum, 16.0);
+  EXPECT_EQ(merged.mfv_max, 6.0);
+  merged.MinWith(MakeGroupSpan(1, {3.0, 8.0}, {2.0, 5.0}, &arena));
+  EXPECT_TRUE(std::isnan(merged.mass_sum));
+  EXPECT_TRUE(std::isnan(merged.mfv_max));
+  EXPECT_EQ(merged.MassSum(), 10.0);
+  EXPECT_EQ(merged.MfvMax(), 5.0);
+  GroupSpan fresh = MakeGroupSpan(1, {3.0, 7.0}, {2.0, 5.0}, &arena);
+
+  // Carried across a join, the merged span rescales by its merged sum.
+  auto carry = [&](const GroupSpan& span) {
+    BoundFactor left = MakeFactor(0b01, 10.0, {{0, {{10.0}, {2.0}}}}, &arena);
+    left.groups.push_back(span);
+    BoundFactor right = MakeFactor(0b10, 5.0, {{0, {{5.0}, {5.0}}}}, &arena);
+    return JoinBoundFactors(left, right, {0}, kOpen, &arena);
+  };
+  BoundFactor carried = carry(merged);
+  EXPECT_EQ(MassOf(carried, 1), MassOf(carry(fresh), 1));
+  EXPECT_EQ(carried.FindGroup(1)->MfvMax(),
+            carry(fresh).FindGroup(1)->MfvMax());
+
+  // As the g* of a join, it bounds the other side's duplication by its
+  // merged maximum.
+  auto star = [&](const GroupSpan& span) {
+    BoundFactor left = MakeFactor(0b01, 12.0,
+                                  {{1, {{6.0, 6.0}, {1.0, 1.0}}},
+                                   {2, {{12.0}, {1.0}}}},
+                                  &arena);
+    BoundFactor right;
+    right.alias_mask = 0b10;
+    right.card = 10.0;
+    right.groups.push_back(span);
+    return JoinBoundFactors(left, right, {1}, kOpen, &arena);
+  };
+  EXPECT_EQ(MfvOf(star(merged), 2), MfvOf(star(fresh), 2));
+  EXPECT_EQ(MfvOf(star(fresh), 2), (std::vector<double>{5.0}));
 }
 
 TEST(FactorArenaTest, SpansStayValidAcrossGrowth) {

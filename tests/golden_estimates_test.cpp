@@ -19,7 +19,10 @@
 #include "baselines/wander_join.h"
 #include "factorjoin/estimator.h"
 #include "golden_workload.h"
+#include "query/subplan.h"
 #include "stats/snapshot.h"
+#include "util/hash.h"
+#include "workload/imdb_job.h"
 
 namespace fj {
 namespace {
@@ -184,6 +187,105 @@ TEST(GoldenEstimatesTest, TrueCard) {
   TrueCardEstimator est(db);
   CheckGolden(est, "truecard");
   CheckGoldenAfterSnapshotRoundTrip(db, est, "truecard", &CheckGolden);
+}
+
+// ------------------------------------------------ workload-scale digests
+//
+// The chain above has three aliases and two key groups. The progressive
+// decomposition's harder cases only appear at workload scale: cyclic
+// templates, self joins, key groups that close inside a sub-plan, ancestors
+// computed on demand, and queries of up to 16 aliases. Each digest below is
+// an order-independent sum over sub-plans of
+//   Mix64(mask ^ Mix64(value bits) ^ query salt),
+// so one constant pins every estimate of a mask set bit for bit. Captured
+// from the std::unordered_map-memo decomposition (commit 89e9ece).
+
+struct ImdbDigests {
+  uint64_t full = 0;        // every connected sub-plan, one call per query
+  uint64_t reversed = 0;    // the same masks requested in reverse order
+  uint64_t upper_half = 0;  // the larger half of the masks alone
+  uint64_t every_7th = 0;   // masks 0, 7, 14, ... alone (ancestors on demand)
+  uint64_t greedy = 0;      // Estimate() of each whole query
+};
+
+const Workload& ImdbDigestWorkload() {
+  static const std::unique_ptr<Workload> w = [] {
+    ImdbJobOptions o;
+    o.scale = 0.05;
+    o.num_queries = 64;
+    o.max_tables_per_query = 16;
+    return MakeImdbJob(o);
+  }();
+  return *w;
+}
+
+ImdbDigests DigestImdbJob(const CardinalityEstimator& est,
+                          const std::vector<Query>& queries) {
+  ImdbDigests d;
+  size_t num_masks = 0;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const Query& q = queries[qi];
+    const uint64_t salt = Mix64(qi + 1);
+    auto term = [&](uint64_t mask, double value) {
+      return Mix64(mask ^ Mix64(std::bit_cast<uint64_t>(value)) ^ salt);
+    };
+    auto digest_of = [&](const std::vector<uint64_t>& masks) {
+      auto values = est.EstimateSubplans(q, masks);
+      EXPECT_EQ(values.size(), masks.size()) << q.ToString();
+      uint64_t sum = 0;
+      for (uint64_t mask : masks) sum += term(mask, values.at(mask));
+      return sum;
+    };
+    std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
+    num_masks += masks.size();
+    d.full += digest_of(masks);
+    d.reversed += digest_of({masks.rbegin(), masks.rend()});
+    d.upper_half += digest_of(
+        {masks.begin() + static_cast<std::ptrdiff_t>(masks.size() / 2),
+         masks.end()});
+    std::vector<uint64_t> sparse;
+    for (size_t i = 0; i < masks.size(); i += 7) sparse.push_back(masks[i]);
+    d.every_7th += digest_of(sparse);
+    uint64_t all = (uint64_t{1} << q.NumTables()) - 1;
+    d.greedy += term(all, est.Estimate(q));
+  }
+  EXPECT_EQ(num_masks, 44853u) << "the workload generator changed";
+  return d;
+}
+
+void ExpectDigests(const ImdbDigests& want, const ImdbDigests& got) {
+  EXPECT_EQ(got.full, got.reversed) << "the estimate depends on mask order";
+  EXPECT_EQ(want.full, got.full) << std::hex << "full 0x" << got.full;
+  EXPECT_EQ(want.reversed, got.reversed)
+      << std::hex << "reversed 0x" << got.reversed;
+  EXPECT_EQ(want.upper_half, got.upper_half)
+      << std::hex << "upper half 0x" << got.upper_half;
+  EXPECT_EQ(want.every_7th, got.every_7th)
+      << std::hex << "every 7th 0x" << got.every_7th;
+  EXPECT_EQ(want.greedy, got.greedy) << std::hex << "greedy 0x" << got.greedy;
+}
+
+TEST(GoldenEstimatesTest, ImdbJobDigestsSampling) {
+  const Workload& w = ImdbDigestWorkload();
+  FactorJoinConfig cfg;
+  cfg.estimator = TableEstimatorKind::kSampling;
+  cfg.sampling_rate = 0.1;
+  FactorJoinEstimator est(w.db, cfg);
+  ExpectDigests({0xf929318bd644d813ULL, 0xf929318bd644d813ULL,
+                 0xbd6eb55b80e673f8ULL, 0x358866951e033be9ULL,
+                 0x4f8a482d1b7ef739ULL},
+                DigestImdbJob(est, w.queries));
+}
+
+TEST(GoldenEstimatesTest, ImdbJobDigestsBayesNet) {
+  const Workload& w = ImdbDigestWorkload();
+  FactorJoinConfig cfg;
+  cfg.estimator = TableEstimatorKind::kBayesNet;
+  FactorJoinEstimator est(w.db, cfg);
+  ExpectDigests({0x21ec0a723515e9eaULL, 0x21ec0a723515e9eaULL,
+                 0xfcd815ec76f11da1ULL, 0x5827ab08c6977863ULL,
+                 0x19d6e12166f5bc02ULL},
+                DigestImdbJob(est, w.queries));
 }
 
 }  // namespace

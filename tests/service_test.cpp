@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -982,6 +983,62 @@ TEST(ServiceTest, SplitBatchOnSingleWorkerPoolFallsBack) {
   auto serial = estimator.EstimateSubplans(q, masks);
   for (uint64_t mask : masks) EXPECT_EQ(got.at(mask), serial.at(mask));
   EXPECT_EQ(service.Stats().batches_split, 0u);
+}
+
+// A split batch's estimate stage covers the session's shared work (for
+// FactorJoin, every leaf factor), not only the chunked decomposition: a
+// stub whose PrepareSubplans sleeps 20 ms shows at least that much.
+TEST(ServiceTest, SplitBatchEstimateStageCoversSessionSetup) {
+  class SlowSessionEstimator : public CardinalityEstimator {
+   public:
+    std::string Name() const override { return "slow-session"; }
+    double Estimate(const Query& query) const override {
+      return static_cast<double>(query.NumTables());
+    }
+    std::unique_ptr<SubplanSession> PrepareSubplans(
+        const Query& /*query*/) const override {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return std::make_unique<Session>();
+    }
+
+   private:
+    class Session : public SubplanSession {
+     public:
+      std::unordered_map<uint64_t, double> EstimateSubplans(
+          const std::vector<uint64_t>& masks) const override {
+        std::unordered_map<uint64_t, double> out;
+        for (uint64_t mask : masks) {
+          out[mask] = static_cast<double>(std::popcount(mask));
+        }
+        return out;
+      }
+    };
+  };
+  SlowSessionEstimator estimator;
+  EstimatorServiceOptions options;
+  options.num_threads = 2;
+  options.cache_enabled = false;
+  options.split_batch_min_masks = 2;
+  EstimatorService service(estimator, options);
+  Query q = ChainQuery(25, 300);
+  std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
+
+  auto trace = std::make_shared<obs::RequestTrace>();
+  std::promise<size_t> served;
+  service.EstimateSubplansAsync(
+      q, masks,
+      [&served](std::unordered_map<uint64_t, double> values,
+                std::exception_ptr error) {
+        if (error != nullptr) {
+          served.set_exception(error);
+        } else {
+          served.set_value(values.size());
+        }
+      },
+      trace);
+  EXPECT_EQ(served.get_future().get(), masks.size());
+  EXPECT_EQ(service.Stats().batches_split, 1u);
+  EXPECT_GE(trace->Get(obs::Stage::kEstimate), 20000u);
 }
 
 // TSAN target: split batches fan work across workers while updates bump
