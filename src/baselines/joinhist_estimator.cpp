@@ -1,9 +1,9 @@
 #include "baselines/joinhist_estimator.h"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
+#include "query/subplan.h"
 #include "stats/bayes_net.h"
 #include "stats/sampling_estimator.h"
 #include "stats/truescan_estimator.h"
@@ -218,37 +218,18 @@ double JoinHistEstimator::Estimate(const Query& query) const {
   }
   if (query.NumTables() == 1) return std::max(leaves[0].card, 1.0);
 
-  std::vector<uint64_t> adj = query.AliasAdjacency();
-  size_t start = 0;
-  for (size_t i = 1; i < leaves.size(); ++i) {
-    if (leaves[i].card < leaves[start].card) start = i;
-  }
-  HistFactor current = std::move(leaves[start]);
-  uint64_t remaining =
-      ((query.NumTables() == 64) ? ~uint64_t{0}
-                                 : (uint64_t{1} << query.NumTables()) - 1) &
-      ~current.alias_mask;
-  while (remaining != 0) {
-    int best = -1;
-    uint64_t m = remaining;
-    while (m != 0) {
-      size_t a = static_cast<size_t>(std::countr_zero(m));
-      m &= m - 1;
-      if ((adj[a] & current.alias_mask) == 0) continue;
-      if (best < 0 ||
-          leaves[a].card < leaves[static_cast<size_t>(best)].card) {
-        best = static_cast<int>(a);
-      }
-    }
-    if (best < 0) {
-      throw std::invalid_argument("JoinHist: disconnected join graph");
-    }
+  std::vector<double> cards;
+  cards.reserve(leaves.size());
+  for (const HistFactor& leaf : leaves) cards.push_back(leaf.card);
+  std::vector<size_t> order = GreedyJoinOrder(cards, query.AliasAdjacency());
+  HistFactor current = std::move(leaves[order[0]]);
+  for (size_t i = 1; i < order.size(); ++i) {
+    const HistFactor& next = leaves[order[i]];
     std::vector<int> connecting;
-    for (const auto& [gid, _] : leaves[static_cast<size_t>(best)].count) {
+    for (const auto& [gid, _] : next.count) {
       if (current.count.count(gid) > 0) connecting.push_back(gid);
     }
-    current = JoinStep(current, leaves[static_cast<size_t>(best)], connecting);
-    remaining &= ~(uint64_t{1} << best);
+    current = JoinStep(current, next, connecting);
   }
   return std::max(current.card, 1.0);
 }

@@ -1,10 +1,10 @@
 #include "baselines/pessimistic_estimator.h"
 
-#include <bit>
 #include <unordered_map>
 
 #include "factorjoin/kernels.h"
 #include "query/filter_eval.h"
+#include "query/subplan.h"
 
 namespace fj {
 namespace {
@@ -75,39 +75,21 @@ double PessimisticEstimator::Estimate(const Query& query) const {
   }
   if (query.NumTables() == 1) return leaves[0].card;
 
-  std::vector<uint64_t> adj = query.AliasAdjacency();
   std::vector<uint64_t> group_masks = KeyGroupAliasMasks(query, groups);
-  size_t start = 0;
-  for (size_t i = 1; i < leaves.size(); ++i) {
-    if (leaves[i].card < leaves[start].card) start = i;
-  }
-  BoundFactor current = leaves[start];
-  uint64_t remaining =
-      ((query.NumTables() == 64) ? ~uint64_t{0}
-                                 : (uint64_t{1} << query.NumTables()) - 1) &
-      ~current.alias_mask;
-  while (remaining != 0) {
-    int best = -1;
-    uint64_t m = remaining;
-    while (m != 0) {
-      size_t a = static_cast<size_t>(std::countr_zero(m));
-      m &= m - 1;
-      if ((adj[a] & current.alias_mask) == 0) continue;
-      if (best < 0 ||
-          leaves[a].card < leaves[static_cast<size_t>(best)].card) {
-        best = static_cast<int>(a);
-      }
-    }
-    if (best < 0) {
-      throw std::invalid_argument("pessest: disconnected join graph");
-    }
-    std::vector<int> connecting;
-    for (const GroupSpan& g : leaves[static_cast<size_t>(best)].groups) {
+  std::vector<double> cards;
+  cards.reserve(leaves.size());
+  for (const BoundFactor& leaf : leaves) cards.push_back(leaf.card);
+  std::vector<size_t> order = GreedyJoinOrder(cards, query.AliasAdjacency());
+  BoundFactor current = leaves[order[0]];
+  std::vector<int> connecting;
+  for (size_t i = 1; i < order.size(); ++i) {
+    const BoundFactor& next = leaves[order[i]];
+    connecting.clear();
+    for (const GroupSpan& g : next.groups) {
       if (current.FindGroup(g.gid) != nullptr) connecting.push_back(g.gid);
     }
-    current = JoinBoundFactors(current, leaves[static_cast<size_t>(best)],
-                               connecting, group_masks, &arena);
-    remaining &= ~(uint64_t{1} << best);
+    current =
+        JoinBoundFactors(current, next, connecting, group_masks, &arena);
   }
   return current.card;
 }

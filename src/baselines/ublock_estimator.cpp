@@ -1,9 +1,9 @@
 #include "baselines/ublock_estimator.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "factorjoin/binning.h"
+#include "query/subplan.h"
 #include "util/timer.h"
 
 namespace fj {
@@ -149,31 +149,18 @@ double UBlockEstimator::Estimate(const Query& query) const {
   }
   if (query.NumTables() == 1) return std::max(leaves[0].card, 1.0);
 
-  std::vector<uint64_t> adj = query.AliasAdjacency();
-  UFactor current = leaves[0];
-  uint64_t remaining =
-      ((query.NumTables() == 64) ? ~uint64_t{0}
-                                 : (uint64_t{1} << query.NumTables()) - 1) &
-      ~current.alias_mask;
-  while (remaining != 0) {
-    int best = -1;
-    uint64_t m = remaining;
-    while (m != 0) {
-      size_t a = static_cast<size_t>(std::countr_zero(m));
-      m &= m - 1;
-      if ((adj[a] & current.alias_mask) == 0) continue;
-      best = static_cast<int>(a);
-      break;
-    }
-    if (best < 0) {
-      throw std::invalid_argument("ublock: disconnected join graph");
-    }
+  // Equal keys make the greedy order join the lowest-index connected alias
+  // next, starting from alias 0.
+  std::vector<size_t> order = GreedyJoinOrder(
+      std::vector<double>(leaves.size(), 0.0), query.AliasAdjacency());
+  UFactor current = leaves[order[0]];
+  for (size_t i = 1; i < order.size(); ++i) {
+    const UFactor& next = leaves[order[i]];
     std::vector<int> connecting;
-    for (const auto& [gid, s] : leaves[static_cast<size_t>(best)].groups) {
+    for (const auto& [gid, s] : next.groups) {
       if (current.groups.count(gid) > 0) connecting.push_back(gid);
     }
-    current = JoinStep(current, leaves[static_cast<size_t>(best)], connecting);
-    remaining &= ~(uint64_t{1} << best);
+    current = JoinStep(current, next, connecting);
   }
   return std::max(current.card, 1.0);
 }

@@ -220,16 +220,6 @@ FactorJoinEstimator::Leaves FactorJoinEstimator::MakeLeaves(
   return leaves;
 }
 
-std::unordered_map<uint64_t, double> FactorJoinEstimator::EstimateSubplans(
-    const Query& query, const std::vector<uint64_t>& masks) const {
-  // Leaf factors for every alias (estimated once, reused by every sub-plan —
-  // the heart of the progressive algorithm's saving). One arena backs every
-  // per-bin array the call produces, leaves and joined factors alike.
-  FactorArena arena;
-  Leaves leaves = MakeLeaves(query, &arena);
-  return EstimateSubplansWithLeaves(query, masks, leaves, &arena);
-}
-
 namespace {
 
 /// Mask -> factor memo of one decomposition: an open-addressing table
@@ -296,12 +286,34 @@ class FactorMemo {
 
 }  // namespace
 
+/// The one batch path: the leaves (and their arena) live as long as the
+/// session; every EstimateSubplans call runs the canonical decomposition
+/// against them with a private join arena, so concurrent chunked calls
+/// never touch shared mutable state.
+class FactorJoinEstimator::Session : public CardinalityEstimator::SubplanSession {
+ public:
+  Session(const FactorJoinEstimator* owner, Query query)
+      : owner_(owner),
+        query_(std::move(query)),
+        leaves_(owner_->MakeLeaves(query_, &arena_)) {}
+
+  std::unordered_map<uint64_t, double> EstimateSubplans(
+      const std::vector<uint64_t>& masks) const override;
+
+ private:
+  const FactorJoinEstimator* owner_;  // not owned; must outlive the session
+  Query query_;
+  FactorArena arena_;  // owns the leaves' per-bin arrays
+  Leaves leaves_;
+};
+
 std::unordered_map<uint64_t, double>
-FactorJoinEstimator::EstimateSubplansWithLeaves(
-    const Query& query, const std::vector<uint64_t>& masks,
-    const Leaves& leaves, FactorArena* arena) const {
-  // Joined factors are span headers over arena memory, held by value. A
-  // pointer into `factors` stays valid until the next factor is stored.
+FactorJoinEstimator::Session::EstimateSubplans(
+    const std::vector<uint64_t>& masks) const {
+  // Joined factors are span headers over the call's own arena, held by
+  // value. A pointer into `factors` stays valid until the next factor is
+  // stored.
+  FactorArena arena;
   std::vector<BoundFactor> factors;
   factors.reserve(masks.size());
   FactorMemo memo(masks.size());
@@ -316,7 +328,7 @@ FactorJoinEstimator::EstimateSubplansWithLeaves(
   std::vector<int> connecting;  // reused across join steps
   auto factor_of = [&](auto&& self, uint64_t mask) -> const BoundFactor* {
     if (std::has_single_bit(mask)) {
-      return &leaves.factors[static_cast<size_t>(std::countr_zero(mask))];
+      return &leaves_.factors[static_cast<size_t>(std::countr_zero(mask))];
     }
     if (mask == 0) return nullptr;
     uint32_t slot = memo.Find(mask);
@@ -327,19 +339,19 @@ FactorJoinEstimator::EstimateSubplansWithLeaves(
       size_t a = static_cast<size_t>(std::countr_zero(m));
       m &= m - 1;
       uint64_t rest = mask & ~(uint64_t{1} << a);
-      if ((leaves.adj[a] & rest) == 0) continue;
-      if (!ConnectedAliasMask(rest, leaves.adj)) continue;
+      if ((leaves_.adj[a] & rest) == 0) continue;
+      if (!ConnectedAliasMask(rest, leaves_.adj)) continue;
       const BoundFactor* rf = self(self, rest);
       if (rf == nullptr) continue;
       // Connecting query key groups: groups with bound state on both sides.
-      const BoundFactor& leaf = leaves.factors[a];
+      const BoundFactor& leaf = leaves_.factors[a];
       connecting.clear();
       for (const GroupSpan& g : leaf.groups) {
         if (rf->FindGroup(g.gid) != nullptr) connecting.push_back(g.gid);
       }
       if (connecting.empty()) continue;
       BoundFactor joined = JoinBoundFactors(*rf, leaf, connecting,
-                                            leaves.group_masks, arena);
+                                            leaves_.group_masks, &arena);
       memo.Insert(mask, static_cast<uint32_t>(factors.size()));
       factors.push_back(std::move(joined));
       return &factors.back();
@@ -348,9 +360,9 @@ FactorJoinEstimator::EstimateSubplansWithLeaves(
     return nullptr;
   };
 
-  uint64_t all = query.NumTables() >= 64
+  uint64_t all = query_.NumTables() >= 64
                      ? ~uint64_t{0}
-                     : (uint64_t{1} << query.NumTables()) - 1;
+                     : (uint64_t{1} << query_.NumTables()) - 1;
   std::unordered_map<uint64_t, double> out;
   out.reserve(masks.size());
   for (uint64_t mask : masks) {
@@ -363,7 +375,7 @@ FactorJoinEstimator::EstimateSubplansWithLeaves(
     if (factor == nullptr) {
       // No pairwise decomposition (e.g. a disconnected requested mask):
       // estimate this mask standalone.
-      out[mask] = Estimate(query.InducedSubquery(mask));
+      out[mask] = owner_->Estimate(query_.InducedSubquery(mask));
       continue;
     }
     // Floor at one tuple: a zero bound reflects estimator blind spots (e.g.
@@ -374,30 +386,6 @@ FactorJoinEstimator::EstimateSubplansWithLeaves(
   }
   return out;
 }
-
-/// Shared-leaf session: the leaves (and their arena) live as long as the
-/// session; every EstimateSubplans call joins against them with a private
-/// arena, so concurrent chunked calls never touch shared mutable state.
-class FactorJoinEstimator::Session : public CardinalityEstimator::SubplanSession {
- public:
-  Session(const FactorJoinEstimator* owner, Query query)
-      : owner_(owner),
-        query_(std::move(query)),
-        leaves_(owner_->MakeLeaves(query_, &arena_)) {}
-
-  std::unordered_map<uint64_t, double> EstimateSubplans(
-      const std::vector<uint64_t>& masks) const override {
-    FactorArena join_arena;
-    return owner_->EstimateSubplansWithLeaves(query_, masks, leaves_,
-                                              &join_arena);
-  }
-
- private:
-  const FactorJoinEstimator* owner_;  // not owned; must outlive the session
-  Query query_;
-  FactorArena arena_;  // owns the leaves' per-bin arrays
-  Leaves leaves_;
-};
 
 std::unique_ptr<CardinalityEstimator::SubplanSession>
 FactorJoinEstimator::PrepareSubplans(const Query& query) const {
@@ -414,41 +402,22 @@ double FactorJoinEstimator::Estimate(const Query& query) const {
   FactorArena arena;
   Leaves prepared = MakeLeaves(query, &arena);
   const std::vector<BoundFactor>& leaves = prepared.factors;
+  std::vector<double> cards;
+  cards.reserve(leaves.size());
+  for (const BoundFactor& leaf : leaves) cards.push_back(leaf.card);
 
   // Greedy left-deep accumulation starting from the smallest leaf.
-  size_t start = 0;
-  for (size_t i = 1; i < leaves.size(); ++i) {
-    if (leaves[i].card < leaves[start].card) start = i;
-  }
-  BoundFactor current = leaves[start];
-  uint64_t remaining = ((query.NumTables() == 64)
-                            ? ~uint64_t{0}
-                            : (uint64_t{1} << query.NumTables()) - 1) &
-                       ~current.alias_mask;
+  std::vector<size_t> order = GreedyJoinOrder(cards, prepared.adj);
+  BoundFactor current = leaves[order[0]];
   std::vector<int> connecting;
-  while (remaining != 0) {
-    // Next connected alias with the smallest leaf bound.
-    int best = -1;
-    uint64_t m = remaining;
-    while (m != 0) {
-      size_t a = static_cast<size_t>(std::countr_zero(m));
-      m &= m - 1;
-      if ((prepared.adj[a] & current.alias_mask) == 0) continue;
-      if (best < 0 || leaves[a].card < leaves[static_cast<size_t>(best)].card) {
-        best = static_cast<int>(a);
-      }
-    }
-    if (best < 0) {
-      throw std::invalid_argument("FactorJoin: disconnected join graph: " +
-                                  query.ToString());
-    }
+  for (size_t i = 1; i < order.size(); ++i) {
+    const BoundFactor& next = leaves[order[i]];
     connecting.clear();
-    for (const GroupSpan& g : leaves[static_cast<size_t>(best)].groups) {
+    for (const GroupSpan& g : next.groups) {
       if (current.FindGroup(g.gid) != nullptr) connecting.push_back(g.gid);
     }
-    current = JoinBoundFactors(current, leaves[static_cast<size_t>(best)],
-                               connecting, prepared.group_masks, &arena);
-    remaining &= ~(uint64_t{1} << best);
+    current = JoinBoundFactors(current, next, connecting, prepared.group_masks,
+                               &arena);
   }
   return std::max(current.card, 1.0);
 }

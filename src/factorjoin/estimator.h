@@ -71,20 +71,15 @@ class FactorJoinEstimator : public CardinalityEstimator {
   /// bit-identical results. Must not run concurrently with an update.
   double Estimate(const Query& query) const override;
 
-  /// Progressive sub-plan estimation (Section 5.2): leaf factors are built
-  /// once and shared across all masks. Same thread-safety contract as
-  /// Estimate. Note the two code paths may produce different (equally valid)
-  /// bounds for the same sub-plan — see EstimatorService's cache namespaces.
-  std::unordered_map<uint64_t, double> EstimateSubplans(
-      const Query& query, const std::vector<uint64_t>& masks) const override;
-
-  /// Shared-leaf batch session: builds every leaf factor of `query` once
-  /// (the expensive, mask-independent part) into a session-owned arena;
-  /// EstimateSubplans calls on the session then run the progressive
-  /// decomposition against the shared leaves with a per-call join arena.
-  /// Thread-safe and bit-identical to EstimateSubplans on any mask subset
-  /// (the decomposition is canonical) — the serving layer uses this to
-  /// split one large batch across its worker pool.
+  /// Progressive sub-plan estimation (Section 5.2), the one batch path:
+  /// the session builds every leaf factor of `query` once (the expensive,
+  /// mask-independent part) into a session-owned arena, and each
+  /// EstimateSubplans call on it runs the canonical decomposition against
+  /// the shared leaves with a per-call join arena. Thread-safe and
+  /// bit-identical on any mask subset — the serving layer uses this to
+  /// split one large batch across its worker pool. Note the batch and
+  /// Estimate may produce different (equally valid) bounds for the same
+  /// sub-plan — see EstimatorService's cache namespaces.
   std::unique_ptr<SubplanSession> PrepareSubplans(
       const Query& query) const override;
 
@@ -134,7 +129,7 @@ class FactorJoinEstimator : public CardinalityEstimator {
   size_t num_key_groups() const { return group_binnings_.size(); }
 
  private:
-  class Session;  // SubplanSession sharing leaf factors across chunks
+  class Session;  // the progressive decomposition over shared leaves
 
   struct UntrainedTag {};
   FactorJoinEstimator(const Database& db, UntrainedTag) : db_(&db) {}
@@ -157,14 +152,6 @@ class FactorJoinEstimator : public CardinalityEstimator {
 
   /// The leaves of every alias of `query`, per-bin arrays from `arena`.
   Leaves MakeLeaves(const Query& query, FactorArena* arena) const;
-
-  /// Progressive canonical decomposition over prebuilt leaves (the shared
-  /// core of EstimateSubplans and Session::EstimateSubplans). Joined
-  /// factors are allocated from `arena`; the leaves may live in a different
-  /// arena that outlives the call.
-  std::unordered_map<uint64_t, double> EstimateSubplansWithLeaves(
-      const Query& query, const std::vector<uint64_t>& masks,
-      const Leaves& leaves, FactorArena* arena) const;
 
   /// Maps a query key group to the global group id (via any member column).
   int GlobalGroupOf(const Query& query, const QueryKeyGroup& group) const;

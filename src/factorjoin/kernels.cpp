@@ -76,9 +76,9 @@ void LeafFinalize(double* mass, double* mfv, const uint64_t* totals,
   for (size_t b = 0; b < n; ++b) {
     mfv[b] = static_cast<double>(std::max<uint64_t>(mfvs[b], 1));
   }
-  // The backoff condition is bin-invariant; hoisting it keeps the per-bin
-  // loops branch-free (the old code tested it inside the loop with the same
-  // outcome every iteration).
+  // The backoff condition is bin-invariant; hoisting it keeps the test out
+  // of the per-bin loops (the old code tested it inside the loop with the
+  // same outcome every iteration).
   if (mass_sum <= 0.0 && card > 0.0 && total_rows > 0) {
     double rows = static_cast<double>(total_rows);
     for (size_t b = 0; b < n; ++b) {

@@ -13,11 +13,14 @@
 //
 // Spans are recorded with SpanTimer — one steady-clock read at construction
 // and one at Record — so a fully traced request costs a handful of clock
-// reads on top of its actual work (the tracing-overhead bench section in
-// docs/BENCHMARKS.md pins this under 2%). Stage totals aggregate into
-// per-stage LatencyHistograms (ServiceStats::stages) and can ride along on
-// a wire response when the client set the request's trace flag
-// (net/protocol.h; fj_client --trace prints the breakdown).
+// reads on top of its actual work. The end-to-end price is measured but not
+// pinned: on a 4-core shared host, forcing tracing on cost perfbench's
+// plan-cold 5.6% and 8.8% of throughput in two interleaved pairs, and
+// perfbench's obs.tracing_overhead_frac cannot yet resolve 2% (ROADMAP
+// item 1). Stage totals aggregate into per-stage LatencyHistograms
+// (ServiceStats::stages) and can ride along on a wire response when the
+// client set the request's trace flag (net/protocol.h; fj_client --trace
+// prints the breakdown).
 //
 // kRespond and kSocketWrite of a request happen after its own response body
 // is sealed, so an attached trace carries zeros there; they still feed the
@@ -95,8 +98,8 @@ struct RequestTrace {
 };
 
 /// One span: starts timing at construction, Record() adds the elapsed
-/// microseconds to a trace (nullptr trace → the clock was still read;
-/// prefer guarding construction on the tracing flag instead).
+/// microseconds to a trace (a nullptr trace records nothing; the clock was
+/// still read).
 class SpanTimer {
  public:
   SpanTimer() : start_(MonotonicMicros()) {}

@@ -26,6 +26,33 @@ bool ConnectedAliasMask(uint64_t mask, const std::vector<uint64_t>& adj) {
   return reached == mask;
 }
 
+std::vector<size_t> GreedyJoinOrder(const std::vector<double>& leaf_cards,
+                                    const std::vector<uint64_t>& adj) {
+  const size_t n = leaf_cards.size();
+  std::vector<size_t> order;
+  if (n == 0) return order;
+  order.reserve(n);
+  size_t next = 0;
+  for (size_t i = 1; i < n; ++i) {
+    if (leaf_cards[i] < leaf_cards[next]) next = i;
+  }
+  uint64_t joined = 0;
+  uint64_t remaining = n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+  for (;;) {
+    order.push_back(next);
+    joined |= uint64_t{1} << next;
+    remaining &= ~(uint64_t{1} << next);
+    if (remaining == 0) return order;
+    next = n;  // none found yet
+    for (uint64_t m = remaining; m != 0; m &= m - 1) {
+      size_t a = static_cast<size_t>(std::countr_zero(m));
+      if ((adj[a] & joined) == 0) continue;
+      if (next == n || leaf_cards[a] < leaf_cards[next]) next = a;
+    }
+    if (next == n) throw std::invalid_argument("disconnected join graph");
+  }
+}
+
 std::vector<uint64_t> EnumerateConnectedSubsets(const Query& query,
                                                 size_t min_tables) {
   size_t n = query.NumTables();

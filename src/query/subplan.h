@@ -16,6 +16,15 @@ namespace fj {
 /// must be a valid index into `adj`; the empty mask is not connected.
 bool ConnectedAliasMask(uint64_t mask, const std::vector<uint64_t>& adj);
 
+/// The greedy left-deep join order of the bound estimators (FactorJoin's
+/// Estimate, PessEst, JoinHist, UBlock): start at the leaf with the smallest
+/// card, then repeatedly add the smallest remaining leaf adjacent to those
+/// already joined; ties go to the lower index. `leaf_cards` and `adj` are
+/// indexed by alias (at most 64). Throws std::invalid_argument("disconnected
+/// join graph") when some leaf is unreachable.
+std::vector<size_t> GreedyJoinOrder(const std::vector<double>& leaf_cards,
+                                    const std::vector<uint64_t>& adj);
+
 /// Bitmasks (over Query::tables() order) of all connected alias subsets with
 /// at least `min_tables` members, ordered by popcount then value so that
 /// smaller sub-plans come first (the order progressive estimation consumes).

@@ -199,39 +199,40 @@ void EstimatorService::SplitJob::Wait() {
 std::unordered_map<uint64_t, double> EstimatorService::EstimateMisses(
     const Query& query, const std::vector<uint64_t>& miss_masks,
     obs::RequestTrace* trace) {
+  // A miss set at the threshold is split into up to one chunk per worker,
+  // sized from half the threshold up; a smaller set, or a single-worker
+  // pool, runs as one chunk.
   size_t threshold = options_.split_batch_min_masks;
-  size_t workers = workers_.size();
-  if (threshold == 0 || workers < 2 || miss_masks.size() < threshold) {
-    return estimator_.EstimateSubplansTraced(query, miss_masks, trace);
+  size_t num_chunks = 1;
+  if (threshold != 0 && miss_masks.size() >= threshold) {
+    size_t chunk_target = std::max<size_t>(threshold / 2, 1);
+    num_chunks = std::min(workers_.size(), miss_masks.size() / chunk_target);
   }
-  size_t chunk_target = std::max<size_t>(threshold / 2, 1);
-  size_t num_chunks = std::min(workers, miss_masks.size() / chunk_target);
-  if (num_chunks < 2) {
-    return estimator_.EstimateSubplansTraced(query, miss_masks, trace);
-  }
-  // Split path: the kernel span covers the session's shared work (the leaf
-  // factors) and the chunked estimation below, including time spent
-  // waiting for helper chunks — from the request's perspective, all of it
-  // is estimation.
-  obs::SpanTimer kernel_span;
-  // Chunking pays only when the estimator can front-load the shared
-  // (mask-independent) work; estimators without a session keep the
-  // single-call path.
+  // The estimate span covers the session's shared work (FactorJoin's leaf
+  // factors) and every chunk, including time spent waiting for helper
+  // chunks — from the request's perspective, all of it is estimation.
+  obs::SpanTimer span;
   std::unique_ptr<CardinalityEstimator::SubplanSession> session =
       estimator_.PrepareSubplans(query);
-  if (session == nullptr) {
-    return estimator_.EstimateSubplansTraced(query, miss_masks, trace);
-  }
+  std::unordered_map<uint64_t, double> out =
+      num_chunks < 2 ? session->EstimateSubplans(miss_masks)
+                     : EstimateSplit(*session, miss_masks, num_chunks);
+  span.Record(trace, obs::Stage::kEstimate);
+  return out;
+}
 
+std::unordered_map<uint64_t, double> EstimatorService::EstimateSplit(
+    const CardinalityEstimator::SubplanSession& session,
+    const std::vector<uint64_t>& miss_masks, size_t num_chunks) {
   auto job = std::make_shared<SplitJob>();
-  job->session = session.get();
+  job->session = &session;
   job->chunks.resize(num_chunks);
   job->results.resize(num_chunks);
   job->errors.resize(num_chunks);
   size_t per_chunk = (miss_masks.size() + num_chunks - 1) / num_chunks;
   for (size_t c = 0; c < num_chunks; ++c) {
     // Clamp both ends: with ceil-divided chunk sizes the last chunks can
-    // start past the end (e.g. 5 masks over 4 chunks of 2) and simply come
+    // start past the end (e.g. 5 miss_masks over 4 chunks of 2) and simply come
     // out empty.
     size_t begin = std::min(c * per_chunk, miss_masks.size());
     size_t end = std::min(begin + per_chunk, miss_masks.size());
@@ -261,7 +262,6 @@ std::unordered_map<uint64_t, double> EstimatorService::EstimateMisses(
     if (job->errors[c] != nullptr) std::rethrow_exception(job->errors[c]);
     merged.merge(job->results[c]);
   }
-  kernel_span.Record(trace, obs::Stage::kEstimate);
   return merged;
 }
 
@@ -376,7 +376,13 @@ void EstimatorService::InvalidateAll() { cache_.Clear(); }
 
 double EstimatorService::ServeSingle(const Query& query,
                                      obs::RequestTrace* trace) {
-  if (!options_.cache_enabled) return estimator_.EstimateTraced(query, trace);
+  auto timed_estimate = [&] {
+    obs::SpanTimer span;
+    double estimate = estimator_.Estimate(query);
+    span.Record(trace, obs::Stage::kEstimate);
+    return estimate;
+  };
+  if (!options_.cache_enabled) return timed_estimate();
   obs::SpanTimer probe_span;
   QueryFingerprint fp = query.Fingerprint();
   auto cached = cache_.Lookup(fp);
@@ -387,7 +393,7 @@ double EstimatorService::ServeSingle(const Query& query,
   // and dies on its next lookup instead of serving a stale estimate forever.
   uint64_t epoch = epochs_.Epoch();
   uint64_t table_bits = TableBitsOf(epochs_.AliasBits(query), ~uint64_t{0});
-  double estimate = estimator_.EstimateTraced(query, trace);
+  double estimate = timed_estimate();
   obs::SpanTimer insert_span;
   cache_.Insert(fp, estimate, table_bits, epoch);
   insert_span.Record(trace, obs::Stage::kCacheProbe);
@@ -435,10 +441,10 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
   }
   probe_span.Record(trace, obs::Stage::kCacheProbe);
 
-  // The misses go to the estimator together so its shared computation is
-  // preserved (FactorJoin estimates each leaf factor once for the whole
-  // batch); EstimateMisses splits a large miss set into per-worker chunks
-  // that still share one leaf computation via PrepareSubplans.
+  // The misses go to the estimator together, in one session, so its shared
+  // computation is preserved (FactorJoin estimates each leaf factor once for
+  // the whole batch); EstimateMisses splits a large miss set into
+  // per-worker chunks of that one session.
   if (!miss_masks.empty()) {
     std::unordered_map<uint64_t, double> fresh =
         EstimateMisses(query, miss_masks, trace);

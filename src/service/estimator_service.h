@@ -68,23 +68,28 @@ struct EstimatorServiceOptions {
   size_t cache_shards = 16;
   /// Disable to measure raw estimator throughput.
   bool cache_enabled = true;
-  /// Batch-aware scheduling: a batched request whose cache-missed mask count
-  /// reaches this threshold is split into per-worker chunks sharing one
-  /// leaf-factor computation (CardinalityEstimator::PrepareSubplans), so a
-  /// 10k-sub-plan batch stops monopolizing a single worker slot. Chunks are
-  /// offered to idle workers and claimed work-stealing style; the serving
-  /// worker always makes progress itself, so splitting never deadlocks even
-  /// on a loaded single-worker pool. 0 disables splitting. Split results
-  /// are bit-identical to the unsplit batch (the estimator's canonical
-  /// decomposition is mask-set independent).
+  /// Batch-aware scheduling: every batch's misses run in one estimator
+  /// session (CardinalityEstimator::PrepareSubplans — for FactorJoin, one
+  /// leaf-factor computation). A batch whose cache-missed mask count
+  /// reaches this threshold is split into per-worker chunks of that
+  /// session, whatever the estimator, so a 10k-sub-plan batch stops
+  /// monopolizing a single worker slot. Chunks are offered to idle workers
+  /// and claimed work-stealing style; the serving worker always makes
+  /// progress itself, so splitting never deadlocks even on a loaded
+  /// single-worker pool. 0 disables splitting. Split results are
+  /// bit-identical to the unsplit batch (a session's values do not depend
+  /// on the mask set).
   size_t split_batch_min_masks = 512;
   /// Per-request stage spans (obs/request_trace.h): queue wait, cache
   /// probe, estimate kernel, and respond times recorded into the per-stage
   /// histograms of ServiceStats::stages and into any per-request trace
-  /// sink. A handful of monotonic-clock reads per request (<2% throughput
-  /// cost, pinned by the tracing-overhead bench section); disabling leaves
-  /// the end-to-end latency histogram intact but the stage histograms
-  /// empty and trace sinks only partially filled (total + queue wait).
+  /// sink. A handful of monotonic-clock reads and histogram updates per
+  /// request; the throughput cost is not pinned yet (forced on, it cost
+  /// perfbench plan-cold 5.6% and 8.8% in two interleaved pairs on a 4-core
+  /// shared host, and obs.tracing_overhead_frac cannot resolve 2%).
+  /// Disabling leaves the end-to-end latency histogram intact but the stage
+  /// histograms empty and trace sinks only partially filled (total + queue
+  /// wait).
   bool enable_tracing = true;
   /// Slow-request log threshold (microseconds): every request whose
   /// end-to-end latency reaches it produces one structured line (query
@@ -155,8 +160,8 @@ class EstimatorService {
 
   /// Enqueues one batched request for all sub-plan masks of `query` (masks
   /// use Query::tables() bit order, as in EnumerateConnectedSubsets). Cached
-  /// sub-plans are reused; the misses go to the estimator in one
-  /// EstimateSubplans call so progressive sharing (FactorJoin) is preserved.
+  /// sub-plans are reused; the misses go to the estimator in one session
+  /// (PrepareSubplans) so progressive sharing (FactorJoin) is preserved.
   /// Thread-safe; `done` and `trace_sink` as on EstimateAsync.
   void EstimateSubplansAsync(Query query, std::vector<uint64_t> masks,
                              SubplansCallback done,
@@ -271,11 +276,17 @@ class EstimatorService {
   std::unordered_map<uint64_t, double> ServeBatch(
       const Query& query, const std::vector<uint64_t>& masks,
       obs::RequestTrace* trace);
-  /// Estimates the cache-missed masks of a batch, splitting across workers
-  /// when the batch is large enough (see split_batch_min_masks).
+  /// Estimates the cache-missed masks of a batch in one estimator session,
+  /// split across workers when the batch is large enough (see
+  /// split_batch_min_masks), and records the estimate stage.
   std::unordered_map<uint64_t, double> EstimateMisses(
       const Query& query, const std::vector<uint64_t>& miss_masks,
       obs::RequestTrace* trace);
+  /// Runs `miss_masks` as `num_chunks` chunks of `session`, offered to idle
+  /// workers as helper requests (see SplitJob).
+  std::unordered_map<uint64_t, double> EstimateSplit(
+      const CardinalityEstimator::SubplanSession& session,
+      const std::vector<uint64_t>& miss_masks, size_t num_chunks);
 
   const CardinalityEstimator& estimator_;
   const EstimatorServiceOptions options_;

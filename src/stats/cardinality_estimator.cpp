@@ -6,34 +6,34 @@
 
 namespace fj {
 
-std::unordered_map<uint64_t, double> CardinalityEstimator::EstimateSubplans(
-    const Query& query, const std::vector<uint64_t>& masks) const {
-  std::unordered_map<uint64_t, double> out;
-  out.reserve(masks.size());
-  for (uint64_t mask : masks) {
-    out[mask] = Estimate(query.InducedSubquery(mask));
+namespace {
+
+/// The default session: nothing shared, every mask estimated on its own.
+class IndependentSession : public CardinalityEstimator::SubplanSession {
+ public:
+  IndependentSession(const CardinalityEstimator* owner, Query query)
+      : owner_(owner), query_(std::move(query)) {}
+
+  std::unordered_map<uint64_t, double> EstimateSubplans(
+      const std::vector<uint64_t>& masks) const override {
+    std::unordered_map<uint64_t, double> out;
+    out.reserve(masks.size());
+    for (uint64_t mask : masks) {
+      out[mask] = owner_->Estimate(query_.InducedSubquery(mask));
+    }
+    return out;
   }
-  return out;
-}
 
-double CardinalityEstimator::EstimateTraced(const Query& query,
-                                            obs::RequestTrace* trace) const {
-  if (trace == nullptr) return Estimate(query);
-  obs::SpanTimer span;
-  double estimate = Estimate(query);
-  span.Record(trace, obs::Stage::kEstimate);
-  return estimate;
-}
+ private:
+  const CardinalityEstimator* owner_;  // not owned; must outlive the session
+  Query query_;
+};
 
-std::unordered_map<uint64_t, double>
-CardinalityEstimator::EstimateSubplansTraced(
-    const Query& query, const std::vector<uint64_t>& masks,
-    obs::RequestTrace* trace) const {
-  if (trace == nullptr) return EstimateSubplans(query, masks);
-  obs::SpanTimer span;
-  std::unordered_map<uint64_t, double> out = EstimateSubplans(query, masks);
-  span.Record(trace, obs::Stage::kEstimate);
-  return out;
+}  // namespace
+
+std::unique_ptr<CardinalityEstimator::SubplanSession>
+CardinalityEstimator::PrepareSubplans(const Query& query) const {
+  return std::make_unique<IndependentSession>(this, query);
 }
 
 double CardinalityEstimator::ApplyInsert(const std::string& table_name,

@@ -22,7 +22,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/request_trace.h"
 #include "query/query.h"
 
 namespace fj {
@@ -56,34 +55,16 @@ class CardinalityEstimator {
   virtual double Estimate(const Query& query) const = 0;
 
   /// Estimates for all given sub-plan alias masks of `query` (masks use
-  /// Query::tables() bit order and include single-alias masks). The default
-  /// estimates each sub-plan independently; methods with shared computation
-  /// (FactorJoin's progressive algorithm) override this.
-  virtual std::unordered_map<uint64_t, double> EstimateSubplans(
-      const Query& query, const std::vector<uint64_t>& masks) const;
+  /// Query::tables() bit order and include single-alias masks): one
+  /// PrepareSubplans session run over the whole mask set.
+  std::unordered_map<uint64_t, double> EstimateSubplans(
+      const Query& query, const std::vector<uint64_t>& masks) const {
+    return PrepareSubplans(query)->EstimateSubplans(masks);
+  }
 
-  // -------------------------------------------------- estimate-kernel hook
-  //
-  // Timed wrappers around the virtual entry points: the wall time spent
-  // inside the estimation kernel is added to `trace` under
-  // obs::Stage::kEstimate, separating kernel time from the serving layer's
-  // queueing/cache/dispatch overhead uniformly across every estimator. A
-  // nullptr trace skips the clock reads entirely (identical to calling the
-  // virtual directly), which is how EstimatorServiceOptions::enable_tracing
-  // turns the hook off.
-
-  /// Estimate() with kernel wall time recorded into `trace`.
-  double EstimateTraced(const Query& query, obs::RequestTrace* trace) const;
-
-  /// EstimateSubplans() with kernel wall time recorded into `trace`.
-  std::unordered_map<uint64_t, double> EstimateSubplansTraced(
-      const Query& query, const std::vector<uint64_t>& masks,
-      obs::RequestTrace* trace) const;
-
-  /// Reusable per-query sub-plan estimation state (see PrepareSubplans):
-  /// the expensive mask-independent work — FactorJoin's leaf factors — is
-  /// computed once at construction and shared by every EstimateSubplans
-  /// call on the session.
+  /// Per-query sub-plan estimation state (see PrepareSubplans): the
+  /// mask-independent work — FactorJoin's leaf factors — is done once at
+  /// construction and shared by every EstimateSubplans call on the session.
   class SubplanSession {
    public:
     virtual ~SubplanSession() = default;
@@ -98,18 +79,17 @@ class CardinalityEstimator {
         const std::vector<uint64_t>& masks) const = 0;
   };
 
-  /// Prepares shared state for estimating many sub-plan masks of `query`,
-  /// so a large batch can be chunked across threads without redoing the
-  /// mask-independent work per chunk. Returns nullptr when the method has
-  /// no shared computation worth preparing (the default — callers must fall
-  /// back to EstimateSubplans). The session borrows the estimator and must
-  /// not outlive it; like estimation it must not run concurrently with
+  /// The one batch hook: prepares what every sub-plan mask of `query`
+  /// shares, so a batch can be estimated in one call or chunked across
+  /// threads without redoing that work per chunk. Never returns null. The
+  /// default session has no shared state and estimates each mask on its
+  /// own, as Estimate(query.InducedSubquery(mask)); methods with shared
+  /// computation (FactorJoin's progressive algorithm) override this. The
+  /// session holds its own copy of `query` but borrows the estimator, which
+  /// must outlive it; like estimation it must not run concurrently with
   /// ApplyInsert/ApplyDelete.
   virtual std::unique_ptr<SubplanSession> PrepareSubplans(
-      const Query& query) const {
-    (void)query;
-    return nullptr;
-  }
+      const Query& query) const;
 
   /// Serialized statistics footprint (Figure 6 "model size"). For
   /// snapshot-capable estimators this is exact — the byte count a Save()

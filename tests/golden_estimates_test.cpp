@@ -1,5 +1,6 @@
 // Golden-value regression pinning Estimate / EstimateSubplans bit patterns
-// across the five estimator configurations of estimator_updates_test.cpp.
+// across the five estimator configurations of estimator_updates_test.cpp and
+// the four greedy bound baseline configurations.
 //
 // The constants were captured from the pre-arena implementation (heap
 // std::map<int, GroupBound> factors); the flat arena/kernel hot path must
@@ -14,8 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "baselines/joinhist_estimator.h"
+#include "baselines/pessimistic_estimator.h"
 #include "baselines/postgres_estimator.h"
 #include "baselines/truecard_estimator.h"
+#include "baselines/ublock_estimator.h"
 #include "baselines/wander_join.h"
 #include "factorjoin/estimator.h"
 #include "golden_workload.h"
@@ -67,7 +71,28 @@ const std::vector<GoldenRecord>& Goldens() {
        0x40a3a80000000000ULL,  // 2516
        0x40a4700000000000ULL,  // 2616
        {0x4071900000000000ULL, 0x40af2c0000000000ULL, 0x405f800000000000ULL,
-        0x40a83e0000000000ULL, 0x40aa460000000000ULL, 0x40a4700000000000ULL}}};
+        0x40a83e0000000000ULL, 0x40aa460000000000ULL, 0x40a4700000000000ULL}},
+      // The greedy bound baselines, captured at commit c6b93eb.
+      {"pessest",
+       0x40a7700000000000ULL,  // 3000
+       0x40aa55ffffffffffULL,  // 3370.9999999999995
+       {0x4071900000000000ULL, 0x40af2c0000000000ULL, 0x405f800000000000ULL,
+        0x40af2c0000000000ULL, 0x40aa560000000000ULL, 0x40aa55ffffffffffULL}},
+      {"joinhist",
+       0x40a643ffffffffffULL,  // 2849.9999999999995
+       0x40a1a4cb43958108ULL,  // 2258.397000000001
+       {0x4071900000000000ULL, 0x40af2c0000000000ULL, 0x405e36db6db6db6eULL,
+        0x40a5e5f333333334ULL, 0x40a91d999999999dULL, 0x40a1a4cb43958108ULL}},
+      {"joinhist+bound+conditional",
+       0x40a76297ef93a708ULL,  // 2993.2967497006794
+       0x40aef331f84b0e14ULL,  // 3961.597597451657
+       {0x407159f8b82eeca2ULL, 0x40af2b27efad2e1bULL, 0x4061b02bf4b44a10ULL,
+        0x40af1cdc077cd2a8ULL, 0x40af016abb5afcf4ULL, 0x40aef331f84b0e14ULL}},
+      {"ublock",
+       0x40b2846666666666ULL,  // 4740.4
+       0x40b076d593bfa260ULL,  // 4214.834285714285
+       {0x4071900000000000ULL, 0x40af2c0000000000ULL, 0x405e36db6db6db6eULL,
+        0x40b304e6e978d4feULL, 0x40b003e353f7cedaULL, 0x40b076d593bfa260ULL}}};
   return goldens;
 }
 
@@ -189,6 +214,35 @@ TEST(GoldenEstimatesTest, TrueCard) {
   CheckGoldenAfterSnapshotRoundTrip(db, est, "truecard", &CheckGolden);
 }
 
+// The greedy bound baselines have no snapshot support; their records pin
+// the greedy join order they share with FactorJoin's Estimate.
+TEST(GoldenEstimatesTest, PessEst) {
+  Database db = MakeGoldenDb();
+  PessimisticEstimator est(db);
+  CheckGolden(est, "pessest");
+}
+
+TEST(GoldenEstimatesTest, JoinHist) {
+  Database db = MakeGoldenDb();
+  JoinHistEstimator est(db);
+  CheckGolden(est, "joinhist");
+}
+
+TEST(GoldenEstimatesTest, JoinHistMfvBoundConditional) {
+  Database db = MakeGoldenDb();
+  JoinHistOptions options;
+  options.use_mfv_bound = true;
+  options.use_conditional = true;
+  JoinHistEstimator est(db, options);
+  CheckGolden(est, "joinhist+bound+conditional");
+}
+
+TEST(GoldenEstimatesTest, UBlock) {
+  Database db = MakeGoldenDb();
+  UBlockEstimator est(db);
+  CheckGolden(est, "ublock");
+}
+
 // ------------------------------------------------ workload-scale digests
 //
 // The chain above has three aliases and two key groups. The progressive
@@ -286,6 +340,35 @@ TEST(GoldenEstimatesTest, ImdbJobDigestsBayesNet) {
                  0xfcd815ec76f11da1ULL, 0x5827ab08c6977863ULL,
                  0x19d6e12166f5bc02ULL},
                 DigestImdbJob(est, w.queries));
+}
+
+// The greedy bound baselines over the same 64 queries: Estimate() of each
+// whole query (up to 16 aliases) pins the shared greedy join order far
+// beyond the three-alias chain. Captured at commit c6b93eb.
+uint64_t GreedyDigest(const CardinalityEstimator& est,
+                      const std::vector<Query>& queries) {
+  uint64_t sum = 0;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    sum += Mix64(std::bit_cast<uint64_t>(est.Estimate(queries[qi])) ^
+                 Mix64(qi + 1));
+  }
+  return sum;
+}
+
+TEST(GoldenEstimatesTest, ImdbJobGreedyDigestsBaselines) {
+  const Workload& w = ImdbDigestWorkload();
+  JoinHistOptions bound_conditional;
+  bound_conditional.use_mfv_bound = true;
+  bound_conditional.use_conditional = true;
+  EXPECT_EQ(0x6e7c840edb71ce1bULL,
+            GreedyDigest(PessimisticEstimator(w.db), w.queries));
+  EXPECT_EQ(0xdc3b18f2d8c2b868ULL,
+            GreedyDigest(JoinHistEstimator(w.db), w.queries));
+  EXPECT_EQ(0x5a10126f3367ac9dULL,
+            GreedyDigest(JoinHistEstimator(w.db, bound_conditional),
+                         w.queries));
+  EXPECT_EQ(0x7a515067a7071c8bULL,
+            GreedyDigest(UBlockEstimator(w.db), w.queries));
 }
 
 }  // namespace

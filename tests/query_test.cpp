@@ -195,6 +195,52 @@ TEST(SubplanTest, IncludesSingletonsWhenAsked) {
   EXPECT_EQ(masks.size(), 6u);  // 3 singles + 2 pairs + 1 triple
 }
 
+// Adjacency bitmasks of an undirected graph over `n` aliases.
+std::vector<uint64_t> Adjacency(size_t n,
+                                std::vector<std::pair<size_t, size_t>> edges) {
+  std::vector<uint64_t> adj(n, 0);
+  for (auto [a, b] : edges) {
+    adj[a] |= uint64_t{1} << b;
+    adj[b] |= uint64_t{1} << a;
+  }
+  return adj;
+}
+
+TEST(SubplanTest, GreedyJoinOrderPicksSmallestConnectedLeaf) {
+  // Chain 0-1-2-3: the smallest leaf (3) starts, and each step takes the
+  // smallest leaf adjacent to the joined set, not the smallest overall.
+  auto adj = Adjacency(4, {{0, 1}, {1, 2}, {2, 3}});
+  EXPECT_EQ(GreedyJoinOrder({0.5, 1.0, 3.0, 0.25}, adj),
+            (std::vector<size_t>{3, 2, 1, 0}));
+  EXPECT_EQ(GreedyJoinOrder({7.0}, {0}), (std::vector<size_t>{0}));
+  EXPECT_TRUE(GreedyJoinOrder({}, {}).empty());
+}
+
+TEST(SubplanTest, GreedyJoinOrderTiesGoToTheLowerIndex) {
+  // Clique of four: leaves 1, 2 and 3 tie for the start and for each step.
+  auto adj = Adjacency(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}});
+  EXPECT_EQ(GreedyJoinOrder({2.0, 1.0, 1.0, 1.0}, adj),
+            (std::vector<size_t>{1, 2, 3, 0}));
+}
+
+TEST(SubplanTest, GreedyJoinOrderWithEqualKeysJoinsLowestConnectedAlias) {
+  // Equal keys (UBlock's order): start at alias 0, then the lowest-index
+  // alias adjacent to the joined set. Edges 0-2, 2-1, 1-3, 0-4.
+  auto adj = Adjacency(5, {{0, 2}, {2, 1}, {1, 3}, {0, 4}});
+  EXPECT_EQ(GreedyJoinOrder(std::vector<double>(5, 0.0), adj),
+            (std::vector<size_t>{0, 2, 1, 3, 4}));
+}
+
+TEST(SubplanTest, GreedyJoinOrderRejectsDisconnectedGraphs) {
+  auto adj = Adjacency(4, {{0, 1}, {2, 3}});
+  try {
+    GreedyJoinOrder({1.0, 2.0, 3.0, 4.0}, adj);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("join"), std::string::npos);
+  }
+}
+
 TEST(QueryTest, RejectsMoreThan64Aliases) {
   // Alias bitmasks are uint64_t; a 65th table occurrence would silently
   // overflow every mask-based code path, so AddTable must refuse it.

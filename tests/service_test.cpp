@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/postgres_estimator.h"
 #include "factorjoin/estimator.h"
 #include "query/subplan.h"
 #include "service/estimator_service.h"
@@ -584,10 +585,10 @@ TEST(ServiceTest, BatchInvalidationIsTargeted) {
   EXPECT_EQ(after.cache.invalidations - before.cache.invalidations, 3u);
 }
 
-// Masks arrive from remote clients unchecked, and the default
-// EstimateSubplans ignores bits past the query's aliases (as InducedSubquery
-// does). Such a mask keys like its in-range part, and its entry is tagged
-// with the tables of the aliases that exist.
+// Masks arrive from remote clients unchecked, and the default session
+// ignores bits past the query's aliases (as InducedSubquery does). Such a
+// mask keys like its in-range part, and its entry is tagged with the tables
+// of the aliases that exist.
 TEST(ServiceTest, MaskBitsPastTheAliasesKeyAndTagLikeTheirAliases) {
   class CountingEstimator : public CardinalityEstimator {
    public:
@@ -985,9 +986,10 @@ TEST(ServiceTest, SplitBatchOnSingleWorkerPoolFallsBack) {
   EXPECT_EQ(service.Stats().batches_split, 0u);
 }
 
-// A split batch's estimate stage covers the session's shared work (for
-// FactorJoin, every leaf factor), not only the chunked decomposition: a
-// stub whose PrepareSubplans sleeps 20 ms shows at least that much.
+// A batch's estimate stage covers the session's shared work (for
+// FactorJoin, every leaf factor), not only the decomposition: a stub whose
+// PrepareSubplans sleeps 20 ms shows at least that much, whether the batch
+// is split or runs as one chunk.
 TEST(ServiceTest, SplitBatchEstimateStageCoversSessionSetup) {
   class SlowSessionEstimator : public CardinalityEstimator {
    public:
@@ -1015,30 +1017,58 @@ TEST(ServiceTest, SplitBatchEstimateStageCoversSessionSetup) {
     };
   };
   SlowSessionEstimator estimator;
+  Query q = ChainQuery(25, 300);
+  std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
+  // split_batch_min_masks 2 splits the batch; 0 runs it as one chunk.
+  for (size_t min_masks : {size_t{2}, size_t{0}}) {
+    EstimatorServiceOptions options;
+    options.num_threads = 2;
+    options.cache_enabled = false;
+    options.split_batch_min_masks = min_masks;
+    EstimatorService service(estimator, options);
+
+    auto trace = std::make_shared<obs::RequestTrace>();
+    std::promise<size_t> served;
+    service.EstimateSubplansAsync(
+        q, masks,
+        [&served](std::unordered_map<uint64_t, double> values,
+                  std::exception_ptr error) {
+          if (error != nullptr) {
+            served.set_exception(error);
+          } else {
+            served.set_value(values.size());
+          }
+        },
+        trace);
+    EXPECT_EQ(served.get_future().get(), masks.size());
+    EXPECT_EQ(service.Stats().batches_split, min_masks == 0 ? 0u : 1u);
+    EXPECT_GE(trace->Get(obs::Stage::kEstimate), 20000u)
+        << "split_batch_min_masks " << min_masks;
+  }
+}
+
+// An estimator without shared state splits like FactorJoin: its default
+// session estimates each mask on its own, so the chunks reproduce per-mask
+// Estimate bit for bit.
+TEST(ServiceTest, SplitBatchOfIndependentEstimatorMatchesEstimate) {
+  Database db = MakeDb();
+  PostgresEstimator estimator(db);
+  Query q = ChainQuery(25, 300);
+  std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
   EstimatorServiceOptions options;
-  options.num_threads = 2;
+  options.num_threads = 4;
   options.cache_enabled = false;
   options.split_batch_min_masks = 2;
   EstimatorService service(estimator, options);
-  Query q = ChainQuery(25, 300);
-  std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
-
-  auto trace = std::make_shared<obs::RequestTrace>();
-  std::promise<size_t> served;
-  service.EstimateSubplansAsync(
-      q, masks,
-      [&served](std::unordered_map<uint64_t, double> values,
-                std::exception_ptr error) {
-        if (error != nullptr) {
-          served.set_exception(error);
-        } else {
-          served.set_value(values.size());
-        }
-      },
-      trace);
-  EXPECT_EQ(served.get_future().get(), masks.size());
-  EXPECT_EQ(service.Stats().batches_split, 1u);
-  EXPECT_GE(trace->Get(obs::Stage::kEstimate), 20000u);
+  auto split = service.EstimateSubplans(q, masks);
+  ASSERT_EQ(split.size(), masks.size());
+  for (uint64_t mask : masks) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(split.at(mask)),
+              std::bit_cast<uint64_t>(
+                  estimator.Estimate(q.InducedSubquery(mask))))
+        << "mask " << mask;
+  }
+  EXPECT_GE(service.Stats().batches_split, 1u);
 }
 
 // TSAN target: split batches fan work across workers while updates bump

@@ -20,11 +20,11 @@
 #     also checks /metrics.json and the fj_client --trace output.
 #
 #  4. health under overload: restart fj_server with an SLO spec, confirm
-#     /healthz reports ok at idle, drive an fj_loadgen burst far past
-#     saturation, assert the health state machine leaves ok and the
-#     /debug/traces flight dump is non-empty, then wait for recovery
-#     back to ok once the burst drains. Skipped when no fj_loadgen path
-#     is given.
+#     /healthz reports ok at idle, drive a burst of three parallel
+#     fj_loadgen connections far past saturation, assert the health state
+#     machine leaves ok and the /debug/traces flight dump is non-empty,
+#     then wait for recovery back to ok once the burst drains. Skipped
+#     when no fj_loadgen path is given.
 #
 # Registered as the ctest "net_smoke" test.
 #
@@ -249,13 +249,25 @@ else
   grep -q '"state":"ok"' <<<"$HEALTH" || {
     echo "net_smoke: idle /healthz not ok: $HEALTH" >&2; exit 1; }
 
-  # Burst far past capacity: an open-loop constant schedule at 200k req/s
-  # is effectively a saturation probe — the service queue fills (queue
-  # occupancy >= 0.9) and queue waits blow past the overload bar, so the
+  # Burst far past capacity: open-loop constant schedules at 200k req/s
+  # each, over three connections. One connection is bound by the server's
+  # one reader thread per connection and may never fill the queue; three
+  # readers outrun the two workers, so the service queue fills (queue
+  # occupancy >= 0.9) and queue waits blow past the overload bar, and the
   # monitor must leave ok within a few of its 1s ticks.
-  "$LOADGEN_BIN" "${WORKLOAD_FLAGS[@]}" --port "$PORT" --remote \
-    --schedule const:200000 --ops 200000 > "$WORKDIR/loadgen.log" 2>&1 &
-  LOADGEN_PID=$!
+  LOADGEN_PIDS=()
+  for i in 1 2 3; do
+    "$LOADGEN_BIN" "${WORKLOAD_FLAGS[@]}" --port "$PORT" --remote \
+      --schedule const:200000 --ops 100000 > "$WORKDIR/loadgen$i.log" 2>&1 &
+    LOADGEN_PIDS+=($!)
+  done
+  burst_running() {
+    local pid
+    for pid in "${LOADGEN_PIDS[@]}"; do
+      if kill -0 "$pid" 2>/dev/null; then return 0; fi
+    done
+    return 1
+  }
   # /healthz answers 503 while overloaded, so its body is read whatever the
   # status (no -f): the monitor can go from ok straight to overloaded.
   left_ok() { grep -qE '"state":"(degraded|overloaded)"' <<<"$1"; }
@@ -266,7 +278,7 @@ else
       NONOK="$H"
       break
     fi
-    if ! kill -0 "$LOADGEN_PID" 2>/dev/null; then
+    if ! burst_running; then
       # Burst already drained; one last look before giving up.
       H=$(curl -s "$BASE_URL/healthz" || true)
       if left_ok "$H"; then NONOK="$H"; fi
@@ -275,8 +287,8 @@ else
     sleep 0.1
   done
   if [[ -z "$NONOK" ]]; then
-    echo "net_smoke: health never left ok under a 200k req/s burst" >&2
-    cat "$WORKDIR/loadgen.log" >&2
+    echo "net_smoke: health never left ok under a 3 x 200k req/s burst" >&2
+    cat "$WORKDIR"/loadgen*.log >&2
     cat "$SERVER_LOG" >&2
     exit 1
   fi
@@ -315,11 +327,13 @@ else
   grep -q 'fj_slo_fast_burn' "$WORKDIR/scrape.txt" || {
     echo "net_smoke: fj_slo_fast_burn missing from scrape" >&2; exit 1; }
 
-  wait "$LOADGEN_PID" || {
-    echo "net_smoke: fj_loadgen burst failed:" >&2
-    cat "$WORKDIR/loadgen.log" >&2
-    exit 1
-  }
+  for i in 1 2 3; do
+    wait "${LOADGEN_PIDS[$((i - 1))]}" || {
+      echo "net_smoke: fj_loadgen burst $i failed:" >&2
+      cat "$WORKDIR/loadgen$i.log" >&2
+      exit 1
+    }
+  done
 
   # Recovery: with the burst drained, de-escalation (5 clean ticks per
   # level) brings the state back to ok within ~15s; the budget is 60s to
