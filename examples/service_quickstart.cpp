@@ -43,7 +43,6 @@ int main() {
   // 3. The serving layer: 4 workers, bounded queue, 16-way sharded LRU cache.
   EstimatorServiceOptions options;
   options.num_threads = 4;
-  options.cache_shards = 16;
   EstimatorService service(estimator, options);
 
   // 4. Fire a burst of async requests — filtered variants of the same join.

@@ -1,6 +1,5 @@
 #include "net/client.h"
 
-#include <chrono>
 #include <utility>
 
 namespace fj::net {
@@ -51,17 +50,14 @@ void EstimatorClient::ConnectLocked() {
     fd_ = -1;
   }
 
-  int attempts = options_.reconnect_attempts < 1 ? 1
-                                                 : options_.reconnect_attempts;
   int fd = -1;
   for (int attempt = 1;; ++attempt) {
     try {
       fd = ConnectSocket(options_.endpoint);
       break;
     } catch (const NetError&) {
-      if (attempt >= attempts) throw;
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.reconnect_backoff_ms));
+      if (attempt >= kDialAttempts) throw;
+      std::this_thread::sleep_for(kDialBackoff);
     }
   }
 
@@ -71,7 +67,7 @@ void EstimatorClient::ConnectLocked() {
     if (!WriteFrame(fd, MsgType::kHello, 0, EncodeHello({}))) {
       throw NetError("connection closed during handshake");
     }
-    std::optional<Frame> ack = ReadFrame(fd, options_.max_frame_bytes);
+    std::optional<Frame> ack = ReadFrame(fd, kDefaultMaxFrameBytes);
     if (!ack.has_value()) {
       throw NetError("connection closed during handshake");
     }
@@ -112,7 +108,7 @@ void EstimatorClient::DisconnectLocked(const char* reason) {
 void EstimatorClient::ReceiverLoop(int fd) {
   const char* reason = "connection lost";
   try {
-    while (auto frame = ReadFrame(fd, options_.max_frame_bytes)) {
+    while (auto frame = ReadFrame(fd, kDefaultMaxFrameBytes)) {
       if (frame->request_id == 0) {
         // Connection-level error: the server is about to drop us.
         reason = "connection closed by server";
@@ -216,100 +212,61 @@ std::future<T> EstimatorClient::Call(MsgType type,
   return future;
 }
 
-std::future<double> EstimatorClient::EstimateAsync(const Query& query) {
-  return EstimateAsync(options_.model, query);
-}
-
-std::future<double> EstimatorClient::EstimateAsync(const std::string& model,
-                                                   const Query& query) {
-  return Call(MsgType::kEstimateReq, EncodeEstimateReq(model, query),
-              MsgType::kEstimateResp, &DecodeEstimateResp);
-}
-
-void EstimatorClient::EstimateAsync(const std::string& model,
-                                    const Query& query,
+void EstimatorClient::EstimateAsync(const Query& query,
                                     EstimateCallback done) {
-  Send(MsgType::kEstimateReq, EncodeEstimateReq(model, query),
+  Send(MsgType::kEstimateReq, EncodeEstimateReq(options_.model, query),
        MsgType::kEstimateResp, Decoded(&DecodeEstimateResp, std::move(done)));
 }
 
-double EstimatorClient::Estimate(const Query& query) {
-  return EstimateAsync(options_.model, query).get();
+std::future<double> EstimatorClient::EstimateAsync(const Query& query) {
+  return Call(MsgType::kEstimateReq, EncodeEstimateReq(options_.model, query),
+              MsgType::kEstimateResp, &DecodeEstimateResp);
 }
 
-double EstimatorClient::Estimate(const std::string& model,
-                                 const Query& query) {
-  return EstimateAsync(model, query).get();
+double EstimatorClient::Estimate(const Query& query) {
+  return EstimateAsync(query).get();
 }
 
 std::future<std::unordered_map<uint64_t, double>>
 EstimatorClient::EstimateSubplansAsync(const Query& query,
                                        const std::vector<uint64_t>& masks) {
-  return EstimateSubplansAsync(options_.model, query, masks);
-}
-
-std::future<std::unordered_map<uint64_t, double>>
-EstimatorClient::EstimateSubplansAsync(const std::string& model,
-                                       const Query& query,
-                                       const std::vector<uint64_t>& masks) {
-  return Call(MsgType::kSubplansReq, EncodeSubplansReq(model, query, masks),
+  return Call(MsgType::kSubplansReq,
+              EncodeSubplansReq(options_.model, query, masks),
               MsgType::kSubplansResp, &DecodeSubplansResp);
 }
 
 std::unordered_map<uint64_t, double> EstimatorClient::EstimateSubplans(
     const Query& query, const std::vector<uint64_t>& masks) {
-  return EstimateSubplansAsync(options_.model, query, masks).get();
-}
-
-std::unordered_map<uint64_t, double> EstimatorClient::EstimateSubplans(
-    const std::string& model, const Query& query,
-    const std::vector<uint64_t>& masks) {
-  return EstimateSubplansAsync(model, query, masks).get();
+  return EstimateSubplansAsync(query, masks).get();
 }
 
 EstimatorClient::TracedEstimate EstimatorClient::EstimateTraced(
     const Query& query) {
-  return EstimateTraced(options_.model, query);
-}
-
-EstimatorClient::TracedEstimate EstimatorClient::EstimateTraced(
-    const std::string& model, const Query& query) {
   return Call(MsgType::kEstimateReq,
-              EncodeEstimateReq(model, query, /*want_trace=*/true),
+              EncodeEstimateReq(options_.model, query, /*want_trace=*/true),
               MsgType::kEstimateResp, &DecodeEstimateRespFull)
       .get();
 }
 
 EstimatorClient::TracedSubplans EstimatorClient::EstimateSubplansTraced(
     const Query& query, const std::vector<uint64_t>& masks) {
-  return EstimateSubplansTraced(options_.model, query, masks);
-}
-
-EstimatorClient::TracedSubplans EstimatorClient::EstimateSubplansTraced(
-    const std::string& model, const Query& query,
-    const std::vector<uint64_t>& masks) {
   return Call(MsgType::kSubplansReq,
-              EncodeSubplansReq(model, query, masks, /*want_trace=*/true),
+              EncodeSubplansReq(options_.model, query, masks,
+                                /*want_trace=*/true),
               MsgType::kSubplansResp, &DecodeSubplansRespFull)
       .get();
 }
 
 uint64_t EstimatorClient::NotifyUpdate(const std::string& table) {
-  return NotifyUpdate(options_.model, table);
-}
-
-uint64_t EstimatorClient::NotifyUpdate(const std::string& model,
-                                       const std::string& table) {
-  return Call(MsgType::kNotifyUpdateReq, EncodeNotifyUpdateReq(model, table),
+  return Call(MsgType::kNotifyUpdateReq,
+              EncodeNotifyUpdateReq(options_.model, table),
               MsgType::kNotifyUpdateResp, &DecodeNotifyUpdateResp)
       .get();
 }
 
-ServiceStats EstimatorClient::Stats() { return Stats(options_.model); }
-
-ServiceStats EstimatorClient::Stats(const std::string& model) {
-  return Call(MsgType::kStatsReq, EncodeStatsReq(model), MsgType::kStatsResp,
-              &DecodeServiceStats)
+ServiceStats EstimatorClient::Stats() {
+  return Call(MsgType::kStatsReq, EncodeStatsReq(options_.model),
+              MsgType::kStatsResp, &DecodeServiceStats)
       .get();
 }
 

@@ -1,8 +1,10 @@
 // EstimatorClient: the optimizer-process side of remote estimation.
 //
 // Mirrors the EstimatorService API (Estimate, EstimateSubplans,
-// NotifyUpdate, Stats) over one framed socket connection, plus the two
-// things a remote client needs that an in-process service does not:
+// NotifyUpdate, Stats) over one framed socket connection, for one model:
+// every request carries options.model, and a process that talks to several
+// of a server's models holds one client per model. Plus the two things a
+// remote client needs that an in-process service does not:
 //
 //  * Pipelining. Every request assigns an id, registers its completion
 //    callback, and sends without waiting; any number of requests can be
@@ -14,7 +16,7 @@
 //
 //  * Reconnect-on-failure. A lost connection fails every outstanding
 //    request with NetError, and the next request (or an explicit Connect())
-//    dials again — with options.reconnect_attempts × backoff — and re-runs
+//    dials again — kDialAttempts dials, kDialBackoff apart — and re-runs
 //    the protocol handshake. A failed dial or send fails that request the
 //    same way (a future throws from get(); nothing throws from the *Async
 //    call). Requests are never silently retried: a failed NotifyUpdate must
@@ -25,6 +27,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -46,17 +49,14 @@ class RemoteError : public std::runtime_error {
       : std::runtime_error("remote: " + what) {}
 };
 
+/// Dials per (re)connect before the request fails with NetError, and the
+/// pause between two of them.
+inline constexpr int kDialAttempts = 3;
+inline constexpr std::chrono::milliseconds kDialBackoff{50};
+
 struct EstimatorClientOptions {
   Endpoint endpoint;
-  uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Dial attempts per (re)connect before giving up with NetError.
-  int reconnect_attempts = 3;
-  /// Sleep between dial attempts.
-  int reconnect_backoff_ms = 50;
-  /// Model-id stamped on every request issued through the model-less
-  /// method overloads ("" = the server's default model). The per-call
-  /// overloads override it per request — one connection can interleave
-  /// requests to any number of the server's models.
+  /// The model every request addresses ("" = the server's default model).
   std::string model;
 };
 
@@ -70,7 +70,7 @@ class EstimatorClient {
   EstimatorClient& operator=(const EstimatorClient&) = delete;
 
   /// Dials and handshakes if not connected. Throws NetError after
-  /// reconnect_attempts failures and ProtocolError on a handshake the
+  /// kDialAttempts failed dials and ProtocolError on a handshake the
   /// server rejects. Idempotent while connected.
   void Connect();
 
@@ -78,16 +78,6 @@ class EstimatorClient {
   void Disconnect();
 
   bool IsConnected() const { return connected_.load(); }
-
-  /// Pipelined single estimate against options.model. The future throws
-  /// RemoteError (server-side failure) or NetError (dial or send failed, or
-  /// the connection was lost before the response).
-  std::future<double> EstimateAsync(const Query& query);
-  double Estimate(const Query& query);
-  /// Per-call model routing (one connection, many models).
-  std::future<double> EstimateAsync(const std::string& model,
-                                    const Query& query);
-  double Estimate(const std::string& model, const Query& query);
 
   /// Completion hook for drivers that must observe each response the moment
   /// it lands (open-loop load generation): futures can only be harvested in
@@ -103,8 +93,12 @@ class EstimatorClient {
   /// failure is delivered as the error argument; nothing is thrown). Keep
   /// it quick, non-blocking and non-throwing: it runs on the thread that
   /// drains the socket.
-  void EstimateAsync(const std::string& model, const Query& query,
-                     EstimateCallback done);
+  void EstimateAsync(const Query& query, EstimateCallback done);
+  /// Pipelined single estimate. The future throws RemoteError (server-side
+  /// failure) or NetError (dial or send failed, or the connection was lost
+  /// before the response).
+  std::future<double> EstimateAsync(const Query& query);
+  double Estimate(const Query& query);
 
   /// Pipelined batched sub-plan estimates (masks in Query::tables() bit
   /// order, exactly like EstimatorService::EstimateSubplans).
@@ -112,12 +106,6 @@ class EstimatorClient {
       const Query& query, const std::vector<uint64_t>& masks);
   std::unordered_map<uint64_t, double> EstimateSubplans(
       const Query& query, const std::vector<uint64_t>& masks);
-  std::future<std::unordered_map<uint64_t, double>> EstimateSubplansAsync(
-      const std::string& model, const Query& query,
-      const std::vector<uint64_t>& masks);
-  std::unordered_map<uint64_t, double> EstimateSubplans(
-      const std::string& model, const Query& query,
-      const std::vector<uint64_t>& masks);
 
   // ------------------------------------------------------- traced requests
   //
@@ -132,24 +120,17 @@ class EstimatorClient {
   using TracedSubplans = SubplansResp;
 
   TracedEstimate EstimateTraced(const Query& query);
-  TracedEstimate EstimateTraced(const std::string& model, const Query& query);
-
   TracedSubplans EstimateSubplansTraced(const Query& query,
                                         const std::vector<uint64_t>& masks);
-  TracedSubplans EstimateSubplansTraced(const std::string& model,
-                                        const Query& query,
-                                        const std::vector<uint64_t>& masks);
 
-  /// Remote cache invalidation: bumps the addressed model's statistics
-  /// epoch for `table` and returns the new epoch (epochs are per model;
-  /// the estimator mutation itself is server-local — see
+  /// Remote cache invalidation: bumps the model's statistics epoch for
+  /// `table` and returns the new epoch (epochs are per model; the
+  /// estimator mutation itself is server-local — see
   /// docs/ARCHITECTURE.md).
   uint64_t NotifyUpdate(const std::string& table);
-  uint64_t NotifyUpdate(const std::string& model, const std::string& table);
 
-  /// Snapshot of the addressed model's service metrics.
+  /// Snapshot of the model's service metrics.
   ServiceStats Stats();
-  ServiceStats Stats(const std::string& model);
 
  private:
   /// A request's single completion: the response frame (of the expected

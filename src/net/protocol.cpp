@@ -160,10 +160,7 @@ SubplansReq DecodeSubplansReq(const std::vector<uint8_t>& body) {
   req.model = r.Str();
   req.want_trace = DecodeReqFlags(&r);
   req.query = DecodeQuery(&r);
-  uint32_t n = r.U32();
-  if (static_cast<size_t>(n) * 8 > r.remaining()) {
-    throw ProtocolError("mask count exceeds frame");
-  }
+  uint32_t n = r.CountU32(sizeof(uint64_t));
   req.masks.reserve(n);
   for (uint32_t i = 0; i < n; ++i) req.masks.push_back(r.U64());
   r.ExpectEnd();
@@ -191,14 +188,13 @@ std::vector<uint8_t> EncodeSubplansResp(
 SubplansResp DecodeSubplansRespFull(const std::vector<uint8_t>& body) {
   ByteReader r(body);
   SubplansResp resp;
-  uint32_t n = r.U32();
-  if (static_cast<size_t>(n) * 16 > r.remaining()) {
-    throw ProtocolError("estimate count exceeds frame");
-  }
+  uint32_t n = r.CountU32(sizeof(uint64_t) + sizeof(double));
   resp.estimates.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     uint64_t mask = r.U64();
-    resp.estimates[mask] = r.F64();
+    if (!resp.estimates.try_emplace(mask, r.F64()).second) {
+      throw ProtocolError("duplicate sub-plan mask " + std::to_string(mask));
+    }
   }
   resp.has_trace = DecodeRespTrace(&r, &resp.trace);
   r.ExpectEnd();

@@ -173,6 +173,8 @@ struct SubplansResp {
   bool has_trace = false;
   obs::RequestTrace trace;
 };
+/// A mask that appears twice makes the body malformed (ProtocolError): the
+/// server answers each requested mask once.
 SubplansResp DecodeSubplansRespFull(const std::vector<uint8_t>& body);
 /// Estimates only; any attached trace is decoded (validated) and discarded.
 std::unordered_map<uint64_t, double> DecodeSubplansResp(

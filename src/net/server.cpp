@@ -137,10 +137,10 @@ void EstimatorServer::AcceptLoop() {
       continue;  // transient accept failure
     }
     ReapFinished();
-    auto conn = std::make_shared<Connection>(fd, options_.outbox_capacity);
+    auto conn = std::make_shared<Connection>(fd);
     {
       std::lock_guard<std::mutex> lock(connections_mu_);
-      if (connections_.size() >= options_.max_clients) {
+      if (connections_.size() >= kMaxClients) {
         connections_rejected_.fetch_add(1);
         CloseSocket(fd);
         continue;
@@ -163,7 +163,7 @@ void EstimatorServer::ReaderLoop(ConnectionPtr conn) {
   try {
     // Handshake: the first frame must be a kHello with our magic; answer
     // with kHelloAck. A version we don't speak gets a useful error.
-    std::optional<Frame> first = ReadFrame(conn->fd, options_.max_frame_bytes);
+    std::optional<Frame> first = ReadFrame(conn->fd, kDefaultMaxFrameBytes);
     if (first.has_value()) {
       bytes_received_.fetch_add(FrameWireBytes(*first));
       if (first->type != MsgType::kHello) {
@@ -177,7 +177,7 @@ void EstimatorServer::ReaderLoop(ConnectionPtr conn) {
       }
       conn->Send(EncodeFrame(MsgType::kHelloAck, first->request_id,
                              EncodeHello({})));
-      while (auto frame = ReadFrame(conn->fd, options_.max_frame_bytes)) {
+      while (auto frame = ReadFrame(conn->fd, kDefaultMaxFrameBytes)) {
         frames_received_.fetch_add(1);
         bytes_received_.fetch_add(FrameWireBytes(*frame));
         Dispatch(conn, *frame);
@@ -235,82 +235,73 @@ EstimatorService* EstimatorServer::Resolve(const ConnectionPtr& conn,
   return service;
 }
 
+template <typename Req, typename Submit, typename Encode>
+void EstimatorServer::ServeEstimation(const ConnectionPtr& conn,
+                                      const Frame& frame,
+                                      Req (*decode)(const std::vector<uint8_t>&),
+                                      Submit submit, Encode encode,
+                                      MsgType resp_type) {
+  obs::SpanTimer decode_span;
+  Req req = decode(frame.body);
+  uint64_t decode_micros = decode_span.ElapsedMicros();
+  stage_hist_[static_cast<size_t>(obs::Stage::kDecode)].Record(decode_micros);
+  const uint64_t id = frame.request_id;
+  EstimatorService* service = Resolve(conn, id, req.model);
+  if (service == nullptr) return;
+  // A trace-requesting client gets the sink pre-filled with the decode
+  // span; the service's workers add their stages, and the completion adds
+  // encode before sealing the response.
+  std::shared_ptr<obs::RequestTrace> sink;
+  if (req.want_trace) {
+    sink = std::make_shared<obs::RequestTrace>();
+    sink->Add(obs::Stage::kDecode, decode_micros);
+  }
+  auto done = [this, conn, id, sink, encode, resp_type](
+                  auto value, std::exception_ptr error) {
+    if (error != nullptr) {
+      request_errors_.fetch_add(1);
+      SendError(conn, id, ExceptionMessage(std::move(error)));
+      return;
+    }
+    obs::SpanTimer encode_span;
+    std::vector<uint8_t> body = encode(value);
+    uint64_t encode_micros = encode_span.ElapsedMicros();
+    stage_hist_[static_cast<size_t>(obs::Stage::kEncode)].Record(
+        encode_micros);
+    if (sink != nullptr) sink->Add(obs::Stage::kEncode, encode_micros);
+    AppendRespTrace(&body, sink.get());
+    conn->Send(EncodeFrame(resp_type, id, body));
+  };
+  submit(*service, req, std::move(done), std::move(sink));
+}
+
 void EstimatorServer::Dispatch(const ConnectionPtr& conn, const Frame& frame) {
   if (frame.request_id == 0) {
     throw ProtocolError("requests must carry a nonzero request id");
   }
   const uint64_t id = frame.request_id;
   switch (frame.type) {
-    case MsgType::kEstimateReq: {
-      obs::SpanTimer decode_span;
-      EstimateReq req = DecodeEstimateReq(frame.body);
-      uint64_t decode_micros = decode_span.ElapsedMicros();
-      stage_hist_[static_cast<size_t>(obs::Stage::kDecode)].Record(
-          decode_micros);
-      EstimatorService* service = Resolve(conn, id, req.model);
-      if (service == nullptr) return;
-      // A trace-requesting client gets the sink pre-filled with the decode
-      // span; the service's workers add their stages, and the completion
-      // callback below adds encode before sealing the response.
-      std::shared_ptr<obs::RequestTrace> sink;
-      if (req.want_trace) {
-        sink = std::make_shared<obs::RequestTrace>();
-        sink->Add(obs::Stage::kDecode, decode_micros);
-      }
-      service->EstimateAsync(
-          std::move(req.query),
-          [this, conn, id, sink](double estimate, std::exception_ptr error) {
-            if (error != nullptr) {
-              request_errors_.fetch_add(1);
-              SendError(conn, id, ExceptionMessage(std::move(error)));
-              return;
-            }
-            obs::SpanTimer encode_span;
-            std::vector<uint8_t> body = EncodeEstimateRespBody(estimate);
-            uint64_t encode_micros = encode_span.ElapsedMicros();
-            stage_hist_[static_cast<size_t>(obs::Stage::kEncode)].Record(
-                encode_micros);
-            if (sink != nullptr) sink->Add(obs::Stage::kEncode, encode_micros);
-            AppendRespTrace(&body, sink.get());
-            conn->Send(EncodeFrame(MsgType::kEstimateResp, id, body));
+    case MsgType::kEstimateReq:
+      ServeEstimation(
+          conn, frame, &DecodeEstimateReq,
+          [](EstimatorService& service, EstimateReq& req, auto done,
+             auto sink) {
+            service.EstimateAsync(std::move(req.query), std::move(done),
+                                  std::move(sink));
           },
-          sink);
+          &EncodeEstimateRespBody, MsgType::kEstimateResp);
       return;
-    }
-    case MsgType::kSubplansReq: {
-      obs::SpanTimer decode_span;
-      SubplansReq req = DecodeSubplansReq(frame.body);
-      uint64_t decode_micros = decode_span.ElapsedMicros();
-      stage_hist_[static_cast<size_t>(obs::Stage::kDecode)].Record(
-          decode_micros);
-      EstimatorService* service = Resolve(conn, id, req.model);
-      if (service == nullptr) return;
-      std::shared_ptr<obs::RequestTrace> sink;
-      if (req.want_trace) {
-        sink = std::make_shared<obs::RequestTrace>();
-        sink->Add(obs::Stage::kDecode, decode_micros);
-      }
-      service->EstimateSubplansAsync(
-          std::move(req.query), std::move(req.masks),
-          [this, conn, id, sink](std::unordered_map<uint64_t, double> estimates,
-                                 std::exception_ptr error) {
-            if (error != nullptr) {
-              request_errors_.fetch_add(1);
-              SendError(conn, id, ExceptionMessage(std::move(error)));
-              return;
-            }
-            obs::SpanTimer encode_span;
-            std::vector<uint8_t> body = EncodeSubplansRespBody(estimates);
-            uint64_t encode_micros = encode_span.ElapsedMicros();
-            stage_hist_[static_cast<size_t>(obs::Stage::kEncode)].Record(
-                encode_micros);
-            if (sink != nullptr) sink->Add(obs::Stage::kEncode, encode_micros);
-            AppendRespTrace(&body, sink.get());
-            conn->Send(EncodeFrame(MsgType::kSubplansResp, id, body));
+    case MsgType::kSubplansReq:
+      ServeEstimation(
+          conn, frame, &DecodeSubplansReq,
+          [](EstimatorService& service, SubplansReq& req, auto done,
+             auto sink) {
+            service.EstimateSubplansAsync(std::move(req.query),
+                                          std::move(req.masks),
+                                          std::move(done), std::move(sink));
           },
-          sink);
+          &EncodeSubplansRespBody, MsgType::kSubplansResp);
       return;
-    }
     case MsgType::kNotifyUpdateReq: {
       // Remote NotifyUpdate covers the cache-invalidation half of the
       // update protocol; mutating the estimator itself stays a server-local

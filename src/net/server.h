@@ -8,31 +8,34 @@
 //                                        ▼                 (async, worker)
 //                                     socket
 //
-// One TCP (or Unix-domain) listener, N concurrent client connections, any
-// number of named models: every request carries a model-id (protocol v2)
-// that the dispatcher resolves through the registry — "" routes to the
-// default model, an unknown name is a per-request kError (the connection
-// survives). The single-service constructor keeps the one-model deployment
-// trivial by wrapping the service in an internal registry.
+// One TCP (or Unix-domain) listener, up to kMaxClients concurrent client
+// connections, any number of named models: every request carries a
+// model-id (protocol v2) that the dispatcher resolves through the registry
+// — "" routes to the default model, an unknown name is a per-request kError
+// (the connection survives). A client addresses one model, but routing is
+// per request, so nothing ties a connection to a model. The single-service
+// constructor keeps the one-model deployment trivial by wrapping the
+// service in an internal registry.
 //
 // Each connection gets a reader thread (frame decode + dispatch) and a
-// writer thread (response frames). Estimation is dispatched through the
-// resolved service's callback variants of EstimateAsync /
-// EstimateSubplansAsync, so decoding the next request never blocks on
-// estimating the previous one, and responses are written in *completion*
-// order with request-id correlation — a pipelined client keeps every
-// service worker busy from a single connection.
+// writer thread (response frames). Both estimation kinds are served by one
+// path (ServeEstimation) through the resolved service's callback API, so
+// decoding the next request never blocks on estimating the previous one,
+// and responses are written in *completion* order with request-id
+// correlation — a pipelined client keeps every service worker busy from a
+// single connection.
 //
 // Back-pressure composes: the service's bounded queue blocks the reader
 // thread when the pool is saturated (stalling that client's decode, not
-// other connections), and each connection's bounded outbox drops responses
-// only after the peer stopped reading and the connection is being torn
-// down.
+// other connections), and each connection's outbox holds kOutboxCapacity
+// responses, so a client that stops reading blocks the workers serving it
+// until the connection is torn down.
 //
-// Failure containment: a malformed or oversized frame terminates only the
-// offending connection (after a best-effort connection-level kError); an
-// estimator exception is returned as a per-request kError. Neither crashes
-// the server or affects other clients.
+// Failure containment: a malformed frame, or one longer than
+// kDefaultMaxFrameBytes, terminates only the offending connection (after a
+// best-effort connection-level kError); an estimator exception is returned
+// as a per-request kError. Neither crashes the server or affects other
+// clients.
 #pragma once
 
 #include <array>
@@ -54,18 +57,17 @@
 
 namespace fj::net {
 
+/// Connections beyond this many open ones are accepted and closed at once.
+inline constexpr size_t kMaxClients = 64;
+/// Encoded responses queued per connection; a service worker completing a
+/// request blocks on a full outbox (slow-client back-pressure) until the
+/// writer drains it or the connection closes.
+inline constexpr size_t kOutboxCapacity = 1024;
+
 struct EstimatorServerOptions {
   /// Listen address. TCP port 0 binds an ephemeral port — read it back via
   /// port() after Start(). Set endpoint.unix_path for a Unix-domain socket.
   Endpoint endpoint;
-  /// Connections beyond this are accepted and immediately closed.
-  size_t max_clients = 64;
-  /// Frames with a larger length prefix are rejected (protocol error).
-  uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Encoded responses buffered per connection before the writer drains
-  /// them; service workers block on a full outbox (slow-client
-  /// back-pressure) until the connection closes.
-  size_t outbox_capacity = 1024;
 };
 
 /// Monotonic counters; `connections_active` is a gauge.
@@ -178,8 +180,7 @@ class EstimatorServer {
   // arriving after disconnect finds a live (if closed) outbox instead of a
   // dangling pointer.
   struct Connection {
-    explicit Connection(int fd_in, size_t outbox_capacity)
-        : fd(fd_in), outbox(outbox_capacity) {}
+    explicit Connection(int fd_in) : fd(fd_in), outbox(kOutboxCapacity) {}
     int fd;
     MpmcQueue<std::vector<uint8_t>> outbox;
     std::thread reader;
@@ -200,6 +201,12 @@ class EstimatorServer {
   /// Handles one decoded request frame; throws ProtocolError upward on
   /// malformed bodies.
   void Dispatch(const ConnectionPtr& conn, const Frame& frame);
+  /// Serves an estimation request of either kind; only the body decoder,
+  /// the service call (`submit`) and the value encoder differ between them.
+  template <typename Req, typename Submit, typename Encode>
+  void ServeEstimation(const ConnectionPtr& conn, const Frame& frame,
+                       Req (*decode)(const std::vector<uint8_t>&),
+                       Submit submit, Encode encode, MsgType resp_type);
   void SendError(const ConnectionPtr& conn, uint64_t request_id,
                  const std::string& message);
   /// Resolves a request's model id against the registry; on an unknown

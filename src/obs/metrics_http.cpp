@@ -1,12 +1,43 @@
 #include "obs/metrics_http.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 
+#include <chrono>
 #include <stdexcept>
 #include <utility>
 
 namespace fj::obs {
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// How long one connection may take to deliver its request, and then to
+/// take its response. The endpoint serves connections one at a time, so
+/// without a bound a peer that connects and stays silent would hold back
+/// every other scrape and Stop().
+constexpr std::chrono::seconds kIoDeadline{1};
+
+/// Waits until `fd` is ready for `events`; false once `deadline` passes or
+/// the poll fails.
+bool WaitReady(int fd, short events, Clock::time_point deadline) {
+  auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
+  pollfd p{fd, events, 0};
+  return left.count() > 0 &&
+         ::poll(&p, 1, static_cast<int>(left.count())) > 0;
+}
+
+/// Writes as much of `data` as the peer takes before `deadline`.
+void SendBefore(int fd, const std::string& data, Clock::time_point deadline) {
+  size_t sent = 0;
+  while (sent < data.size() && WaitReady(fd, POLLOUT, deadline)) {
+    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
+                       MSG_DONTWAIT);
+    if (n <= 0) return;
+    sent += static_cast<size_t>(n);
+  }
+}
 
 std::string HttpResponse(const char* status, const char* content_type,
                          const std::string& body) {
@@ -79,14 +110,16 @@ void MetricsHttpServer::ServeLoop() {
 }
 
 void MetricsHttpServer::HandleConnection(int fd) {
-  // Read until the end of the request headers (or 8 KB / EOF — a scraper
-  // that sends more than that is not one we serve). Only the request line
-  // matters; headers are discarded.
+  // Read until the end of the request headers (or 8 KB / EOF / the
+  // deadline — a scraper that sends more, or slower, is not one we serve).
+  // Only the request line matters; headers are discarded.
+  const Clock::time_point read_deadline = Clock::now() + kIoDeadline;
   std::string request;
   char buf[1024];
   while (request.size() < 8192 &&
-         request.find("\r\n\r\n") == std::string::npos) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+         request.find("\r\n\r\n") == std::string::npos &&
+         WaitReady(fd, POLLIN, read_deadline)) {
+    ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
     if (n <= 0) break;
     request.append(buf, static_cast<size_t>(n));
   }
@@ -128,7 +161,7 @@ void MetricsHttpServer::HandleConnection(int fd) {
     response = HttpResponse("405 Method Not Allowed", "text/plain",
                             "GET only\n");
   }
-  net::SendAll(fd, response.data(), response.size());
+  SendBefore(fd, response, Clock::now() + kIoDeadline);
 }
 
 }  // namespace fj::obs

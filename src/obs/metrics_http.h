@@ -8,6 +8,9 @@
 //
 // Deliberately tiny: one accept thread handling connections serially,
 // Connection: close on every response, request headers read and discarded.
+// A connection gets one second to deliver its request and one second to
+// take its response, so a peer that connects and stays silent delays the
+// next scrape (and Stop()) by at most a second.
 // A metrics scrape is a once-per-15s curl, not a serving path — anything
 // fancier (keep-alive, pipelining, TLS) belongs in a real reverse proxy in
 // front. The listener reuses net/socket.h, so `--metrics-port 0` binds an

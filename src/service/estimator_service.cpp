@@ -52,7 +52,7 @@ EstimatorService::EstimatorService(const CardinalityEstimator& estimator,
                                    EstimatorServiceOptions options)
     : estimator_(estimator),
       options_(options),
-      cache_(options.cache_capacity, options.cache_shards, &epochs_),
+      cache_(options.cache_capacity, kCacheShards, &epochs_),
       queue_(options.queue_capacity),
       slow_log_(options.slow_request_micros, options.slow_log_sink,
                 options.model_name) {

@@ -62,10 +62,9 @@ struct EstimatorServiceOptions {
   size_t num_threads = 4;
   /// Bounded request queue length; submitters block while it is full.
   size_t queue_capacity = 1024;
-  /// Total cached sub-plan estimates across all shards.
+  /// Total cached sub-plan estimates across the cache's kCacheShards
+  /// shards.
   size_t cache_capacity = 1 << 16;
-  /// Cache shards (rounded up to a power of two).
-  size_t cache_shards = 16;
   /// Disable to measure raw estimator throughput.
   bool cache_enabled = true;
   /// Batch-aware scheduling: every batch's misses run in one estimator

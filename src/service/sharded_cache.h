@@ -43,6 +43,9 @@ struct CacheStats {
   }
 };
 
+/// Shards of the service's estimate cache (EstimatorService).
+inline constexpr size_t kCacheShards = 16;
+
 class ShardedEstimateCache {
  public:
   /// `capacity` is the total entry budget, split evenly across `num_shards`
@@ -50,7 +53,8 @@ class ShardedEstimateCache {
   /// `epochs`, when given (not owned, must outlive the cache), enables
   /// staleness checks against the registry's per-table epochs; without it
   /// entries never go stale (the pre-invalidation behavior).
-  explicit ShardedEstimateCache(size_t capacity, size_t num_shards = 16,
+  explicit ShardedEstimateCache(size_t capacity,
+                                size_t num_shards = kCacheShards,
                                 const TableEpochRegistry* epochs = nullptr);
 
   ShardedEstimateCache(const ShardedEstimateCache&) = delete;

@@ -126,19 +126,15 @@ void InProcessTarget::Finish() {
 }
 
 RemoteTarget::RemoteTarget(net::EstimatorClient* client,
-                           std::vector<std::string> table_names,
-                           std::string model)
-    : client_(client),
-      table_names_(std::move(table_names)),
-      model_(std::move(model)) {}
+                           std::vector<std::string> table_names)
+    : client_(client), table_names_(std::move(table_names)) {}
 
 void RemoteTarget::SubmitRead(const Query& query, ReadDone done) {
   outstanding_.fetch_add(1, std::memory_order_relaxed);
   // The client's callback hook never throws and runs `done` exactly once
   // (connection failures arrive as the error argument).
   client_->EstimateAsync(
-      model_, query,
-      [this, done = std::move(done)](double, std::exception_ptr err) {
+      query, [this, done = std::move(done)](double, std::exception_ptr err) {
         done(err);
         Finish();
       });
@@ -148,8 +144,7 @@ void RemoteTarget::ApplyUpdate(const LoadOp& op) {
   if (table_names_.empty()) return;
   // The wire protocol cannot ship row deltas yet (ROADMAP "replicated
   // updates"), so a remote update op exercises the invalidation half only.
-  client_->NotifyUpdate(model_,
-                        table_names_[op.index % table_names_.size()]);
+  client_->NotifyUpdate(table_names_[op.index % table_names_.size()]);
 }
 
 void RemoteTarget::AwaitIdle() {

@@ -104,11 +104,11 @@ class InProcessTarget : public LoadTarget {
 /// half, which is the part that shows up in serving latency.
 class RemoteTarget : public LoadTarget {
  public:
-  /// `client` must outlive the target. `table_names` maps update-op table
-  /// indices (db order on the generating side); `model` routes requests
-  /// ("" = the server's default model).
+  /// `client` must outlive the target; its options.model names the model
+  /// every op addresses. `table_names` maps update-op table indices (db
+  /// order on the generating side).
   RemoteTarget(net::EstimatorClient* client,
-               std::vector<std::string> table_names, std::string model = {});
+               std::vector<std::string> table_names);
 
   void SubmitRead(const Query& query, ReadDone done) override;
   void ApplyUpdate(const LoadOp& op) override;
@@ -119,7 +119,6 @@ class RemoteTarget : public LoadTarget {
 
   net::EstimatorClient* client_;
   std::vector<std::string> table_names_;
-  std::string model_;
 
   std::atomic<uint64_t> outstanding_{0};
   std::mutex mu_;

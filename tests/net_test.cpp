@@ -306,9 +306,36 @@ TEST(ProtocolTest, SubplansReqMaskCountValidated) {
   q.AddTable("t");
   ByteWriter w;
   w.Str("some-model");
+  w.U8(0);  // flags
   EncodeQuery(q, &w);
   w.U32(1u << 30);  // claims 2^30 masks with no bytes behind them
-  EXPECT_THROW(net::DecodeSubplansReq(w.bytes()), ProtocolError);
+  try {
+    net::DecodeSubplansReq(w.bytes());
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("count"), std::string::npos)
+        << e.what();
+  }
+}
+
+// The server answers each requested mask once, so a response naming a mask
+// twice is malformed; a request may repeat a mask.
+TEST(ProtocolTest, SubplansRespRejectsARepeatedMask) {
+  ByteWriter w;
+  w.U32(2);
+  w.U64(3);
+  w.F64(7.0);
+  w.U64(3);
+  w.F64(99.0);
+  w.U8(0);  // no trace
+  EXPECT_THROW(net::DecodeSubplansResp(w.bytes()), ProtocolError);
+  EXPECT_THROW(net::DecodeSubplansRespFull(w.bytes()), ProtocolError);
+
+  Query q;
+  q.AddTable("t");
+  net::SubplansReq req =
+      net::DecodeSubplansReq(net::EncodeSubplansReq("", q, {1, 1}));
+  EXPECT_EQ(req.masks, (std::vector<uint64_t>{1, 1}));
 }
 
 TEST(ProtocolTest, RequestBodiesCarryTheModelId) {
@@ -765,8 +792,6 @@ TEST(RemoteTest, ClientReconnectsAfterServerRestart) {
 
   EstimatorClientOptions client_options;
   client_options.endpoint.port = port;
-  client_options.reconnect_attempts = 2;
-  client_options.reconnect_backoff_ms = 10;
   EstimatorClient client(client_options);
   Query q = ChainQuery(30, 250);
   EXPECT_EQ(client.Estimate(q), estimator.Estimate(q));
@@ -796,7 +821,6 @@ struct MultiModelStack {
   FactorJoinEstimator trained_a;  // reference models, served via snapshots
   FactorJoinEstimator trained_b;
   net::EstimatorServer server;
-  std::unique_ptr<EstimatorClient> client;
 
   static FactorJoinConfig Config(uint32_t bins) {
     FactorJoinConfig c;
@@ -814,33 +838,35 @@ struct MultiModelStack {
                                db, SerializeEstimator(trained_b)),
                       {.num_threads = 2});
     server.Start();
-    EstimatorClientOptions options;
-    options.endpoint = server.endpoint();
-    client = std::make_unique<EstimatorClient>(options);
-    client->Connect();
+  }
+
+  /// A client addressing `model` over its own connection.
+  std::unique_ptr<EstimatorClient> Client(const std::string& model) {
+    return std::make_unique<EstimatorClient>(
+        EstimatorClientOptions{server.endpoint(), model});
   }
 };
 
 TEST(MultiModelTest, RequestsRouteToTheNamedModel) {
   MultiModelStack stack;
   Query q = ChainQuery(30, 250);
-  double a = stack.client->Estimate("a", q);
-  double b = stack.client->Estimate("b", q);
+  double a = stack.Client("a")->Estimate(q);
+  double b = stack.Client("b")->Estimate(q);
   EXPECT_EQ(a, stack.trained_a.Estimate(q));
   EXPECT_EQ(b, stack.trained_b.Estimate(q));
   // 16-bin and 48-bin models genuinely differ on this workload, so the
   // routing assertion cannot pass by accident.
   EXPECT_NE(a, b);
   // "" routes to the default (first-registered) model.
-  EXPECT_EQ(stack.client->Estimate("", q), a);
+  EXPECT_EQ(stack.Client("")->Estimate(q), a);
 }
 
 TEST(MultiModelTest, SubplansPerModelBitIdentical) {
   MultiModelStack stack;
   Query q = ChainQuery(25, 300);
   std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
-  auto remote_a = stack.client->EstimateSubplans("a", q, masks);
-  auto remote_b = stack.client->EstimateSubplans("b", q, masks);
+  auto remote_a = stack.Client("a")->EstimateSubplans(q, masks);
+  auto remote_b = stack.Client("b")->EstimateSubplans(q, masks);
   auto local_a = stack.trained_a.EstimateSubplans(q, masks);
   auto local_b = stack.trained_b.EstimateSubplans(q, masks);
   for (uint64_t mask : masks) {
@@ -852,27 +878,63 @@ TEST(MultiModelTest, SubplansPerModelBitIdentical) {
 TEST(MultiModelTest, UnknownModelIsARequestErrorNotADrop) {
   MultiModelStack stack;
   Query q = ChainQuery(30, 250);
-  try {
-    stack.client->Estimate("nope", q);
-    FAIL() << "expected RemoteError";
-  } catch (const RemoteError& e) {
-    std::string message = e.what();
-    EXPECT_NE(message.find("unknown model"), std::string::npos);
-    EXPECT_NE(message.find("a, b"), std::string::npos);  // lists the models
+  std::unique_ptr<EstimatorClient> nope = stack.Client("nope");
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    try {
+      nope->Estimate(q);
+      FAIL() << "expected RemoteError";
+    } catch (const RemoteError& e) {
+      std::string message = e.what();
+      EXPECT_NE(message.find("unknown model"), std::string::npos);
+      EXPECT_NE(message.find("a, b"), std::string::npos);  // lists the models
+    }
+    // The connection survives the per-request error.
+    EXPECT_TRUE(nope->IsConnected());
   }
-  // The connection survives; correctly addressed requests still work.
-  EXPECT_EQ(stack.client->Estimate("a", q), stack.trained_a.Estimate(q));
-  EXPECT_GE(stack.server.Stats().request_errors, 1u);
+  EXPECT_THROW(nope->Stats(), RemoteError);
+  EXPECT_EQ(stack.server.Stats().connections_accepted, 1u);
+  EXPECT_GE(stack.server.Stats().request_errors, 3u);
+}
+
+// Routing is per request, not per connection: on one raw connection an
+// unknown model id fails only its own request, and the next requests reach
+// the models they name.
+TEST(MultiModelTest, OneConnectionRoutesEachRequest) {
+  MultiModelStack stack;
+  Query q = ChainQuery(30, 250);
+  int fd = net::ConnectSocket(stack.server.endpoint());
+  ASSERT_TRUE(net::WriteFrame(fd, MsgType::kHello, 0, net::EncodeHello({})));
+  ASSERT_TRUE(net::ReadFrame(fd, net::kDefaultMaxFrameBytes).has_value());
+  auto estimate = [&](uint64_t id, const std::string& model) {
+    EXPECT_TRUE(net::WriteFrame(fd, MsgType::kEstimateReq, id,
+                                net::EncodeEstimateReq(model, q)));
+    Frame resp = net::ReadFrame(fd, net::kDefaultMaxFrameBytes).value();
+    EXPECT_EQ(resp.request_id, id);
+    return resp;
+  };
+  Frame unknown = estimate(1, "nope");
+  EXPECT_EQ(unknown.type, MsgType::kError);
+  EXPECT_NE(net::DecodeError(unknown.body).find("unknown model"),
+            std::string::npos);
+  Frame a = estimate(2, "a");
+  ASSERT_EQ(a.type, MsgType::kEstimateResp);
+  EXPECT_EQ(net::DecodeEstimateResp(a.body), stack.trained_a.Estimate(q));
+  Frame b = estimate(3, "b");
+  ASSERT_EQ(b.type, MsgType::kEstimateResp);
+  EXPECT_EQ(net::DecodeEstimateResp(b.body), stack.trained_b.Estimate(q));
+  net::CloseSocket(fd);
 }
 
 TEST(MultiModelTest, EpochsAndStatsArePerModel) {
   MultiModelStack stack;
   Query q = ChainQuery(30, 250);
-  stack.client->Estimate("a", q);
-  stack.client->Estimate("b", q);
-  EXPECT_EQ(stack.client->NotifyUpdate("a", "orders"), 1u);
-  ServiceStats stats_a = stack.client->Stats("a");
-  ServiceStats stats_b = stack.client->Stats("b");
+  std::unique_ptr<EstimatorClient> a = stack.Client("a");
+  std::unique_ptr<EstimatorClient> b = stack.Client("b");
+  a->Estimate(q);
+  b->Estimate(q);
+  EXPECT_EQ(a->NotifyUpdate("orders"), 1u);
+  ServiceStats stats_a = a->Stats();
+  ServiceStats stats_b = b->Stats();
   EXPECT_EQ(stats_a.epoch, 1u);
   EXPECT_EQ(stats_b.epoch, 0u);  // "b" never saw the update
   EXPECT_EQ(stats_a.requests, 1u);
@@ -880,7 +942,7 @@ TEST(MultiModelTest, EpochsAndStatsArePerModel) {
 }
 
 // ---------------------------------------------------------------------------
-// Client completion callbacks: EstimateAsync(model, query, done).
+// Client completion callbacks: EstimateAsync(query, done).
 
 // Records each request's callback runs (count, value, error) and waits
 // until every request has completed.
@@ -925,7 +987,7 @@ TEST(ClientCallbackTest, DeliversValuesAndServerErrors) {
   queries.push_back(disconnected);
   Completions done(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    stack.client->EstimateAsync("", queries[i], done.For(i));
+    stack.client->EstimateAsync(queries[i], done.For(i));
   }
   ASSERT_TRUE(done.WaitAll());
   std::lock_guard<std::mutex> lock(done.mu);
@@ -946,7 +1008,6 @@ TEST(ClientCallbackTest, FailedDialCompletesOnTheCallingThread) {
   EstimatorClientOptions options;
   options.endpoint.unix_path =
       "/tmp/fj_net_test_nobody_" + std::to_string(::getpid()) + ".sock";
-  options.reconnect_attempts = 1;
   EstimatorClient client(options);
   Query q = ChainQuery(30, 250);
 
@@ -958,7 +1019,7 @@ TEST(ClientCallbackTest, FailedDialCompletesOnTheCallingThread) {
     ran_on = std::this_thread::get_id();
     error = std::move(e);
   };
-  EXPECT_NO_THROW(client.EstimateAsync("", q, done));
+  EXPECT_NO_THROW(client.EstimateAsync(q, done));
   ASSERT_EQ(calls.load(), 1);
   EXPECT_EQ(ran_on, std::this_thread::get_id());
   EXPECT_THROW(std::rethrow_exception(error), NetError);
@@ -980,7 +1041,7 @@ TEST(RemoteTest, LostConnectionFailsOutstandingFutures) {
   Completions done(queries.size());
   std::vector<std::future<double>> futures;
   for (size_t i = 0; i < queries.size(); ++i) {
-    stack.client->EstimateAsync("", queries[i], done.For(i));
+    stack.client->EstimateAsync(queries[i], done.For(i));
     futures.push_back(stack.client->EstimateAsync(queries[i]));
   }
   stack.server.Stop();

@@ -11,8 +11,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <future>
 #include <random>
 #include <string>
 #include <thread>
@@ -509,9 +511,8 @@ TEST(MetricsRegistryTest, EscapesLabelValues) {
 
 // ----------------------------------------------------------- http endpoint
 
-/// One blocking HTTP/1.0 GET against 127.0.0.1:port; returns the raw
-/// response (headers + body).
-std::string HttpGet(uint16_t port, const std::string& path) {
+/// A TCP connection to 127.0.0.1:port.
+int ConnectTo(uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -520,6 +521,13 @@ std::string HttpGet(uint16_t port, const std::string& path) {
   EXPECT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
+  return fd;
+}
+
+/// One blocking HTTP/1.0 GET against 127.0.0.1:port; returns the raw
+/// response (headers + body).
+std::string HttpGet(uint16_t port, const std::string& path) {
+  int fd = ConnectTo(port);
   std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
   EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
             static_cast<ssize_t>(request.size()));
@@ -558,6 +566,44 @@ TEST(MetricsHttpServerTest, ServesScrapesAndRejectsUnknownPaths) {
   EXPECT_EQ(server.scrapes(), 2u);
   server.Stop();
   server.Stop();  // idempotent
+}
+
+/// A peer that connects and never sends a byte; closes on destruction.
+struct SilentPeer {
+  explicit SilentPeer(uint16_t port) : fd(ConnectTo(port)) {
+    // Long enough for the serving thread to accept this connection before
+    // the test's next one.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  ~SilentPeer() { ::close(fd); }
+  int fd;
+};
+
+// Connections are served one at a time, so a connection that stays silent
+// must give way within the request deadline: to the next scrape, and to
+// Stop().
+TEST(MetricsHttpServerTest, SilentConnectionHoldsNeitherScrapesNorStop) {
+  MetricsRegistry registry;
+  MetricsHttpServer server(registry, MetricsHttpOptions{});
+  server.AddHandler("/healthz", [] {
+    return HttpHandlerResult{200, "text/plain", "ok\n"};
+  });
+  server.Start();
+  // Declared before the silent peers, so that on a failed check the peers
+  // close first and the waiting tasks finish instead of hanging the test.
+  std::future<std::string> health;
+  std::future<void> stopped;
+  SilentPeer first(server.port());
+  health = std::async(std::launch::async,
+                      [&] { return HttpGet(server.port(), "/healthz"); });
+  ASSERT_EQ(health.wait_for(std::chrono::seconds(4)),
+            std::future_status::ready);
+  EXPECT_NE(health.get().find("HTTP/1.0 200"), std::string::npos);
+
+  SilentPeer second(server.port());
+  stopped = std::async(std::launch::async, [&] { server.Stop(); });
+  EXPECT_EQ(stopped.wait_for(std::chrono::seconds(4)),
+            std::future_status::ready);
 }
 
 }  // namespace

@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
       client.Connect();
       std::printf("fj_loadgen: connected to %s\n",
                   client_options.endpoint.ToString().c_str());
-      fj::RemoteTarget target(&client, workload->db.TableNames(), args.model);
+      fj::RemoteTarget target(&client, workload->db.TableNames());
       result = fj::RunOpenLoop(trace, workload->queries, &target);
     } else {
       fj::FactorJoinConfig config;
