@@ -12,12 +12,7 @@ Relation ScanFilter(const Database& db, const std::string& table_name,
                     ExecStats* stats) {
   const Table& table = db.GetTable(table_name);
   Relation rel({alias});
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (EvalRow(table, filter, r)) {
-      uint32_t id = static_cast<uint32_t>(r);
-      rel.Append(&id);
-    }
-  }
+  *rel.mutable_data() = EvalSelection(table, filter);  // one id per tuple
   if (stats != nullptr) stats->rows_scanned += table.num_rows();
   return rel;
 }

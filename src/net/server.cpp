@@ -102,8 +102,11 @@ ServerStats EstimatorServer::Stats() const {
     stats.stages[i] = stage_hist_[i].Snapshot();
   }
   {
+    // A closed connection stays listed until the next accept reaps it.
     std::lock_guard<std::mutex> lock(connections_mu_);
-    stats.connections_active = connections_.size();
+    for (const ConnectionPtr& conn : connections_) {
+      if (!conn->done.load()) ++stats.connections_active;
+    }
   }
   return stats;
 }

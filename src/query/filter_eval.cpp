@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string_view>
 
 #include "util/like_match.h"
 
@@ -110,7 +112,8 @@ bool EvalRow(const Table& table, const Predicate& pred, size_t r) {
 }
 
 CompiledPredicate::CompiledPredicate(const Table& table,
-                                     const Predicate& pred) {
+                                     const Predicate& pred)
+    : num_rows_(table.num_rows()) {
   nodes_.reserve(4);
   Compile(table, pred);
 }
@@ -170,7 +173,9 @@ uint32_t CompiledPredicate::Compile(const Table& table, const Predicate& pred) {
         resolve(*n.col, lit, CmpOp::kEq, &i, &d, &unused);
         if (n.col->type() == ColumnType::kDouble) {
           n.set_doubles.push_back(d);
-        } else {
+        } else if (n.col->type() == ColumnType::kInt64 || i >= 0) {
+          // A string literal absent from the dictionary (code -1) can never
+          // match (CompareLeaf's `code >= 0` guard), so it is dropped.
           n.set_ints.push_back(i);
         }
       }
@@ -206,9 +211,36 @@ uint32_t CompiledPredicate::Compile(const Table& table, const Predicate& pred) {
       n.child_begin = static_cast<uint32_t>(children_.size());
       n.child_count = static_cast<uint32_t>(kids.size());
       children_.insert(children_.end(), kids.begin(), kids.end());
+      // OR keeps four block buffers (child hits, rows left, matches so far
+      // and the merge target), NOT one (its child's hits).
+      if (pred.kind() != Kind::kAnd) {
+        n.scratch = static_cast<uint32_t>(scratch_.size());
+        scratch_.resize(scratch_.size() +
+                        (pred.kind() == Kind::kOr ? 4 : 1) * kBlockRows);
+      }
       break;
     }
   }
+  // String leaves that compare text are decided once per dictionary code.
+  bool by_code = false;
+  if (n.col != nullptr && n.col->type() == ColumnType::kString) {
+    switch (n.kind) {
+      case Kind::kCompare:
+        by_code = n.op != CmpOp::kEq && n.op != CmpOp::kNe;
+        break;
+      case Kind::kBetween:
+        by_code = true;
+        break;
+      case Kind::kLike:
+      case Kind::kNotLike:
+        by_code = n.like_class != LikeClass::kAnyText &&
+                  n.like_class != LikeClass::kExact;
+        break;
+      default:
+        break;
+    }
+  }
+  if (by_code) n.memo.assign(n.col->pool()->size(), 0);
   nodes_[idx] = std::move(n);
   return idx;
 }
@@ -270,35 +302,6 @@ void CompiledPredicate::ClassifyLike(const std::string& pattern,
   }
 }
 
-bool CompiledPredicate::EvalLike(const Node& n, size_t r) const {
-  const Column& col = *n.col;
-  switch (n.like_class) {
-    case LikeClass::kAnyText:
-      return true;
-    case LikeClass::kExact:
-      return n.i >= 0 && col.IntAt(r) == n.i;
-    case LikeClass::kPrefix: {
-      const std::string& s = col.StringAt(r);
-      return std::string_view(s).starts_with(n.text);
-    }
-    case LikeClass::kSuffix: {
-      const std::string& s = col.StringAt(r);
-      return std::string_view(s).ends_with(n.text);
-    }
-    case LikeClass::kContains:
-      return col.StringAt(r).find(n.text) != std::string::npos;
-    case LikeClass::kEdges: {
-      const std::string& s = col.StringAt(r);
-      return s.size() >= n.text.size() + n.text_hi.size() &&
-             std::string_view(s).starts_with(n.text) &&
-             std::string_view(s).ends_with(n.text_hi);
-    }
-    case LikeClass::kGenericLike:
-      return LikeMatch(col.StringAt(r), n.text);
-  }
-  return false;
-}
-
 int CompiledPredicate::EvalCost(uint32_t idx) const {
   using Kind = Predicate::Kind;
   const Node& n = nodes_[idx];
@@ -344,171 +347,327 @@ int CompiledPredicate::EvalCost(uint32_t idx) const {
   return 100;
 }
 
-bool CompiledPredicate::EvalCompare(const Node& n, size_t r) const {
-  const Column& col = *n.col;
-  if (col.IsNull(r)) return false;
-  switch (col.type()) {
-    case ColumnType::kString: {
-      if (n.op == CmpOp::kEq || n.op == CmpOp::kNe) {
-        bool eq = n.i >= 0 && col.IntAt(r) == n.i;
-        return n.op == CmpOp::kEq ? eq : !eq;
-      }
-      int cmp = col.StringAt(r).compare(n.text);
-      switch (n.op) {
-        case CmpOp::kLt: return cmp < 0;
-        case CmpOp::kLe: return cmp <= 0;
-        case CmpOp::kGt: return cmp > 0;
-        case CmpOp::kGe: return cmp >= 0;
-        default: return false;
-      }
-    }
-    case ColumnType::kDouble: {
-      double v = col.DoubleAt(r);
-      switch (n.op) {
-        case CmpOp::kEq: return v == n.d;
-        case CmpOp::kNe: return v != n.d;
-        case CmpOp::kLt: return v < n.d;
-        case CmpOp::kLe: return v <= n.d;
-        case CmpOp::kGt: return v > n.d;
-        case CmpOp::kGe: return v >= n.d;
-      }
-      return false;
-    }
-    case ColumnType::kInt64: {
-      int64_t v = col.IntAt(r);
-      switch (n.op) {
-        case CmpOp::kEq: return v == n.i;
-        case CmpOp::kNe: return v != n.i;
-        case CmpOp::kLt: return v < n.i;
-        case CmpOp::kLe: return v <= n.i;
-        case CmpOp::kGt: return v > n.i;
-        case CmpOp::kGe: return v >= n.i;
-      }
-      return false;
-    }
+namespace {
+
+// One pass over a block: keeps the rows for which `test` holds, in order.
+// `out` may be `rows`: entry j is read before any write at an index <= j.
+template <typename Test>
+size_t Keep(const uint32_t* rows, size_t n, uint32_t* out, Test test) {
+  size_t k = 0;
+  for (size_t j = 0; j < n; ++j) {
+    uint32_t r = rows[j];
+    out[k] = r;
+    k += test(r) ? 1 : 0;
   }
-  return false;
+  return k;
 }
 
-bool CompiledPredicate::EvalNode(uint32_t idx, size_t r) const {
-  using Kind = Predicate::Kind;
-  const Node& n = nodes_[idx];
-  switch (n.kind) {
-    case Kind::kTrue:
-      return true;
-    case Kind::kCompare:
-      return EvalCompare(n, r);
-    case Kind::kBetween: {
-      const Column& col = *n.col;
-      if (col.IsNull(r)) return false;
-      switch (col.type()) {
-        case ColumnType::kString: {
-          const std::string& v = col.StringAt(r);
-          return v.compare(n.text) >= 0 && v.compare(n.text_hi) <= 0;
-        }
-        case ColumnType::kDouble: {
-          double v = col.DoubleAt(r);
-          return v >= n.d && v <= n.d_hi;
-        }
-        case ColumnType::kInt64: {
-          int64_t v = col.IntAt(r);
-          return v >= n.i && v <= n.i_hi;
-        }
-      }
-      return false;
-    }
-    case Kind::kIn: {
-      const Column& col = *n.col;
-      if (col.IsNull(r)) return false;
-      if (col.type() == ColumnType::kDouble) {
-        double v = col.DoubleAt(r);
-        for (double x : n.set_doubles) {
-          if (v == x) return true;
-        }
-        return false;
-      }
-      int64_t v = col.IntAt(r);  // value, or dictionary code for strings
-      if (col.type() == ColumnType::kString) {
-        // A code of -1 marks a literal absent from the dictionary: it can
-        // never match (CompareLeaf's `code >= 0` guard).
-        for (int64_t x : n.set_ints) {
-          if (x >= 0 && v == x) return true;
-        }
-        return false;
-      }
-      for (int64_t x : n.set_ints) {
-        if (v == x) return true;
-      }
-      return false;
-    }
-    case Kind::kLike: {
-      const Column& col = *n.col;
-      if (col.IsNull(r) || col.type() != ColumnType::kString) return false;
-      return EvalLike(n, r);
-    }
-    case Kind::kNotLike: {
-      const Column& col = *n.col;
-      if (col.IsNull(r) || col.type() != ColumnType::kString) return false;
-      return !EvalLike(n, r);
-    }
-    case Kind::kIsNull:
-      return n.col->IsNull(r);
-    case Kind::kIsNotNull:
-      return !n.col->IsNull(r);
-    case Kind::kAnd:
-      for (uint32_t c = 0; c < n.child_count; ++c) {
-        if (!EvalNode(children_[n.child_begin + c], r)) return false;
-      }
-      return true;
-    case Kind::kOr:
-      for (uint32_t c = 0; c < n.child_count; ++c) {
-        if (EvalNode(children_[n.child_begin + c], r)) return true;
-      }
-      return false;
-    case Kind::kNot:
-      return !EvalNode(children_[n.child_begin], r);
+// Rows whose non-null value compares `op` to `x`; `ints` is the column's
+// code array (kNullInt64 marks a null) and `vals` its values.
+template <typename T>
+size_t KeepCompare(const uint32_t* rows, size_t n, uint32_t* out,
+                   const int64_t* ints, const T* vals, CmpOp op, T x) {
+  auto keep = [&](auto cmp) {
+    return Keep(rows, n, out, [=](uint32_t r) {
+      return (ints[r] != kNullInt64) & cmp(vals[r], x);
+    });
+  };
+  switch (op) {
+    case CmpOp::kEq: return keep(std::equal_to<T>());
+    case CmpOp::kNe: return keep(std::not_equal_to<T>());
+    case CmpOp::kLt: return keep(std::less<T>());
+    case CmpOp::kLe: return keep(std::less_equal<T>());
+    case CmpOp::kGt: return keep(std::greater<T>());
+    case CmpOp::kGe: return keep(std::greater_equal<T>());
   }
-  return false;
+  return 0;
+}
+
+// Rows whose non-null string satisfies `decide`, each dictionary code
+// decided at most once: memo[c] is 0 until code c is decided, then 1 (no
+// match) or 2 (match).
+template <typename Decide>
+size_t KeepByCode(const uint32_t* rows, size_t n, uint32_t* out,
+                  const Column& col, std::vector<uint8_t>* memo,
+                  Decide decide) {
+  const int64_t* codes = col.ints().data();
+  const StringPool& pool = *col.pool();
+  uint8_t* m = memo->data();
+  return Keep(rows, n, out, [&](uint32_t r) {
+    int64_t c = codes[r];
+    if (c == kNullInt64) return false;
+    if (m[c] == 0) m[c] = decide(pool.Get(c)) ? 2 : 1;
+    return m[c] == 2;
+  });
+}
+
+// True iff a three-way string comparison result satisfies ordering `op`.
+bool Ordered(int cmp, CmpOp op) {
+  switch (op) {
+    case CmpOp::kLt: return cmp < 0;
+    case CmpOp::kLe: return cmp <= 0;
+    case CmpOp::kGt: return cmp > 0;
+    case CmpOp::kGe: return cmp >= 0;
+    default: return false;
+  }
+}
+
+// rows[0, n) without its subsequence sub[0, k), written to `out` (which
+// may be `rows`).
+size_t Without(const uint32_t* rows, size_t n, const uint32_t* sub, size_t k,
+               uint32_t* out) {
+  size_t w = 0, p = 0;
+  for (size_t j = 0; j < n; ++j) {
+    uint32_t r = rows[j];
+    if (p < k && sub[p] == r) {
+      ++p;
+    } else {
+      out[w++] = r;
+    }
+  }
+  return w;
+}
+
+}  // namespace
+
+size_t CompiledPredicate::SelectNode(uint32_t idx, const uint32_t* rows,
+                                     size_t n, uint32_t* out) {
+  using Kind = Predicate::Kind;
+  Node& node = nodes_[idx];
+  switch (node.kind) {
+    case Kind::kTrue:
+      if (out != rows) std::copy_n(rows, n, out);
+      return n;
+    case Kind::kCompare:
+      return SelectCompare(node, rows, n, out);
+    case Kind::kBetween:
+      return SelectBetween(node, rows, n, out);
+    case Kind::kIn:
+      return SelectIn(node, rows, n, out);
+    case Kind::kLike:
+    case Kind::kNotLike:
+      return SelectLike(node, rows, n, out);
+    case Kind::kIsNull: {
+      const int64_t* ints = node.col->ints().data();
+      return Keep(rows, n, out,
+                  [=](uint32_t r) { return ints[r] == kNullInt64; });
+    }
+    case Kind::kIsNotNull: {
+      const int64_t* ints = node.col->ints().data();
+      return Keep(rows, n, out,
+                  [=](uint32_t r) { return ints[r] != kNullInt64; });
+    }
+    case Kind::kAnd: {
+      // Each child narrows the survivors of the previous one, in place.
+      const uint32_t* in = rows;
+      for (uint32_t c = 0; c < node.child_count && n > 0; ++c) {
+        n = SelectNode(children_[node.child_begin + c], in, n, out);
+        in = out;
+      }
+      if (in != out) std::copy_n(in, n, out);  // an AND of no children
+      return n;
+    }
+    case Kind::kOr:
+      return SelectOr(node, rows, n, out);
+    case Kind::kNot: {
+      uint32_t* hits = scratch_.data() + node.scratch;
+      size_t h = SelectNode(children_[node.child_begin], rows, n, hits);
+      return Without(rows, n, hits, h, out);
+    }
+  }
+  return 0;
+}
+
+size_t CompiledPredicate::SelectOr(const Node& node, const uint32_t* rows,
+                                   size_t n, uint32_t* out) {
+  // `out` may be `rows`, so the matches are gathered in scratch and copied
+  // out once every child has read its input.
+  uint32_t* hits = scratch_.data() + node.scratch;
+  uint32_t* rest = hits + kBlockRows;
+  uint32_t* acc = rest + kBlockRows;
+  uint32_t* spare = acc + kBlockRows;
+  const uint32_t* left = rows;
+  size_t num_left = n, k = 0;
+  for (uint32_t c = 0; c < node.child_count && num_left > 0; ++c) {
+    size_t h = SelectNode(children_[node.child_begin + c], left, num_left,
+                          hits);
+    if (h == 0) continue;
+    k = static_cast<size_t>(std::merge(acc, acc + k, hits, hits + h, spare) -
+                            spare);
+    std::swap(acc, spare);
+    if (c + 1 < node.child_count) {
+      num_left = Without(left, num_left, hits, h, rest);
+      left = rest;
+    }
+  }
+  std::copy_n(acc, k, out);
+  return k;
+}
+
+size_t CompiledPredicate::SelectCompare(Node& node, const uint32_t* rows,
+                                        size_t n, uint32_t* out) {
+  const Column& col = *node.col;
+  const int64_t* ints = col.ints().data();
+  switch (col.type()) {
+    case ColumnType::kInt64:
+      return KeepCompare(rows, n, out, ints, ints, node.op, node.i);
+    case ColumnType::kDouble:
+      return KeepCompare(rows, n, out, ints, col.doubles().data(), node.op,
+                         node.d);
+    case ColumnType::kString:
+      break;
+  }
+  // Equality compares dictionary codes (-1: literal absent, never equal);
+  // ordering compares text, once per code.
+  int64_t code = node.i;
+  if (node.op == CmpOp::kEq) {
+    if (code < 0) return 0;
+    return Keep(rows, n, out, [=](uint32_t r) { return ints[r] == code; });
+  }
+  if (node.op == CmpOp::kNe) {
+    return Keep(rows, n, out, [=](uint32_t r) {
+      return (ints[r] != kNullInt64) & (ints[r] != code);
+    });
+  }
+  const std::string& lit = node.text;
+  CmpOp op = node.op;
+  return KeepByCode(rows, n, out, col, &node.memo,
+                    [&](const std::string& s) {
+                      return Ordered(s.compare(lit), op);
+                    });
+}
+
+size_t CompiledPredicate::SelectBetween(Node& node, const uint32_t* rows,
+                                        size_t n, uint32_t* out) {
+  const Column& col = *node.col;
+  const int64_t* ints = col.ints().data();
+  switch (col.type()) {
+    case ColumnType::kInt64: {
+      int64_t lo = node.i, hi = node.i_hi;
+      return Keep(rows, n, out, [=](uint32_t r) {
+        int64_t v = ints[r];
+        return (v != kNullInt64) & (v >= lo) & (v <= hi);
+      });
+    }
+    case ColumnType::kDouble: {
+      const double* vals = col.doubles().data();
+      double lo = node.d, hi = node.d_hi;
+      return Keep(rows, n, out, [=](uint32_t r) {
+        double v = vals[r];
+        return (ints[r] != kNullInt64) & (v >= lo) & (v <= hi);
+      });
+    }
+    case ColumnType::kString:
+      break;
+  }
+  const std::string& lo = node.text;
+  const std::string& hi = node.text_hi;
+  return KeepByCode(rows, n, out, col, &node.memo,
+                    [&](const std::string& s) {
+                      return s.compare(lo) >= 0 && s.compare(hi) <= 0;
+                    });
+}
+
+size_t CompiledPredicate::SelectIn(const Node& node, const uint32_t* rows,
+                                   size_t n, uint32_t* out) const {
+  const Column& col = *node.col;
+  const int64_t* ints = col.ints().data();
+  if (col.type() == ColumnType::kDouble) {
+    const double* vals = col.doubles().data();
+    const std::vector<double>& set = node.set_doubles;
+    return Keep(rows, n, out, [&](uint32_t r) {
+      return ints[r] != kNullInt64 &&
+             std::find(set.begin(), set.end(), vals[r]) != set.end();
+    });
+  }
+  // Int values, or the dictionary codes of the literals present.
+  const std::vector<int64_t>& set = node.set_ints;
+  return Keep(rows, n, out, [&](uint32_t r) {
+    int64_t v = ints[r];
+    return v != kNullInt64 && std::find(set.begin(), set.end(), v) != set.end();
+  });
+}
+
+size_t CompiledPredicate::SelectLike(Node& node, const uint32_t* rows,
+                                     size_t n, uint32_t* out) {
+  const Column& col = *node.col;
+  if (col.type() != ColumnType::kString) return 0;
+  const int64_t* codes = col.ints().data();
+  bool negate = node.kind == Predicate::Kind::kNotLike;
+  switch (node.like_class) {
+    case LikeClass::kAnyText:
+      if (negate) return 0;
+      return Keep(rows, n, out,
+                  [=](uint32_t r) { return codes[r] != kNullInt64; });
+    case LikeClass::kExact: {
+      int64_t code = node.i;  // -1: pattern absent from the dictionary
+      if (negate) {
+        return Keep(rows, n, out, [=](uint32_t r) {
+          return (codes[r] != kNullInt64) & (codes[r] != code);
+        });
+      }
+      if (code < 0) return 0;
+      return Keep(rows, n, out, [=](uint32_t r) { return codes[r] == code; });
+    }
+    default:
+      break;
+  }
+  auto like = [&node](std::string_view s) {
+    switch (node.like_class) {
+      case LikeClass::kPrefix:
+        return s.starts_with(node.text);
+      case LikeClass::kSuffix:
+        return s.ends_with(node.text);
+      case LikeClass::kContains:
+        return s.find(node.text) != std::string_view::npos;
+      case LikeClass::kEdges:
+        return s.size() >= node.text.size() + node.text_hi.size() &&
+               s.starts_with(node.text) && s.ends_with(node.text_hi);
+      default:
+        return LikeMatch(s, node.text);
+    }
+  };
+  return KeepByCode(rows, n, out, col, &node.memo,
+                    [&](const std::string& s) { return like(s) != negate; });
 }
 
 std::vector<uint8_t> EvalBitmap(const Table& table, const Predicate& pred) {
   std::vector<uint8_t> bits(table.num_rows());
   if (table.num_rows() == 0) return bits;
   CompiledPredicate compiled(table, pred);
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    bits[r] = compiled.Eval(r) ? 1 : 0;
-  }
+  compiled.SelectTable([&](const uint32_t* sel, size_t k) {
+    for (size_t s = 0; s < k; ++s) bits[sel[s]] = 1;
+  });
   return bits;
 }
 
 std::vector<uint32_t> EvalSelection(const Table& table, const Predicate& pred) {
-  std::vector<uint32_t> sel;
-  if (table.num_rows() == 0) return sel;
+  std::vector<uint32_t> out;
+  if (table.num_rows() == 0) return out;
   CompiledPredicate compiled(table, pred);
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (compiled.Eval(r)) sel.push_back(static_cast<uint32_t>(r));
-  }
-  return sel;
+  compiled.SelectTable([&](const uint32_t* sel, size_t k) {
+    out.insert(out.end(), sel, sel + k);
+  });
+  return out;
 }
 
 std::vector<uint32_t> EvalOnRows(const Table& table, const Predicate& pred,
                                  const std::vector<uint32_t>& rows) {
-  std::vector<uint32_t> sel;
-  if (rows.empty()) return sel;
+  std::vector<uint32_t> out;
+  if (rows.empty()) return out;
   CompiledPredicate compiled(table, pred);
-  for (uint32_t r : rows) {
-    if (compiled.Eval(r)) sel.push_back(r);
-  }
-  return sel;
+  compiled.SelectBlocks(rows.data(), rows.size(),
+                        [&](size_t, const uint32_t* sel, size_t k) {
+                          out.insert(out.end(), sel, sel + k);
+                        });
+  return out;
 }
 
 size_t CountMatches(const Table& table, const Predicate& pred) {
   size_t n = 0;
   if (table.num_rows() == 0) return n;
   CompiledPredicate compiled(table, pred);
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (compiled.Eval(r)) ++n;
-  }
+  compiled.SelectTable([&](const uint32_t*, size_t k) { n += k; });
   return n;
 }
 

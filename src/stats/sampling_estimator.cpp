@@ -42,16 +42,20 @@ void SamplingEstimator::Load(ByteReader& r) {
     if (row >= table_->num_rows()) {
       throw SerializeError("sample row id past the bound table's end");
     }
+    // The block scan takes ascending row ids (DrawSample sorts them).
+    if (!sample_rows_.empty() && row <= sample_rows_.back()) {
+      throw SerializeError("sample row ids not strictly ascending");
+    }
     sample_rows_.push_back(row);
   }
-  std::lock_guard<std::mutex> lock(bin_codes_mu_);
-  bin_codes_.clear();
+  std::lock_guard<std::mutex> lock(key_memos_mu_);
+  key_memos_.clear();
 }
 
 void SamplingEstimator::DrawSample() {
   {
-    std::lock_guard<std::mutex> lock(bin_codes_mu_);
-    bin_codes_.clear();  // codes are per sample row; the rows change
+    std::lock_guard<std::mutex> lock(key_memos_mu_);
+    key_memos_.clear();  // memos are per sample row; the rows change
   }
   sample_rows_.clear();
   size_t n = table_->num_rows();
@@ -70,11 +74,12 @@ void SamplingEstimator::DrawSample() {
 
 double SamplingEstimator::EstimateFilteredRows(const Predicate& filter) const {
   size_t hits = 0;
-  if (!sample_rows_.empty()) {
+  if (filter.kind() == Predicate::Kind::kTrue) {
+    hits = sample_rows_.size();
+  } else if (!sample_rows_.empty()) {
     CompiledPredicate compiled(*table_, filter);
-    for (uint32_t r : sample_rows_) {
-      if (compiled.Eval(r)) ++hits;
-    }
+    compiled.SelectBlocks(sample_rows_.data(), sample_rows_.size(),
+                          [&](size_t, const uint32_t*, size_t k) { hits += k; });
   }
   // Zero hits bound selectivity below ~1/|sample|, they do not prove
   // emptiness; report half a sample row to avoid catastrophic
@@ -82,24 +87,27 @@ double SamplingEstimator::EstimateFilteredRows(const Predicate& filter) const {
   return std::max(static_cast<double>(hits), 0.5) * scale_;
 }
 
-const std::vector<uint32_t>& SamplingEstimator::BinCodesFor(
+const SamplingEstimator::KeyMemo& SamplingEstimator::KeyMemoFor(
     const Column& col, const Binning& binning) const {
   auto key = std::make_pair(&col, &binning);
   {
-    std::lock_guard<std::mutex> lock(bin_codes_mu_);
-    auto it = bin_codes_.find(key);
-    if (it != bin_codes_.end()) return it->second;
+    std::lock_guard<std::mutex> lock(key_memos_mu_);
+    auto it = key_memos_.find(key);
+    if (it != key_memos_.end()) return it->second;
   }
   // Build outside the lock (two racing threads may both build; the first
   // insert wins and they are identical anyway — BinOf is pure).
-  std::vector<uint32_t> codes;
-  codes.reserve(sample_rows_.size());
+  KeyMemo memo;
+  memo.codes.reserve(sample_rows_.size());
+  memo.unfiltered.assign(binning.num_bins(), 0.0);
   for (uint32_t r : sample_rows_) {
     int64_t v = col.IntAt(r);
-    codes.push_back(v == kNullInt64 ? kNullBin : binning.BinOf(v));
+    uint32_t b = v == kNullInt64 ? kNullBin : binning.BinOf(v);
+    memo.codes.push_back(b);
+    if (b != kNullBin) memo.unfiltered[b] += scale_;
   }
-  std::lock_guard<std::mutex> lock(bin_codes_mu_);
-  return bin_codes_.emplace(key, std::move(codes)).first->second;
+  std::lock_guard<std::mutex> lock(key_memos_mu_);
+  return key_memos_.emplace(key, std::move(memo)).first->second;
 }
 
 KeyDistResult SamplingEstimator::EstimateKeyDists(
@@ -110,26 +118,40 @@ KeyDistResult SamplingEstimator::EstimateKeyDists(
     result.masses[i].assign(keys[i].binning->num_bins(), 0.0);
   }
   size_t hits = 0;
-  if (!sample_rows_.empty()) {
-    // Two hoists out of the row loop, neither moving a single bit: the
-    // filter is compiled once (EvalRow redoes per-node column-name lookups
-    // every row), and each key's per-sample-row bin codes come from the
-    // memo (Binning::BinOf hash probes become array loads).
-    CompiledPredicate compiled(*table_, filter);
+  if (!sample_rows_.empty() && filter.kind() == Predicate::Kind::kTrue) {
+    hits = sample_rows_.size();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      result.masses[i] = KeyMemoFor(table_->Col(keys[i].column),
+                                    *keys[i].binning).unfiltered;
+    }
+  } else if (!sample_rows_.empty()) {
     std::vector<const uint32_t*> codes(keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
-      codes[i] = BinCodesFor(table_->Col(keys[i].column),
-                             *keys[i].binning).data();
+      codes[i] = KeyMemoFor(table_->Col(keys[i].column),
+                            *keys[i].binning).codes.data();
     }
-    for (size_t j = 0; j < sample_rows_.size(); ++j) {
-      if (!compiled.Eval(sample_rows_[j])) continue;
-      ++hits;
-      for (size_t i = 0; i < keys.size(); ++i) {
-        uint32_t b = codes[i][j];
-        if (b == kNullBin) continue;
-        result.masses[i][b] += scale_;
-      }
-    }
+    CompiledPredicate compiled(*table_, filter);
+    const uint32_t* rows = sample_rows_.data();
+    uint32_t at[CompiledPredicate::kBlockRows];  // sample index per match
+    compiled.SelectBlocks(
+        rows, sample_rows_.size(),
+        [&](size_t first, const uint32_t* sel, size_t k) {
+          hits += k;
+          // The matches are an ascending subsequence of the block.
+          for (size_t s = 0, j = first; s < k; ++s, ++j) {
+            while (rows[j] != sel[s]) ++j;
+            at[s] = static_cast<uint32_t>(j);
+          }
+          // Each bin still gets `scale_` once per matching row in
+          // ascending sample order: the bits of a row-at-a-time scan.
+          for (size_t i = 0; i < keys.size(); ++i) {
+            double* mass = result.masses[i].data();
+            for (size_t s = 0; s < k; ++s) {
+              uint32_t b = codes[i][at[s]];
+              if (b != kNullBin) mass[b] += scale_;
+            }
+          }
+        });
   }
   result.filtered_rows = std::max(static_cast<double>(hits), 0.5) * scale_;
   return result;

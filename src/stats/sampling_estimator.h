@@ -53,13 +53,22 @@ class SamplingEstimator : public TableEstimator {
 
   void DrawSample();
 
-  /// Per-sample-row bin codes of `col` under `binning`, memoized per
-  /// (column, binning) pair. Binning::BinOf is pure, so the memo changes no
-  /// estimate — it only replaces a hash probe per (row, key) in the
-  /// EstimateKeyDists scan with an array load. Thread-safe (estimation is
-  /// concurrent); invalidated when a fresh sample is drawn.
-  const std::vector<uint32_t>& BinCodesFor(const Column& col,
-                                           const Binning& binning) const;
+  /// What the sampler memoizes per (column, binning) pair.
+  struct KeyMemo {
+    /// Bin code of each sample row (kNullBin for a null). Binning::BinOf
+    /// is pure, so this changes no estimate: it replaces a hash probe per
+    /// (row, key) in the EstimateKeyDists scan with an array load.
+    std::vector<uint32_t> codes;
+    /// The key's masses under a TRUE filter: `scale_` added once per
+    /// non-null sample row, in ascending sample order (the bits a full
+    /// scan produces), so a TRUE filter is answered without a scan.
+    std::vector<double> unfiltered;
+  };
+
+  /// The memo of `col` under `binning`, built on first use. Thread-safe
+  /// (estimation is concurrent); dropped when a fresh sample is drawn or
+  /// loaded.
+  const KeyMemo& KeyMemoFor(const Column& col, const Binning& binning) const;
 
   const Table* table_;  // not owned; must outlive the estimator
   double rate_;
@@ -69,10 +78,9 @@ class SamplingEstimator : public TableEstimator {
 
   // std::map keeps node (and thus reference) stability while other threads
   // insert; entries are small relative to the sample itself.
-  mutable std::mutex bin_codes_mu_;
-  mutable std::map<std::pair<const Column*, const Binning*>,
-                   std::vector<uint32_t>>
-      bin_codes_;
+  mutable std::mutex key_memos_mu_;
+  mutable std::map<std::pair<const Column*, const Binning*>, KeyMemo>
+      key_memos_;
 };
 
 }  // namespace fj

@@ -58,6 +58,8 @@ class Column {
   bool IsNull(size_t r) const { return ints_[r] == kNullInt64; }
 
   const std::vector<int64_t>& ints() const { return ints_; }
+  /// Exact doubles, parallel to ints(); empty unless kDouble.
+  const std::vector<double>& doubles() const { return doubles_; }
   const StringPool* pool() const { return pool_.get(); }
   StringPool* mutable_pool() { return pool_.get(); }
 

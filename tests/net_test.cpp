@@ -808,6 +808,28 @@ TEST(RemoteTest, ClientReconnectsAfterServerRestart) {
   EXPECT_EQ(client.Estimate(q), estimator.Estimate(q));
 }
 
+// fj_server_connections_active counts a connection until its reader exits,
+// not until the next accept reaps it.
+TEST(RemoteTest, ClosedConnectionsLeaveTheActiveGauge) {
+  RemoteStack stack;
+  stack.client.reset();
+  Query q = ChainQuery(30, 250);
+  for (int i = 0; i < 3; ++i) {
+    // Each client connects after the previous one has closed.
+    EstimatorClient client(EstimatorClientOptions{stack.server.endpoint(), ""});
+    EXPECT_EQ(client.Estimate(q), stack.estimator.Estimate(q));
+  }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  auto stats = stack.server.Stats();
+  while (stats.connections_active != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    stats = stack.server.Stats();
+  }
+  EXPECT_EQ(stats.connections_active, 0u);
+  EXPECT_EQ(stats.connections_accepted, 4u);  // no accept after the last
+}
+
 // ---------------------------------------------------------------------------
 // Multi-model serving (ModelRegistry + protocol-v2 model routing).
 

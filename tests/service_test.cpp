@@ -893,6 +893,59 @@ TEST(ServiceTest, CacheDisabledStillCorrect) {
 // Batch-aware scheduling: large batches split across workers via the
 // estimator's PrepareSubplans session.
 
+// The sampling model builds its per-(column, binning) memos (sample bin
+// codes and the TRUE-filter key masses) on first use. The first requests
+// for eight different queries arrive at once, so several workers build them
+// together; every served value must still bit-equal a serial run on a
+// second fresh model.
+TEST(ServiceTest, ConcurrentColdMemosMatchSerial) {
+  Database db = MakeDb();
+  FactorJoinConfig config;
+  config.num_bins = 32;
+  config.estimator = TableEstimatorKind::kSampling;
+  config.sampling_rate = 0.3;
+  FactorJoinEstimator served(db, config);
+  FactorJoinEstimator serial(db, config);
+
+  // Unfiltered aliases take the TRUE-filter path.
+  std::vector<Query> queries;
+  for (int i = 0; i < 8; ++i) {
+    Query q;
+    q.AddTable("users", "u").AddTable("orders", "o").AddTable("items", "i");
+    q.AddJoin("u", "id", "o", "user_id");
+    q.AddJoin("o", "item_id", "i", "id");
+    if (i % 2 == 0) {
+      q.SetFilter("u", Predicate::Cmp("age", CmpOp::kGt, Literal::Int(20 + i)));
+    }
+    if (i % 3 == 0) {
+      q.SetFilter("o", Predicate::Cmp("amount", CmpOp::kLt,
+                                      Literal::Int(100 + 40 * i)));
+    }
+    if (i % 4 == 1) {
+      q.SetFilter("i", Predicate::Cmp("price", CmpOp::kLe, Literal::Int(5 * i)));
+    }
+    queries.push_back(std::move(q));
+  }
+
+  EstimatorService service(served, {.num_threads = 4});
+  std::vector<std::vector<uint64_t>> masks;
+  std::vector<std::future<std::unordered_map<uint64_t, double>>> futures;
+  for (const Query& q : queries) {
+    masks.push_back(EnumerateConnectedSubsets(q, 1));
+    futures.push_back(service.EstimateSubplansAsync(q, masks.back()));
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto got = futures[i].get();
+    auto want = serial.EstimateSubplans(queries[i], masks[i]);
+    ASSERT_EQ(got.size(), want.size());
+    for (const auto& [mask, value] : want) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.at(mask)),
+                std::bit_cast<uint64_t>(value))
+          << "query " << i << ", mask " << mask;
+    }
+  }
+}
+
 TEST(ServiceTest, SubplanSessionMatchesBatchBitForBit) {
   Database db = MakeDb();
   FactorJoinEstimator estimator = MakeEstimator(db);
