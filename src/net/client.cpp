@@ -67,7 +67,7 @@ void EstimatorClient::ConnectLocked() {
     if (!WriteFrame(fd, MsgType::kHello, 0, EncodeHello({}))) {
       throw NetError("connection closed during handshake");
     }
-    std::optional<Frame> ack = ReadFrame(fd, kDefaultMaxFrameBytes);
+    std::optional<Frame> ack = ReadFrame(fd);
     if (!ack.has_value()) {
       throw NetError("connection closed during handshake");
     }
@@ -108,7 +108,7 @@ void EstimatorClient::DisconnectLocked(const char* reason) {
 void EstimatorClient::ReceiverLoop(int fd) {
   const char* reason = "connection lost";
   try {
-    while (auto frame = ReadFrame(fd, kDefaultMaxFrameBytes)) {
+    while (auto frame = ReadFrame(fd)) {
       if (frame->request_id == 0) {
         // Connection-level error: the server is about to drop us.
         reason = "connection closed by server";

@@ -28,13 +28,13 @@ std::vector<uint8_t> EncodeFrame(MsgType type, uint64_t request_id,
   return w.Take();
 }
 
-std::optional<Frame> ReadFrame(int fd, uint32_t max_frame_bytes) {
+std::optional<Frame> ReadFrame(int fd) {
   uint8_t len_bytes[4];
   if (!RecvAll(fd, len_bytes, sizeof(len_bytes))) return std::nullopt;
   ByteReader len_reader(len_bytes, sizeof(len_bytes));
   uint32_t length = len_reader.U32();
   if (length < kHeaderBytes) throw ProtocolError("frame shorter than header");
-  if (length > max_frame_bytes) throw ProtocolError("frame exceeds limit");
+  if (length > kMaxFrameBytes) throw ProtocolError("frame exceeds limit");
 
   std::vector<uint8_t> payload(length);
   if (!RecvAll(fd, payload.data(), payload.size())) return std::nullopt;

@@ -63,7 +63,7 @@ inline constexpr uint32_t kProtocolMagic = 0x464A4E31;  // "FJN1"
 inline constexpr uint16_t kProtocolVersion = 5;
 
 /// Frames larger than this are rejected at the length prefix (both sides).
-inline constexpr uint32_t kDefaultMaxFrameBytes = 64u << 20;
+inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 
 enum class MsgType : uint8_t {
   kHello = 1,
@@ -92,9 +92,9 @@ std::vector<uint8_t> EncodeFrame(MsgType type, uint64_t request_id,
                                  const std::vector<uint8_t>& body);
 
 /// Reads one frame from `fd`. Returns nullopt on orderly EOF / closed
-/// socket; throws ProtocolError when the peer sends an oversized length
-/// prefix. `max_frame_bytes` bounds the allocation.
-std::optional<Frame> ReadFrame(int fd, uint32_t max_frame_bytes);
+/// socket; throws ProtocolError when the peer sends a length prefix past
+/// kMaxFrameBytes, before allocating for it.
+std::optional<Frame> ReadFrame(int fd);
 
 /// Writes one frame to `fd`; false when the peer is gone.
 bool WriteFrame(int fd, MsgType type, uint64_t request_id,

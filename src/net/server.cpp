@@ -59,21 +59,18 @@ void EstimatorServer::Stop() {
     connections.swap(connections_);
   }
   for (const ConnectionPtr& conn : connections) {
-    // Wakes the reader out of RecvAll; the reader then closes the outbox,
-    // which lets the writer (and any worker blocked on a full outbox) go.
+    // Wakes the reader out of RecvAll, and any worker blocked sending to a
+    // client that stopped reading.
     ShutdownSocket(conn->fd);
   }
   for (const ConnectionPtr& conn : connections) {
     if (conn->reader.joinable()) conn->reader.join();
-    if (conn->writer.joinable()) conn->writer.join();
-    CloseSocket(conn->fd);
   }
-  // Completion callbacks still in flight capture `this` (for the error
-  // counter) and their connection. The connections are shared_ptr-kept
-  // alive by the callbacks; the server must not be destroyed under them —
-  // wait for every dispatched request to finish, on every registered
-  // model's service. Their responses land in closed outboxes and are
-  // dropped.
+  // Completion callbacks still in flight capture `this` (for the counters)
+  // and their connection. The connections are shared_ptr-kept alive by the
+  // callbacks; the server must not be destroyed under them — wait for every
+  // dispatched request to finish, on every registered model's service.
+  // Their connections are unwritable, so their responses are dropped.
   registry_->DrainAll();
 }
 
@@ -127,8 +124,6 @@ void EstimatorServer::ReapFinished() {
   }
   for (const ConnectionPtr& conn : finished) {
     if (conn->reader.joinable()) conn->reader.join();
-    if (conn->writer.joinable()) conn->writer.join();
-    CloseSocket(conn->fd);
   }
 }
 
@@ -145,28 +140,46 @@ void EstimatorServer::AcceptLoop() {
       std::lock_guard<std::mutex> lock(connections_mu_);
       if (connections_.size() >= kMaxClients) {
         connections_rejected_.fetch_add(1);
-        CloseSocket(fd);
-        continue;
+        continue;  // dropping `conn` closes the socket
       }
       connections_.push_back(conn);
     }
     connections_accepted_.fetch_add(1);
-    conn->writer = std::thread([this, conn] { WriterLoop(conn); });
     conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
   }
+}
+
+void EstimatorServer::Send(const ConnectionPtr& conn, MsgType type,
+                           uint64_t request_id,
+                           const std::vector<uint8_t>& body) {
+  std::vector<uint8_t> frame = EncodeFrame(type, request_id, body);
+  std::lock_guard<std::mutex> lock(conn->send_mu);
+  if (!conn->writable) return;
+  obs::SpanTimer write_span;
+  if (!SendAll(conn->fd, frame.data(), frame.size())) {
+    // The peer is gone: drop every later frame, and wake the reader so the
+    // connection tears down.
+    conn->writable = false;
+    ShutdownSocket(conn->fd);
+    return;
+  }
+  stage_hist_[static_cast<size_t>(obs::Stage::kSocketWrite)].Record(
+      write_span.ElapsedMicros());
+  bytes_sent_.fetch_add(frame.size());
+  responses_sent_.fetch_add(1);
 }
 
 void EstimatorServer::SendError(const ConnectionPtr& conn,
                                 uint64_t request_id,
                                 const std::string& message) {
-  conn->Send(EncodeFrame(MsgType::kError, request_id, EncodeError(message)));
+  Send(conn, MsgType::kError, request_id, EncodeError(message));
 }
 
 void EstimatorServer::ReaderLoop(ConnectionPtr conn) {
   try {
     // Handshake: the first frame must be a kHello with our magic; answer
     // with kHelloAck. A version we don't speak gets a useful error.
-    std::optional<Frame> first = ReadFrame(conn->fd, kDefaultMaxFrameBytes);
+    std::optional<Frame> first = ReadFrame(conn->fd);
     if (first.has_value()) {
       bytes_received_.fetch_add(FrameWireBytes(*first));
       if (first->type != MsgType::kHello) {
@@ -178,9 +191,8 @@ void EstimatorServer::ReaderLoop(ConnectionPtr conn) {
             "unsupported protocol version " + std::to_string(hello.version) +
             " (server speaks " + std::to_string(kProtocolVersion) + ")");
       }
-      conn->Send(EncodeFrame(MsgType::kHelloAck, first->request_id,
-                             EncodeHello({})));
-      while (auto frame = ReadFrame(conn->fd, kDefaultMaxFrameBytes)) {
+      Send(conn, MsgType::kHelloAck, first->request_id, EncodeHello({}));
+      while (auto frame = ReadFrame(conn->fd)) {
         frames_received_.fetch_add(1);
         bytes_received_.fetch_add(FrameWireBytes(*frame));
         Dispatch(conn, *frame);
@@ -194,35 +206,15 @@ void EstimatorServer::ReaderLoop(ConnectionPtr conn) {
     // and drop the connection; other connections are unaffected.
     SendError(conn, 0, e.what());
   }
-  // Drop this connection: no more responses will be queued (in-flight
-  // callbacks see a closed outbox and drop theirs), a worker blocked
-  // pushing to a full outbox is released, and the writer — which owns the
-  // socket shutdown so queued frames (like the error above) still flush —
-  // drains and exits.
-  conn->outbox.Close();
-  conn->done.store(true);
-}
-
-void EstimatorServer::WriterLoop(ConnectionPtr conn) {
-  while (auto frame = conn->outbox.Pop()) {
-    obs::SpanTimer write_span;
-    if (!SendAll(conn->fd, frame->data(), frame->size())) {
-      // Peer stopped reading: wake the reader so the connection tears down,
-      // then keep draining the outbox so completion callbacks never block
-      // on a dead connection.
-      ShutdownSocket(conn->fd);
-      while (conn->outbox.Pop().has_value()) {
-      }
-      return;
-    }
-    stage_hist_[static_cast<size_t>(obs::Stage::kSocketWrite)].Record(
-        write_span.ElapsedMicros());
-    bytes_sent_.fetch_add(frame->size());
-    responses_sent_.fetch_add(1);
+  // Drop this connection: in-flight completions find it unwritable and
+  // drop their responses, and the shutdown ends the connection, so the peer
+  // sees EOF right after the last frame written (like the error above).
+  {
+    std::lock_guard<std::mutex> lock(conn->send_mu);
+    conn->writable = false;
   }
-  // Outbox closed by the reader and fully flushed: now end the connection
-  // so the peer sees EOF only after the last queued frame.
   ShutdownSocket(conn->fd);
+  conn->done.store(true);
 }
 
 EstimatorService* EstimatorServer::Resolve(const ConnectionPtr& conn,
@@ -273,7 +265,7 @@ void EstimatorServer::ServeEstimation(const ConnectionPtr& conn,
         encode_micros);
     if (sink != nullptr) sink->Add(obs::Stage::kEncode, encode_micros);
     AppendRespTrace(&body, sink.get());
-    conn->Send(EncodeFrame(resp_type, id, body));
+    Send(conn, resp_type, id, body);
   };
   submit(*service, req, std::move(done), std::move(sink));
 }
@@ -314,16 +306,16 @@ void EstimatorServer::Dispatch(const ConnectionPtr& conn, const Frame& frame) {
       EstimatorService* service = Resolve(conn, id, req.model);
       if (service == nullptr) return;
       uint64_t epoch = service->NotifyUpdate(req.table);
-      conn->Send(EncodeFrame(MsgType::kNotifyUpdateResp, id,
-                             EncodeNotifyUpdateResp(epoch)));
+      Send(conn, MsgType::kNotifyUpdateResp, id,
+           EncodeNotifyUpdateResp(epoch));
       return;
     }
     case MsgType::kStatsReq: {
       EstimatorService* service =
           Resolve(conn, id, DecodeStatsReq(frame.body));
       if (service == nullptr) return;
-      conn->Send(EncodeFrame(MsgType::kStatsResp, id,
-                             EncodeServiceStats(service->Stats())));
+      Send(conn, MsgType::kStatsResp, id,
+           EncodeServiceStats(service->Stats()));
       return;
     }
     default:

@@ -1,12 +1,12 @@
 // EstimatorServer: the remote front end of a ModelRegistry.
 //
 //   clients ──► accept loop ──► per-connection reader ──► ModelRegistry
-//                                        │ decode              │ model-id
-//                                        ▼                     ▼ routing
-//                               per-connection writer ◄── EstimatorService
-//                                        │ outbox queue   completion callback
-//                                        ▼                 (async, worker)
-//                                     socket
+//                                  │ decode, dispatch        │ model-id
+//                                  │                         ▼ routing
+//                                  │                  EstimatorService
+//                                  ▼ Send                    │ completion
+//                                socket ◄────── Send ────────┘ callback
+//                                                  (async, on the worker)
 //
 // One TCP (or Unix-domain) listener, up to kMaxClients concurrent client
 // connections, any number of named models: every request carries a
@@ -17,22 +17,25 @@
 // constructor keeps the one-model deployment trivial by wrapping the
 // service in an internal registry.
 //
-// Each connection gets a reader thread (frame decode + dispatch) and a
-// writer thread (response frames). Both estimation kinds are served by one
-// path (ServeEstimation) through the resolved service's callback API, so
-// decoding the next request never blocks on estimating the previous one,
-// and responses are written in *completion* order with request-id
-// correlation — a pipelined client keeps every service worker busy from a
-// single connection.
+// Each connection gets one reader thread (frame decode + dispatch). Both
+// estimation kinds are served by one path (ServeEstimation) through the
+// resolved service's callback API, so decoding the next request never
+// blocks on estimating the previous one. Every frame goes to the socket
+// from the thread that produced it, one whole frame at a time under the
+// connection's send mutex: the reader writes the hello ack, errors and the
+// NotifyUpdate / Stats responses, and the service worker that completes an
+// estimate writes its response. Responses therefore leave in *completion*
+// order with request-id correlation — a pipelined client keeps every
+// service worker busy from a single connection.
 //
 // Back-pressure composes: the service's bounded queue blocks the reader
 // thread when the pool is saturated (stalling that client's decode, not
-// other connections), and each connection's outbox holds kOutboxCapacity
-// responses, so a client that stops reading blocks the workers serving it
-// until the connection is torn down.
+// other connections), and a client that stops reading blocks the workers
+// serving it once the kernel's socket buffer is full, until the connection
+// is torn down.
 //
 // Failure containment: a malformed frame, or one longer than
-// kDefaultMaxFrameBytes, terminates only the offending connection (after a
+// kMaxFrameBytes, terminates only the offending connection (after a
 // best-effort connection-level kError); an estimator exception is returned
 // as a per-request kError. Neither crashes the server or affects other
 // clients.
@@ -53,16 +56,11 @@
 #include "obs/request_trace.h"
 #include "service/estimator_service.h"
 #include "service/model_registry.h"
-#include "service/mpmc_queue.h"
 
 namespace fj::net {
 
 /// Connections beyond this many open ones are accepted and closed at once.
 inline constexpr size_t kMaxClients = 64;
-/// Encoded responses queued per connection; a service worker completing a
-/// request blocks on a full outbox (slow-client back-pressure) until the
-/// writer drains it or the connection closes.
-inline constexpr size_t kOutboxCapacity = 1024;
 
 struct EstimatorServerOptions {
   /// Listen address. TCP port 0 binds an ephemeral port — read it back via
@@ -79,6 +77,7 @@ struct ServerStats {
   uint64_t connections_rejected = 0;
   uint64_t connections_active = 0;
   uint64_t frames_received = 0;
+  /// Frames written whole to a socket: responses, hello acks and errors.
   uint64_t responses_sent = 0;
   /// Payload bytes read off sockets (frame headers included).
   uint64_t bytes_received = 0;
@@ -90,9 +89,11 @@ struct ServerStats {
   uint64_t request_errors = 0;
   /// Net-side stage histograms (microseconds): kDecode (request body
   /// decode), kEncode (response body encode), kSocketWrite (SendAll of a
-  /// response frame). The serving stages live in the routed model's
-  /// ServiceStats::stages — together the two arrays cover a remote
-  /// request's full path without double counting.
+  /// frame, on the thread that sends it: the service worker for an
+  /// estimate's response). The serving stages live in the routed model's
+  /// ServiceStats::stages. An estimate's kRespond span there contains its
+  /// kEncode and kSocketWrite here, so the two arrays without kRespond
+  /// cover a remote request's path once.
   std::array<obs::HistogramSnapshot, obs::kNumStages> stages;
 };
 
@@ -164,8 +165,9 @@ class EstimatorServer {
   /// Closes the listener and every connection, joins all threads, and
   /// drains every registered service so no completion callback can outlive
   /// the server. In-flight requests already dispatched complete on their
-  /// service; their responses are dropped. Idempotent; must not be called
-  /// from a service worker thread (it drains the pools).
+  /// service; their responses are dropped, and a worker blocked sending to
+  /// a client that stopped reading is released. Idempotent; must not be
+  /// called from a service worker thread (it drains the pools).
   void Stop();
 
   /// The endpoint actually bound (TCP port 0 resolved). Valid after Start().
@@ -176,28 +178,31 @@ class EstimatorServer {
 
  private:
   // One client connection. Held by shared_ptr from the reader thread, the
-  // connection list, and every in-flight completion callback, so a response
-  // arriving after disconnect finds a live (if closed) outbox instead of a
-  // dangling pointer.
+  // connection list, and every in-flight completion callback. It owns its
+  // socket and closes it on destruction, so a response completing after
+  // the connection was torn down and reaped can never reach a reused fd.
   struct Connection {
-    explicit Connection(int fd_in) : fd(fd_in), outbox(kOutboxCapacity) {}
-    int fd;
-    MpmcQueue<std::vector<uint8_t>> outbox;
-    std::thread reader;
-    std::thread writer;
-    std::atomic<bool> done{false};  // reader exited; reapable
+    explicit Connection(int fd_in) : fd(fd_in) {}
+    ~Connection() { CloseSocket(fd); }
+    Connection(const Connection&) = delete;
+    Connection& operator=(const Connection&) = delete;
 
-    /// Enqueues an encoded frame for the writer; drops it (returns false)
-    /// once the connection is closing.
-    bool Send(std::vector<uint8_t> frame) {
-      return outbox.Push(std::move(frame));
-    }
+    const int fd;
+    std::atomic<bool> done{false};  // reader exited; reapable
+    std::mutex send_mu;             // held for one whole frame
+    bool writable = true;           // guarded by send_mu
+    std::thread reader;
   };
   using ConnectionPtr = std::shared_ptr<Connection>;
 
   void AcceptLoop();
   void ReaderLoop(ConnectionPtr conn);
-  void WriterLoop(ConnectionPtr conn);
+  /// Writes one frame to the connection's socket from the calling thread
+  /// and counts it; drops it once the connection is unwritable (reader
+  /// exited, or an earlier send failed). A failed send marks the connection
+  /// unwritable and shuts the socket down, which ends its reader.
+  void Send(const ConnectionPtr& conn, MsgType type, uint64_t request_id,
+            const std::vector<uint8_t>& body);
   /// Handles one decoded request frame; throws ProtocolError upward on
   /// malformed bodies.
   void Dispatch(const ConnectionPtr& conn, const Frame& frame);

@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <csignal>
 #include <cstring>
 
 namespace fj::net {
@@ -21,16 +20,6 @@ std::string Errno(const std::string& what) {
 void SetNoDelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-// A peer closing mid-write must surface as SendAll()==false, not a fatal
-// SIGPIPE; installed once before any socket I/O.
-void IgnoreSigpipeOnce() {
-  static const bool done = [] {
-    ::signal(SIGPIPE, SIG_IGN);
-    return true;
-  }();
-  (void)done;
 }
 
 sockaddr_un UnixAddr(const std::string& path) {
@@ -61,7 +50,6 @@ std::string Endpoint::ToString() const {
 }
 
 ListenSocket::ListenSocket(const Endpoint& endpoint) : endpoint_(endpoint) {
-  IgnoreSigpipeOnce();
   int fd = -1;
   if (endpoint_.IsUnix()) {
     sockaddr_un addr = UnixAddr(endpoint_.unix_path);
@@ -118,7 +106,6 @@ void ListenSocket::Close() {
 }
 
 int ConnectSocket(const Endpoint& endpoint) {
-  IgnoreSigpipeOnce();
   int fd = -1;
   if (endpoint.IsUnix()) {
     sockaddr_un addr = UnixAddr(endpoint.unix_path);
@@ -144,7 +131,9 @@ int ConnectSocket(const Endpoint& endpoint) {
 bool SendAll(int fd, const void* data, size_t n) {
   const auto* p = static_cast<const uint8_t*>(data);
   while (n > 0) {
-    ssize_t sent = ::send(fd, p, n, 0);
+    // MSG_NOSIGNAL: a peer closing mid-write surfaces as EPIPE, not as a
+    // SIGPIPE that would kill the embedding process.
+    ssize_t sent = ::send(fd, p, n, MSG_NOSIGNAL);
     if (sent <= 0) {
       if (sent < 0 && errno == EINTR) continue;
       return false;

@@ -73,7 +73,8 @@ class ListenSocket {
 /// failure. The caller owns the returned fd.
 int ConnectSocket(const Endpoint& endpoint);
 
-/// Writes exactly `n` bytes; false on any error or peer disconnect.
+/// Writes exactly `n` bytes; false on any error or peer disconnect. Never
+/// raises SIGPIPE, so the process's signal disposition is left alone.
 bool SendAll(int fd, const void* data, size_t n);
 
 /// Reads exactly `n` bytes; false on error, EOF, or short close.

@@ -33,7 +33,7 @@ void SendBefore(int fd, const std::string& data, Clock::time_point deadline) {
   size_t sent = 0;
   while (sent < data.size() && WaitReady(fd, POLLOUT, deadline)) {
     ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                       MSG_DONTWAIT);
+                       MSG_DONTWAIT | MSG_NOSIGNAL);
     if (n <= 0) return;
     sent += static_cast<size_t>(n);
   }

@@ -631,16 +631,6 @@ size_t CompiledPredicate::SelectLike(Node& node, const uint32_t* rows,
                     [&](const std::string& s) { return like(s) != negate; });
 }
 
-std::vector<uint8_t> EvalBitmap(const Table& table, const Predicate& pred) {
-  std::vector<uint8_t> bits(table.num_rows());
-  if (table.num_rows() == 0) return bits;
-  CompiledPredicate compiled(table, pred);
-  compiled.SelectTable([&](const uint32_t* sel, size_t k) {
-    for (size_t s = 0; s < k; ++s) bits[sel[s]] = 1;
-  });
-  return bits;
-}
-
 std::vector<uint32_t> EvalSelection(const Table& table, const Predicate& pred) {
   std::vector<uint32_t> out;
   if (table.num_rows() == 0) return out;
@@ -648,18 +638,6 @@ std::vector<uint32_t> EvalSelection(const Table& table, const Predicate& pred) {
   compiled.SelectTable([&](const uint32_t* sel, size_t k) {
     out.insert(out.end(), sel, sel + k);
   });
-  return out;
-}
-
-std::vector<uint32_t> EvalOnRows(const Table& table, const Predicate& pred,
-                                 const std::vector<uint32_t>& rows) {
-  std::vector<uint32_t> out;
-  if (rows.empty()) return out;
-  CompiledPredicate compiled(table, pred);
-  compiled.SelectBlocks(rows.data(), rows.size(),
-                        [&](size_t, const uint32_t* sel, size_t k) {
-                          out.insert(out.end(), sel, sel + k);
-                        });
   return out;
 }
 

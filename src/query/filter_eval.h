@@ -1,5 +1,5 @@
 // Predicate evaluation against a Table: row-at-a-time checks, full-table
-// bitmaps and selection vectors, and a compiled block-at-a-time form that
+// selection vectors and counts, and a compiled block-at-a-time form that
 // every scan runs through.
 #pragma once
 
@@ -141,15 +141,8 @@ class CompiledPredicate {
   size_t num_rows_ = 0;            // the table's, at compile time
 };
 
-/// One byte per row, 1 = match.
-std::vector<uint8_t> EvalBitmap(const Table& table, const Predicate& pred);
-
 /// Matching row ids in ascending order.
 std::vector<uint32_t> EvalSelection(const Table& table, const Predicate& pred);
-
-/// Subset of `rows` (strictly ascending) that match, in ascending order.
-std::vector<uint32_t> EvalOnRows(const Table& table, const Predicate& pred,
-                                 const std::vector<uint32_t>& rows);
 
 /// Number of matching rows.
 size_t CountMatches(const Table& table, const Predicate& pred);

@@ -130,8 +130,10 @@ class EstimatorService {
   /// quick, must not throw, and must not call the service's blocking APIs
   /// (Estimate/EstimateSubplans/Drain — the worker-thread guard turns that
   /// deadlock into std::logic_error). This is the hook the remote front end
-  /// (net/server.h) uses to write responses in completion order without
-  /// parking a thread per outstanding future.
+  /// (net/server.h) uses to write each response to its socket from the
+  /// worker, in completion order, without parking a thread per outstanding
+  /// future; that write blocks the worker only while its client has stopped
+  /// reading.
   using EstimateCallback = std::function<void(double, std::exception_ptr)>;
   using SubplansCallback = std::function<void(
       std::unordered_map<uint64_t, double>, std::exception_ptr)>;

@@ -167,9 +167,15 @@ std::optional<std::vector<double>> Discretizer::LeafEvidence(
           }
           return w;
         }
-        case CmpOp::kLt: range_weights(kMin, x - 1); return w;
+        // A strict bound at an end of int64 (the null code, or the largest
+        // code) has no neighbour to step to; its range takes every code.
+        case CmpOp::kLt:
+          range_weights(kMin, x == kNullInt64 ? kMax : x - 1);
+          return w;
         case CmpOp::kLe: range_weights(kMin, x); return w;
-        case CmpOp::kGt: range_weights(x + 1, kMax); return w;
+        case CmpOp::kGt:
+          range_weights(x == kMax ? kMin : x + 1, kMax);
+          return w;
         case CmpOp::kGe: range_weights(x, kMax); return w;
       }
       return w;

@@ -118,9 +118,13 @@ double ColumnHistogram::LeafSelectivity(const Column& col,
         case CmpOp::kNe:
           return std::max(0.0, 1.0 - null_fraction_ -
                                    (x == kNullInt64 ? 0.0 : EqualitySelectivity(x)));
-        case CmpOp::kLt: return RangeSelectivity(kMin, x - 1);
+        // A strict bound at an end of int64 (the null code, or the largest
+        // code) has no neighbour to step to; its range takes every code.
+        case CmpOp::kLt:
+          return RangeSelectivity(kMin, x == kNullInt64 ? kMax : x - 1);
         case CmpOp::kLe: return RangeSelectivity(kMin, x);
-        case CmpOp::kGt: return RangeSelectivity(x + 1, kMax);
+        case CmpOp::kGt:
+          return RangeSelectivity(x == kMax ? kMin : x + 1, kMax);
         case CmpOp::kGe: return RangeSelectivity(x, kMax);
       }
       return kDefaultLeafSelectivity;

@@ -72,9 +72,14 @@ class Column {
 
   size_t MemoryBytes() const;
 
-  /// Converts a double to the shared fixed-point code space.
+  /// Converts a double to the shared fixed-point code space. NaN, and a
+  /// value whose code falls outside int64 (|v| of 9.2e12 or more), map to
+  /// kNullInt64.
   static int64_t DoubleToCode(double v) {
-    return static_cast<int64_t>(v * 1e6);
+    double scaled = v * 1e6;
+    // 0x1p63 is 2^63; the test is false for NaN too.
+    if (!(scaled > -0x1p63 && scaled < 0x1p63)) return kNullInt64;
+    return static_cast<int64_t>(scaled);
   }
 
  private:

@@ -5,15 +5,19 @@
 // the in-process service.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <csignal>
 #include <future>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -263,7 +267,7 @@ TEST(ProtocolTest, FrameRoundTripsOverSocket) {
   SocketPair sp;
   std::vector<uint8_t> body = net::EncodeEstimateResp(42.5);
   ASSERT_TRUE(net::WriteFrame(sp.a, MsgType::kEstimateResp, 7, body));
-  auto frame = net::ReadFrame(sp.b, net::kDefaultMaxFrameBytes);
+  auto frame = net::ReadFrame(sp.b);
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->type, MsgType::kEstimateResp);
   EXPECT_EQ(frame->request_id, 7u);
@@ -275,8 +279,7 @@ TEST(ProtocolTest, OversizedFrameRejectedBeforeAllocation) {
   ByteWriter w;
   w.U32(200 << 20);  // 200 MiB length prefix, no payload follows
   ASSERT_TRUE(net::SendAll(sp.a, w.bytes().data(), w.size()));
-  EXPECT_THROW(net::ReadFrame(sp.b, net::kDefaultMaxFrameBytes),
-               ProtocolError);
+  EXPECT_THROW(net::ReadFrame(sp.b), ProtocolError);
 }
 
 TEST(ProtocolTest, UnknownMessageTypeRejected) {
@@ -286,8 +289,7 @@ TEST(ProtocolTest, UnknownMessageTypeRejected) {
   w.U8(99);  // not a MsgType
   w.U64(1);
   ASSERT_TRUE(net::SendAll(sp.a, w.bytes().data(), w.size()));
-  EXPECT_THROW(net::ReadFrame(sp.b, net::kDefaultMaxFrameBytes),
-               ProtocolError);
+  EXPECT_THROW(net::ReadFrame(sp.b), ProtocolError);
 }
 
 TEST(ProtocolTest, EofMidFrameIsOrderlyNullopt) {
@@ -298,7 +300,20 @@ TEST(ProtocolTest, EofMidFrameIsOrderlyNullopt) {
   ASSERT_TRUE(net::SendAll(sp.a, w.bytes().data(), w.size()));
   net::CloseSocket(sp.a);
   sp.a = -1;
-  EXPECT_FALSE(net::ReadFrame(sp.b, net::kDefaultMaxFrameBytes).has_value());
+  EXPECT_FALSE(net::ReadFrame(sp.b).has_value());
+}
+
+// The library leaves the process's SIGPIPE disposition alone: under the
+// default action a send to a closed peer fails instead of killing the
+// process.
+TEST(ProtocolTest, SendToAClosedPeerFailsWithoutSigpipe) {
+  auto previous = std::signal(SIGPIPE, SIG_DFL);
+  SocketPair sp;
+  net::CloseSocket(sp.b);
+  sp.b = -1;
+  uint8_t byte = 1;
+  EXPECT_FALSE(net::SendAll(sp.a, &byte, 1));
+  std::signal(SIGPIPE, previous);
 }
 
 TEST(ProtocolTest, SubplansReqMaskCountValidated) {
@@ -553,6 +568,19 @@ TEST(RemoteTest, EstimateBitIdenticalToInProcess) {
   EXPECT_EQ(stack.client->Estimate(q), stack.estimator.Estimate(q));
 }
 
+// Double literals without a fixed-point code (NaN, 1e13) decode on the
+// server into the null code and are served like any other filter.
+TEST(RemoteTest, DoubleLiteralsWithoutACodeAreServed) {
+  RemoteStack stack;
+  Query q = ChainQuery(30, 250);
+  q.SetFilter("i", Predicate::Or({
+      Predicate::Cmp("price", CmpOp::kLt, Literal::Double(std::nan(""))),
+      Predicate::Cmp("price", CmpOp::kLt, Literal::Double(1e13)),
+  }));
+  EXPECT_EQ(std::bit_cast<uint64_t>(stack.client->Estimate(q)),
+            std::bit_cast<uint64_t>(stack.estimator.Estimate(q)));
+}
+
 // The acceptance-criteria shape: EstimateSubplans through a socket returns
 // values bit-identical to the in-process service.
 TEST(RemoteTest, SubplansBitIdenticalToInProcess) {
@@ -641,25 +669,41 @@ TEST(RemoteTest, NotifyUpdateAndStatsRpcs) {
   EXPECT_EQ(stats.epoch, 1u);
 }
 
+/// Polls `done` every 5 ms for up to 2 s; false if it never held.
+template <typename Pred>
+bool Eventually(Pred done) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+/// A raw connection to `endpoint` that has completed the handshake.
+int RawConnect(const net::Endpoint& endpoint) {
+  int fd = net::ConnectSocket(endpoint);
+  EXPECT_TRUE(net::WriteFrame(fd, MsgType::kHello, 0, net::EncodeHello({})));
+  auto ack = net::ReadFrame(fd);
+  EXPECT_TRUE(ack.has_value() && ack->type == MsgType::kHelloAck);
+  return fd;
+}
+
 TEST(RemoteTest, MalformedFrameDropsOnlyThatConnection) {
   RemoteStack stack;
   // A raw attacker connection: handshake, then garbage.
-  int fd = net::ConnectSocket(stack.server.endpoint());
-  ASSERT_TRUE(net::WriteFrame(fd, MsgType::kHello, 0, net::EncodeHello({})));
-  auto ack = net::ReadFrame(fd, net::kDefaultMaxFrameBytes);
-  ASSERT_TRUE(ack.has_value());
-  ASSERT_EQ(ack->type, MsgType::kHelloAck);
+  int fd = RawConnect(stack.server.endpoint());
   ByteWriter garbage;
   garbage.U32(9);
   garbage.U8(99);  // unknown type
   garbage.U64(1);
   ASSERT_TRUE(net::SendAll(fd, garbage.bytes().data(), garbage.size()));
   // The server answers with a connection-level error and closes.
-  auto error = net::ReadFrame(fd, net::kDefaultMaxFrameBytes);
+  auto error = net::ReadFrame(fd);
   ASSERT_TRUE(error.has_value());
   EXPECT_EQ(error->type, MsgType::kError);
   EXPECT_EQ(error->request_id, 0u);
-  EXPECT_FALSE(net::ReadFrame(fd, net::kDefaultMaxFrameBytes).has_value());
+  EXPECT_FALSE(net::ReadFrame(fd).has_value());
   net::CloseSocket(fd);
 
   // The well-behaved client is unaffected.
@@ -670,9 +714,7 @@ TEST(RemoteTest, MalformedFrameDropsOnlyThatConnection) {
 
 TEST(RemoteTest, TruncatedFrameMidBodyDropsConnection) {
   RemoteStack stack;
-  int fd = net::ConnectSocket(stack.server.endpoint());
-  ASSERT_TRUE(net::WriteFrame(fd, MsgType::kHello, 0, net::EncodeHello({})));
-  ASSERT_TRUE(net::ReadFrame(fd, net::kDefaultMaxFrameBytes).has_value());
+  int fd = RawConnect(stack.server.endpoint());
   // A frame whose length promises more than the body delivers: the body
   // claims to be an EstimateReq but is cut mid-query.
   std::vector<uint8_t> good =
@@ -685,7 +727,7 @@ TEST(RemoteTest, TruncatedFrameMidBodyDropsConnection) {
   w.U32(half);
   ASSERT_TRUE(net::SendAll(fd, w.bytes().data(), w.size()));
   ASSERT_TRUE(net::SendAll(fd, good.data() + 4, half));
-  auto error = net::ReadFrame(fd, net::kDefaultMaxFrameBytes);
+  auto error = net::ReadFrame(fd);
   ASSERT_TRUE(error.has_value());
   EXPECT_EQ(error->type, MsgType::kError);
   net::CloseSocket(fd);
@@ -707,12 +749,12 @@ TEST(RemoteTest, HandshakeVersionMismatchRejected) {
     hello.version = version;
     ASSERT_TRUE(net::WriteFrame(fd, MsgType::kHello, 0,
                                 net::EncodeHello(hello)));
-    auto resp = net::ReadFrame(fd, net::kDefaultMaxFrameBytes);
+    auto resp = net::ReadFrame(fd);
     ASSERT_TRUE(resp.has_value()) << "version " << version;
     EXPECT_EQ(resp->type, MsgType::kError);
     std::string message = net::DecodeError(resp->body);
     EXPECT_NE(message.find("version"), std::string::npos);
-    EXPECT_FALSE(net::ReadFrame(fd, net::kDefaultMaxFrameBytes).has_value());
+    EXPECT_FALSE(net::ReadFrame(fd).has_value());
     net::CloseSocket(fd);
   }
 }
@@ -747,12 +789,10 @@ TEST(RemoteTest, TracedRequestsCarryServerStageBreakdown) {
 
   // Untraced requests stay trace-free on the wire (flag off), seen on a
   // raw connection so nothing but the frame itself is inspected.
-  int fd = net::ConnectSocket(stack.server.endpoint());
-  ASSERT_TRUE(net::WriteFrame(fd, MsgType::kHello, 0, net::EncodeHello({})));
-  ASSERT_TRUE(net::ReadFrame(fd, net::kDefaultMaxFrameBytes).has_value());
+  int fd = RawConnect(stack.server.endpoint());
   ASSERT_TRUE(net::WriteFrame(fd, MsgType::kSubplansReq, 1,
                               net::EncodeSubplansReq("", q, masks)));
-  auto resp = net::ReadFrame(fd, net::kDefaultMaxFrameBytes);
+  auto resp = net::ReadFrame(fd);
   net::CloseSocket(fd);
   ASSERT_TRUE(resp.has_value());
   ASSERT_EQ(resp->type, MsgType::kSubplansResp);
@@ -773,7 +813,7 @@ TEST(RemoteTest, RequestBeforeHandshakeRejected) {
   RemoteStack stack;
   int fd = net::ConnectSocket(stack.server.endpoint());
   ASSERT_TRUE(net::WriteFrame(fd, MsgType::kStatsReq, 1, {}));
-  auto resp = net::ReadFrame(fd, net::kDefaultMaxFrameBytes);
+  auto resp = net::ReadFrame(fd);
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->type, MsgType::kError);
   net::CloseSocket(fd);
@@ -819,15 +859,10 @@ TEST(RemoteTest, ClosedConnectionsLeaveTheActiveGauge) {
     EstimatorClient client(EstimatorClientOptions{stack.server.endpoint(), ""});
     EXPECT_EQ(client.Estimate(q), stack.estimator.Estimate(q));
   }
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  auto stats = stack.server.Stats();
-  while (stats.connections_active != 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    stats = stack.server.Stats();
-  }
-  EXPECT_EQ(stats.connections_active, 0u);
-  EXPECT_EQ(stats.connections_accepted, 4u);  // no accept after the last
+  EXPECT_TRUE(Eventually(
+      [&] { return stack.server.Stats().connections_active == 0; }));
+  // No accept after the last.
+  EXPECT_EQ(stack.server.Stats().connections_accepted, 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -924,13 +959,11 @@ TEST(MultiModelTest, UnknownModelIsARequestErrorNotADrop) {
 TEST(MultiModelTest, OneConnectionRoutesEachRequest) {
   MultiModelStack stack;
   Query q = ChainQuery(30, 250);
-  int fd = net::ConnectSocket(stack.server.endpoint());
-  ASSERT_TRUE(net::WriteFrame(fd, MsgType::kHello, 0, net::EncodeHello({})));
-  ASSERT_TRUE(net::ReadFrame(fd, net::kDefaultMaxFrameBytes).has_value());
+  int fd = RawConnect(stack.server.endpoint());
   auto estimate = [&](uint64_t id, const std::string& model) {
     EXPECT_TRUE(net::WriteFrame(fd, MsgType::kEstimateReq, id,
                                 net::EncodeEstimateReq(model, q)));
-    Frame resp = net::ReadFrame(fd, net::kDefaultMaxFrameBytes).value();
+    Frame resp = net::ReadFrame(fd).value();
     EXPECT_EQ(resp.request_id, id);
     return resp;
   };
@@ -1086,6 +1119,146 @@ TEST(RemoteTest, LostConnectionFailsOutstandingFutures) {
       // failed by the disconnect sweep — also a single completion
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The send path: the thread that produces a frame writes it.
+
+// Holds every Estimate until Release(); WaitEntered() tells whether one is
+// being served within 5 s.
+class LatchEstimator : public CardinalityEstimator {
+ public:
+  std::string Name() const override { return "latch"; }
+  double Estimate(const Query& /*query*/) const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+    return 1.0;
+  }
+  bool WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(5),
+                        [this] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool entered_ = false;
+  bool released_ = false;
+};
+
+// A response completing after its connection was closed and reaped is
+// dropped: it never reaches a later connection, whichever descriptor that
+// connection's socket got.
+TEST(SendPathTest, LateCompletionNeverReachesALaterConnection) {
+  LatchEstimator estimator;
+  EstimatorService service(estimator,
+                           {.num_threads = 1, .cache_enabled = false});
+  EstimatorServer server(service);
+  server.Start();
+  Query q;
+  q.AddTable("t");
+  constexpr uint64_t kLateId = 4242;
+  // No ASSERT until Release(): the server's Stop() waits for the held
+  // estimate.
+  int a = RawConnect(server.endpoint());
+  EXPECT_TRUE(net::WriteFrame(a, MsgType::kEstimateReq, kLateId,
+                              net::EncodeEstimateReq("", q)));
+  EXPECT_TRUE(estimator.WaitEntered());
+  net::CloseSocket(a);
+  // A's reader has exited, so B's accept reaps A.
+  EXPECT_TRUE(
+      Eventually([&] { return server.Stats().connections_active == 0; }));
+  int b = RawConnect(server.endpoint());
+  int c = RawConnect(server.endpoint());
+  estimator.Release();
+  service.Drain();  // A's completion has run
+  for (int fd : {b, c}) {
+    pollfd ready{fd, POLLIN, 0};
+    if (::poll(&ready, 1, 500) > 0) {
+      std::optional<Frame> frame = net::ReadFrame(fd);
+      EXPECT_FALSE(frame.has_value() && frame->request_id == kLateId);
+    }
+    net::CloseSocket(fd);
+  }
+}
+
+// Answers every mask of a batch with its popcount.
+class PopcountEstimator : public CardinalityEstimator {
+ public:
+  std::string Name() const override { return "popcount"; }
+  double Estimate(const Query& query) const override {
+    return static_cast<double>(query.NumTables());
+  }
+  std::unique_ptr<SubplanSession> PrepareSubplans(
+      const Query& /*query*/) const override {
+    return std::make_unique<Session>();
+  }
+
+ private:
+  class Session : public SubplanSession {
+   public:
+    std::unordered_map<uint64_t, double> EstimateSubplans(
+        const std::vector<uint64_t>& masks) const override {
+      std::unordered_map<uint64_t, double> out;
+      for (uint64_t mask : masks) {
+        out[mask] = static_cast<double>(std::popcount(mask));
+      }
+      return out;
+    }
+  };
+};
+
+// Stop() releases the workers blocked sending to a client that stopped
+// reading: the socket shutdown fails their sends, and the responses still
+// to come are dropped.
+TEST(SendPathTest, StopIsNotStuckBehindABlockedSend) {
+  PopcountEstimator estimator;
+  EstimatorService service(estimator, {.num_threads = 2,
+                                       .queue_capacity = 8,
+                                       .cache_enabled = false,
+                                       .split_batch_min_masks = 0});
+  EstimatorServer server(service);
+  server.Start();
+  int fd = RawConnect(server.endpoint());
+  Query q;
+  q.AddTable("t");
+  std::vector<uint64_t> masks(4096);
+  std::iota(masks.begin(), masks.end(), uint64_t{1});
+  const std::vector<uint8_t> body = net::EncodeSubplansReq("", q, masks);
+  // Pipelines batches until the connection breaks, and never reads.
+  std::thread sender([&] {
+    for (uint64_t id = 1;
+         net::WriteFrame(fd, MsgType::kSubplansReq, id, body); ++id) {
+    }
+  });
+  // Once the socket buffers are full, the workers block in their sends and
+  // responses_sent (the hello ack included) stops advancing.
+  uint64_t last = 0;
+  int unchanged = 0;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (unchanged < 5 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    uint64_t sent = server.Stats().responses_sent;
+    unchanged = sent > 1 && sent == last ? unchanged + 1 : 0;
+    last = sent;
+  }
+  EXPECT_EQ(unchanged, 5) << "responses kept flowing to a client that "
+                             "never reads";
+  std::future<void> stopped =
+      std::async(std::launch::async, [&] { server.Stop(); });
+  EXPECT_EQ(stopped.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  net::ShutdownSocket(fd);
+  sender.join();
+  net::CloseSocket(fd);
 }
 
 }  // namespace

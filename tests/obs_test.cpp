@@ -529,7 +529,7 @@ int ConnectTo(uint16_t port) {
 std::string HttpGet(uint16_t port, const std::string& path) {
   int fd = ConnectTo(port);
   std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
+  EXPECT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(request.size()));
   std::string response;
   char buf[4096];

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "factorjoin/binning.h"
 #include "query/filter_eval.h"
@@ -247,6 +248,39 @@ TEST(HistogramTest, NullFraction) {
   ColumnHistogram h(col, 4);
   EXPECT_DOUBLE_EQ(h.null_fraction(), 0.5);
   EXPECT_DOUBLE_EQ(h.LeafSelectivity(col, *Predicate::IsNull("x")), 0.5);
+}
+
+// Literals at the ends of the int64 code space, in the Postgres-style
+// column histogram and the BayesNet discretizer. An int literal of 2^62 on
+// a double column has no fixed-point code and gets the null code, as NaN
+// does; a strict bound below the null code or above the largest code
+// selects every code.
+TEST(HistogramTest, LiteralsAtTheEndsOfTheCodeSpace) {
+  Table t("t");
+  Column* x = t.AddColumn("x", ColumnType::kDouble);
+  Column* y = t.AddColumn("y", ColumnType::kInt64);
+  for (int i = 0; i < 400; ++i) {
+    x->AppendDouble(i * 0.25);
+    y->AppendInt(i % 7);
+  }
+  const int64_t kMaxCode = std::numeric_limits<int64_t>::max();
+  // Pairs of leaves that must estimate alike.
+  const std::pair<PredicatePtr, PredicatePtr> alike[] = {
+      {Predicate::Cmp("x", CmpOp::kLt, Literal::Int(int64_t{1} << 62)),
+       Predicate::Cmp("x", CmpOp::kLt, Literal::Double(std::nan("")))},
+      {Predicate::Cmp("y", CmpOp::kGt, Literal::Int(kMaxCode)),
+       Predicate::Cmp("y", CmpOp::kLt, Literal::Int(kNullInt64))},
+  };
+  BayesNetEstimator est(t, {});
+  for (const auto& [a, b] : alike) {
+    const Column& col = t.Col(a->column());
+    ColumnHistogram h(col, 8);
+    EXPECT_EQ(h.LeafSelectivity(col, *a), h.LeafSelectivity(col, *b))
+        << a->ToString();
+    double rows = est.EstimateFilteredRows(*a);
+    EXPECT_TRUE(std::isfinite(rows)) << a->ToString();
+    EXPECT_EQ(rows, est.EstimateFilteredRows(*b)) << a->ToString();
+  }
 }
 
 TEST(SelectivityTest, AndOrComposition) {
