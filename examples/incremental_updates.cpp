@@ -71,8 +71,14 @@ int main() {
 
   Query unrelated;  // touches neither users nor badges
   unrelated.AddTable("votes");
-  service.Estimate(q);          // cached
-  service.Estimate(unrelated);  // cached
+  // Each request is a sub-plan batch; one query's estimate is the batch of
+  // its full alias mask.
+  auto serve = [&](const Query& query) {
+    return service.EstimateSubplans(query, {query.AllAliases()})
+        .at(query.AllAliases());
+  };
+  serve(q);          // cached
+  serve(unrelated);  // cached
 
   // Update protocol: quiesce (stop submitting + Drain), mutate, update the
   // estimator, then notify the service — NOT service.InvalidateAll().
@@ -81,8 +87,8 @@ int main() {
   estimator.ApplyInsert("badges", more);
   service.NotifyUpdate("badges");
 
-  double served = service.Estimate(q);  // recomputed: its entry went stale
-  service.Estimate(unrelated);          // still a cache hit
+  double served = serve(q);  // recomputed: its entry went stale
+  serve(unrelated);          // still a cache hit
   ServiceStats stats = service.Stats();
   std::printf("served fresh estimate=%12.0f (epoch %llu)\n", served,
               static_cast<unsigned long long>(stats.epoch));

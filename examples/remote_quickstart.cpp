@@ -6,6 +6,7 @@
 //   $ ./remote_quickstart
 #include <cstdio>
 #include <future>
+#include <unordered_map>
 #include <vector>
 
 #include "factorjoin/estimator.h"
@@ -58,22 +59,27 @@ int main() {
   net::EstimatorClient client(client_options);
   client.Connect();
 
-  // 4. Pipelined single estimates: all requests in flight at once, one
-  //    connection; the server responds in completion order.
-  std::vector<std::future<double>> futures;
+  // 4. Pipelined one-query estimates, each the batch of its query's full
+  //    alias mask: all requests in flight at once, one connection; the
+  //    server responds in completion order.
+  std::vector<Query> burst;
+  std::vector<std::future<std::unordered_map<uint64_t, double>>> futures;
   for (int lo = 20; lo < 60; ++lo) {
     Query q;
     q.AddTable("users").AddTable("orders");
     q.AddJoin("users", "id", "orders", "user_id");
     q.SetFilter("users", Predicate::Cmp("age", CmpOp::kGt, Literal::Int(lo)));
-    futures.push_back(client.EstimateAsync(q));
+    futures.push_back(client.EstimateSubplansAsync(q, {q.AllAliases()}));
+    burst.push_back(std::move(q));
   }
   std::vector<double> results;
-  for (auto& f : futures) results.push_back(f.get());
+  for (size_t i = 0; i < futures.size(); ++i) {
+    results.push_back(futures[i].get().at(burst[i].AllAliases()));
+  }
   std::printf("age > 20 join estimate (remote): %.0f rows\n",
               results.front());
 
-  // 5. Batched sub-plan estimates — the optimizer-facing API, remoted.
+  // 5. A whole sub-plan set at once — what an optimizer asks for, remoted.
   Query q;
   q.AddTable("users").AddTable("orders");
   q.AddJoin("users", "id", "orders", "user_id");
@@ -92,9 +98,8 @@ int main() {
 
   // 6. Remote service metrics.
   ServiceStats stats = client.Stats();
-  std::printf("remote stats: requests=%llu subplan_requests=%llu "
-              "hit_rate=%.0f%% pending=%llu\n",
-              static_cast<unsigned long long>(stats.requests),
+  std::printf("remote stats: subplan_requests=%llu hit_rate=%.0f%% "
+              "pending=%llu\n",
               static_cast<unsigned long long>(stats.subplan_requests),
               stats.cache.HitRate() * 100.0,
               static_cast<unsigned long long>(stats.pending_requests));

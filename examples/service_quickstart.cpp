@@ -1,10 +1,11 @@
 // Serving-layer quickstart: train FactorJoin once, wrap it in an
-// EstimatorService, and serve estimate requests from a worker pool with a
+// EstimatorService, and serve sub-plan batches from a worker pool with a
 // sharded sub-plan cache.
 //
 //   $ ./service_quickstart
 #include <cstdio>
 #include <future>
+#include <unordered_map>
 #include <vector>
 
 #include "factorjoin/estimator.h"
@@ -46,27 +47,31 @@ int main() {
   EstimatorService service(estimator, options);
 
   // 4. Fire a burst of async requests — filtered variants of the same join.
-  std::vector<std::future<double>> futures;
+  //    Every request is a sub-plan batch; one query's own estimate is the
+  //    batch of its full alias mask.
+  std::vector<Query> burst;
   for (int lo = 20; lo < 60; ++lo) {
     Query q;
     q.AddTable("users").AddTable("orders");
     q.AddJoin("users", "id", "orders", "user_id");
     q.SetFilter("users", Predicate::Cmp("age", CmpOp::kGt, Literal::Int(lo)));
-    futures.push_back(service.EstimateAsync(q));
+    burst.push_back(std::move(q));
   }
-  // Repeat the burst: every repeated query is now a cache hit.
-  for (int lo = 20; lo < 60; ++lo) {
-    Query q;
-    q.AddTable("users").AddTable("orders");
-    q.AddJoin("users", "id", "orders", "user_id");
-    q.SetFilter("users", Predicate::Cmp("age", CmpOp::kGt, Literal::Int(lo)));
-    futures.push_back(service.EstimateAsync(q));
+  std::vector<std::future<std::unordered_map<uint64_t, double>>> futures;
+  // The burst twice: every repeated query is a cache hit.
+  for (int round = 0; round < 2; ++round) {
+    for (const Query& q : burst) {
+      futures.push_back(service.EstimateSubplansAsync(q, {q.AllAliases()}));
+    }
   }
   std::vector<double> results;
-  for (auto& f : futures) results.push_back(f.get());
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const Query& q = burst[i % burst.size()];
+    results.push_back(futures[i].get().at(q.AllAliases()));
+  }
   std::printf("age > 20 join estimate: %.0f rows\n", results.front());
 
-  // 5. Batched sub-plan serving — the optimizer-facing API.
+  // 5. A whole sub-plan set at once — what an optimizer asks for.
   Query q;
   q.AddTable("users").AddTable("orders");
   q.AddJoin("users", "id", "orders", "user_id");
@@ -81,9 +86,7 @@ int main() {
 
   // 6. Service metrics.
   ServiceStats stats = service.Stats();
-  std::printf("requests=%llu subplan_requests=%llu hit_rate=%.0f%% "
-              "p50=%.1fus p99=%.1fus\n",
-              static_cast<unsigned long long>(stats.requests),
+  std::printf("subplan_requests=%llu hit_rate=%.0f%% p50=%.1fus p99=%.1fus\n",
               static_cast<unsigned long long>(stats.subplan_requests),
               stats.cache.HitRate() * 100.0, stats.p50_micros,
               stats.p99_micros);

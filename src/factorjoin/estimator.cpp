@@ -360,9 +360,7 @@ FactorJoinEstimator::Session::EstimateSubplans(
     return nullptr;
   };
 
-  uint64_t all = query_.NumTables() >= 64
-                     ? ~uint64_t{0}
-                     : (uint64_t{1} << query_.NumTables()) - 1;
+  const uint64_t all = query_.AllAliases();
   std::unordered_map<uint64_t, double> out;
   out.reserve(masks.size());
   for (uint64_t mask : masks) {
@@ -397,7 +395,8 @@ double FactorJoinEstimator::Estimate(const Query& query) const {
   if (query.NumTables() == 1) {
     const TableRef& ref = query.tables()[0];
     return estimators_.at(ref.table)
-        ->EstimateFilteredRows(*query.FilterFor(ref.alias));
+        ->EstimateKeyDists(*query.FilterFor(ref.alias), {})
+        .filtered_rows;
   }
   FactorArena arena;
   Leaves prepared = MakeLeaves(query, &arena);

@@ -212,19 +212,11 @@ std::future<T> EstimatorClient::Call(MsgType type,
   return future;
 }
 
-void EstimatorClient::EstimateAsync(const Query& query,
-                                    EstimateCallback done) {
-  Send(MsgType::kEstimateReq, EncodeEstimateReq(options_.model, query),
-       MsgType::kEstimateResp, Decoded(&DecodeEstimateResp, std::move(done)));
-}
-
-std::future<double> EstimatorClient::EstimateAsync(const Query& query) {
-  return Call(MsgType::kEstimateReq, EncodeEstimateReq(options_.model, query),
-              MsgType::kEstimateResp, &DecodeEstimateResp);
-}
-
-double EstimatorClient::Estimate(const Query& query) {
-  return EstimateAsync(query).get();
+void EstimatorClient::EstimateSubplansAsync(
+    const Query& query, const std::vector<uint64_t>& masks,
+    SubplansCallback done) {
+  Send(MsgType::kSubplansReq, EncodeSubplansReq(options_.model, query, masks),
+       MsgType::kSubplansResp, Decoded(&DecodeSubplansResp, std::move(done)));
 }
 
 std::future<std::unordered_map<uint64_t, double>>
@@ -238,14 +230,6 @@ EstimatorClient::EstimateSubplansAsync(const Query& query,
 std::unordered_map<uint64_t, double> EstimatorClient::EstimateSubplans(
     const Query& query, const std::vector<uint64_t>& masks) {
   return EstimateSubplansAsync(query, masks).get();
-}
-
-EstimatorClient::TracedEstimate EstimatorClient::EstimateTraced(
-    const Query& query) {
-  return Call(MsgType::kEstimateReq,
-              EncodeEstimateReq(options_.model, query, /*want_trace=*/true),
-              MsgType::kEstimateResp, &DecodeEstimateRespFull)
-      .get();
 }
 
 EstimatorClient::TracedSubplans EstimatorClient::EstimateSubplansTraced(

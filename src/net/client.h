@@ -1,7 +1,7 @@
 // EstimatorClient: the optimizer-process side of remote estimation.
 //
-// Mirrors the EstimatorService API (Estimate, EstimateSubplans,
-// NotifyUpdate, Stats) over one framed socket connection, for one model:
+// Mirrors the EstimatorService API (EstimateSubplans, NotifyUpdate, Stats)
+// over one framed socket connection, for one model:
 // every request carries options.model, and a process that talks to several
 // of a server's models holds one client per model. Plus the two things a
 // remote client needs that an in-process service does not:
@@ -10,8 +10,8 @@
 //    callback, and sends without waiting; any number of requests can be
 //    outstanding on the one connection, and a background receiver thread
 //    correlates responses (which the server sends in completion order) back
-//    to their callbacks. The future overloads set a promise inside that
-//    callback and the blocking ones are submit + get, so one pipelined
+//    to their callbacks. The future overload sets a promise inside that
+//    callback and the blocking calls are submit + get, so one pipelined
 //    client can keep a whole server worker pool busy.
 //
 //  * Reconnect-on-failure. A lost connection fails every outstanding
@@ -83,43 +83,37 @@ class EstimatorClient {
   /// it lands (open-loop load generation): futures can only be harvested in
   /// submission order, which would smear completion times. `error` is
   /// nullptr on success, else RemoteError/NetError.
-  using EstimateCallback = std::function<void(double estimate,
-                                              std::exception_ptr error)>;
+  using SubplansCallback = std::function<void(
+      std::unordered_map<uint64_t, double> estimates,
+      std::exception_ptr error)>;
 
-  /// Pipelined single estimate delivering through `done` instead of a
-  /// future. `done` runs exactly once — on the receiver thread when a
+  /// Pipelined batched sub-plan estimates (masks in Query::tables() bit
+  /// order, exactly like EstimatorService::EstimateSubplans; one query's
+  /// own estimate is the batch {query.AllAliases()}), delivered through
+  /// `done`. `done` runs exactly once — on the receiver thread when a
   /// response or disconnect arrives, or on the calling thread when the dial
   /// fails or the send fails before the disconnect sweep sees it (the
   /// failure is delivered as the error argument; nothing is thrown). Keep
   /// it quick, non-blocking and non-throwing: it runs on the thread that
   /// drains the socket.
-  void EstimateAsync(const Query& query, EstimateCallback done);
-  /// Pipelined single estimate. The future throws RemoteError (server-side
-  /// failure) or NetError (dial or send failed, or the connection was lost
-  /// before the response).
-  std::future<double> EstimateAsync(const Query& query);
-  double Estimate(const Query& query);
-
-  /// Pipelined batched sub-plan estimates (masks in Query::tables() bit
-  /// order, exactly like EstimatorService::EstimateSubplans).
+  void EstimateSubplansAsync(const Query& query,
+                             const std::vector<uint64_t>& masks,
+                             SubplansCallback done);
+  /// The same request through a future, which throws RemoteError
+  /// (server-side failure) or NetError (dial or send failed, or the
+  /// connection was lost before the response).
   std::future<std::unordered_map<uint64_t, double>> EstimateSubplansAsync(
       const Query& query, const std::vector<uint64_t>& masks);
   std::unordered_map<uint64_t, double> EstimateSubplans(
       const Query& query, const std::vector<uint64_t>& masks);
 
-  // ------------------------------------------------------- traced requests
-  //
-  // Same requests with the protocol v3 want-trace flag set: the response
-  // carries the server-side stage breakdown (decode, queue wait, cache
-  // probe, estimate kernel, encode — respond and socket write happen after
-  // the response body is sealed and only feed the server's aggregate
-  // histograms). `trace` is empty (has_trace false) when the serving model
-  // runs with tracing disabled. This is what `fj_client --trace` prints.
-
-  using TracedEstimate = EstimateResp;
+  /// The same request with the protocol v3 want-trace flag set: the
+  /// response carries the server-side stage breakdown (decode, queue wait,
+  /// cache probe, estimate kernel, encode — respond and socket write happen
+  /// after the response body is sealed and only feed the server's aggregate
+  /// histograms). `trace` is empty (has_trace false) when the serving model
+  /// runs with tracing disabled. This is what `fj_client --trace` prints.
   using TracedSubplans = SubplansResp;
-
-  TracedEstimate EstimateTraced(const Query& query);
   TracedSubplans EstimateSubplansTraced(const Query& query,
                                         const std::vector<uint64_t>& masks);
 

@@ -11,9 +11,10 @@ namespace {
 
 constexpr size_t kHeaderBytes = 1 + 8;  // type + request id
 
+// Types 3 and 4 are the single-estimate pair retired in v6.
 bool KnownMsgType(uint8_t t) {
   return t >= static_cast<uint8_t>(MsgType::kHello) &&
-         t <= static_cast<uint8_t>(MsgType::kError);
+         t <= static_cast<uint8_t>(MsgType::kError) && t != 3 && t != 4;
 }
 
 }  // namespace
@@ -96,50 +97,6 @@ bool DecodeRespTrace(ByteReader* r, obs::RequestTrace* trace) {
 }
 
 }  // namespace
-
-std::vector<uint8_t> EncodeEstimateReq(const std::string& model,
-                                       const Query& query, bool want_trace) {
-  ByteWriter w;
-  w.Str(model);
-  w.U8(ReqFlags(want_trace));
-  EncodeQuery(query, &w);
-  return w.Take();
-}
-
-EstimateReq DecodeEstimateReq(const std::vector<uint8_t>& body) {
-  ByteReader r(body);
-  EstimateReq req;
-  req.model = r.Str();
-  req.want_trace = DecodeReqFlags(&r);
-  req.query = DecodeQuery(&r);
-  r.ExpectEnd();
-  return req;
-}
-
-std::vector<uint8_t> EncodeEstimateRespBody(double estimate) {
-  ByteWriter w;
-  w.F64(estimate);
-  return w.Take();
-}
-
-std::vector<uint8_t> EncodeEstimateResp(double estimate) {
-  std::vector<uint8_t> body = EncodeEstimateRespBody(estimate);
-  AppendRespTrace(&body, nullptr);
-  return body;
-}
-
-EstimateResp DecodeEstimateRespFull(const std::vector<uint8_t>& body) {
-  ByteReader r(body);
-  EstimateResp resp;
-  resp.estimate = r.F64();
-  resp.has_trace = DecodeRespTrace(&r, &resp.trace);
-  r.ExpectEnd();
-  return resp;
-}
-
-double DecodeEstimateResp(const std::vector<uint8_t>& body) {
-  return DecodeEstimateRespFull(body).estimate;
-}
 
 std::vector<uint8_t> EncodeSubplansReq(const std::string& model,
                                        const Query& query,

@@ -46,12 +46,16 @@ using ProtocolError = SerializeError;
 /// "FJN" + version byte of the *magic*, not the protocol (the protocol
 /// version is negotiated separately in the hello body).
 inline constexpr uint32_t kProtocolMagic = 0x464A4E31;  // "FJN1"
+/// Version 6: one estimation request kind. The single-estimate pair
+/// (types 3 and 4) is retired and rejected like any unknown type; a
+/// one-query estimate is a sub-plans request for the query's full alias
+/// mask.
 /// Version 5: the stats body carries its counters as name/value pairs.
 /// Version 4: the stats body gains the slow-log rate-limiter's suppressed
 /// counter right after slow_requests. Negotiation is exact-match, so the
 /// added field needs its own version — a v3 peer decoding a v4 body would
 /// read the counter as the latency histogram's length.
-/// Version 3 (observability): estimate/subplans requests carry a flags
+/// Version 3 (observability): estimation requests carry a flags
 /// byte after the model id (bit 0 = attach a per-request stage trace to
 /// the response); their responses end with a has-trace byte plus the
 /// optional trace; the stats body ships the slow-request counter and the
@@ -60,16 +64,15 @@ inline constexpr uint32_t kProtocolMagic = 0x464A4E31;  // "FJN1"
 /// Version 2 added model-id routing and the batch-split counters.
 /// Older handshakes are rejected cleanly (kError naming both versions),
 /// never half-spoken.
-inline constexpr uint16_t kProtocolVersion = 5;
+inline constexpr uint16_t kProtocolVersion = 6;
 
 /// Frames larger than this are rejected at the length prefix (both sides).
 inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 
+/// 3 and 4 stay unused: they were the single-estimate pair until v5.
 enum class MsgType : uint8_t {
   kHello = 1,
   kHelloAck = 2,
-  kEstimateReq = 3,       // body: str model, u8 flags, Query
-  kEstimateResp = 4,      // body: f64 estimate, u8 has_trace, [trace]
   kSubplansReq = 5,       // body: str model, u8 flags, Query, u32 n, u64 × n
   kSubplansResp = 6,      // body: u32 n, (u64 mask, f64 estimate) × n,
                           //       u8 has_trace, [trace]
@@ -116,39 +119,16 @@ Hello DecodeHello(const std::vector<uint8_t>& body);
 // ------------------------------------------------------------- body codecs
 //
 // Every request body leads with the model-id string (the v2 routing field;
-// "" selects the server's default model) followed by a v3 flags byte.
-// Estimate/subplans responses end with `u8 has_trace` plus an optional
-// obs::RequestTrace — present when the request set kReqFlagWantTrace and
-// the server traced it. The server encodes the response payload first and
-// appends the trace afterwards (AppendRespTrace), so the encode span it
-// reports covers the actual response encoding, not its own bookkeeping.
+// "" selects the server's default model); a sub-plans request follows it
+// with a v3 flags byte. Sub-plans responses end with `u8 has_trace` plus an
+// optional obs::RequestTrace — present when the request set
+// kReqFlagWantTrace and the server traced it. The server encodes the
+// response payload first and appends the trace afterwards
+// (AppendRespTrace), so the encode span it reports covers the actual
+// response encoding, not its own bookkeeping.
 
 /// Request flags byte (v3). Unknown bits are reserved and must be zero.
 inline constexpr uint8_t kReqFlagWantTrace = 0x01;
-
-std::vector<uint8_t> EncodeEstimateReq(const std::string& model,
-                                       const Query& query,
-                                       bool want_trace = false);
-struct EstimateReq {
-  std::string model;
-  Query query;
-  bool want_trace = false;
-};
-EstimateReq DecodeEstimateReq(const std::vector<uint8_t>& body);
-
-/// Response payload WITHOUT the trailing trace section; the frame is
-/// completed by AppendRespTrace (possibly with a null trace).
-std::vector<uint8_t> EncodeEstimateRespBody(double estimate);
-/// Complete untraced response (payload + empty trace section).
-std::vector<uint8_t> EncodeEstimateResp(double estimate);
-struct EstimateResp {
-  double estimate = 0.0;
-  bool has_trace = false;
-  obs::RequestTrace trace;
-};
-EstimateResp DecodeEstimateRespFull(const std::vector<uint8_t>& body);
-/// Estimate only; any attached trace is decoded (validated) and discarded.
-double DecodeEstimateResp(const std::vector<uint8_t>& body);
 
 std::vector<uint8_t> EncodeSubplansReq(const std::string& model,
                                        const Query& query,
@@ -162,7 +142,8 @@ struct SubplansReq {
 };
 SubplansReq DecodeSubplansReq(const std::vector<uint8_t>& body);
 
-/// Response payload WITHOUT the trailing trace section (see above).
+/// Response payload WITHOUT the trailing trace section; the frame is
+/// completed by AppendRespTrace (possibly with a null trace).
 std::vector<uint8_t> EncodeSubplansRespBody(
     const std::unordered_map<uint64_t, double>& estimates);
 /// Complete untraced response (payload + empty trace section).

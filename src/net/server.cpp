@@ -230,14 +230,10 @@ EstimatorService* EstimatorServer::Resolve(const ConnectionPtr& conn,
   return service;
 }
 
-template <typename Req, typename Submit, typename Encode>
-void EstimatorServer::ServeEstimation(const ConnectionPtr& conn,
-                                      const Frame& frame,
-                                      Req (*decode)(const std::vector<uint8_t>&),
-                                      Submit submit, Encode encode,
-                                      MsgType resp_type) {
+void EstimatorServer::ServeSubplans(const ConnectionPtr& conn,
+                                    const Frame& frame) {
   obs::SpanTimer decode_span;
-  Req req = decode(frame.body);
+  SubplansReq req = DecodeSubplansReq(frame.body);
   uint64_t decode_micros = decode_span.ElapsedMicros();
   stage_hist_[static_cast<size_t>(obs::Stage::kDecode)].Record(decode_micros);
   const uint64_t id = frame.request_id;
@@ -251,23 +247,25 @@ void EstimatorServer::ServeEstimation(const ConnectionPtr& conn,
     sink = std::make_shared<obs::RequestTrace>();
     sink->Add(obs::Stage::kDecode, decode_micros);
   }
-  auto done = [this, conn, id, sink, encode, resp_type](
-                  auto value, std::exception_ptr error) {
+  auto done = [this, conn, id, sink](
+                  std::unordered_map<uint64_t, double> values,
+                  std::exception_ptr error) {
     if (error != nullptr) {
       request_errors_.fetch_add(1);
       SendError(conn, id, ExceptionMessage(std::move(error)));
       return;
     }
     obs::SpanTimer encode_span;
-    std::vector<uint8_t> body = encode(value);
+    std::vector<uint8_t> body = EncodeSubplansRespBody(values);
     uint64_t encode_micros = encode_span.ElapsedMicros();
     stage_hist_[static_cast<size_t>(obs::Stage::kEncode)].Record(
         encode_micros);
     if (sink != nullptr) sink->Add(obs::Stage::kEncode, encode_micros);
     AppendRespTrace(&body, sink.get());
-    Send(conn, resp_type, id, body);
+    Send(conn, MsgType::kSubplansResp, id, body);
   };
-  submit(*service, req, std::move(done), std::move(sink));
+  service->EstimateSubplansAsync(std::move(req.query), std::move(req.masks),
+                                 std::move(done), std::move(sink));
 }
 
 void EstimatorServer::Dispatch(const ConnectionPtr& conn, const Frame& frame) {
@@ -276,26 +274,8 @@ void EstimatorServer::Dispatch(const ConnectionPtr& conn, const Frame& frame) {
   }
   const uint64_t id = frame.request_id;
   switch (frame.type) {
-    case MsgType::kEstimateReq:
-      ServeEstimation(
-          conn, frame, &DecodeEstimateReq,
-          [](EstimatorService& service, EstimateReq& req, auto done,
-             auto sink) {
-            service.EstimateAsync(std::move(req.query), std::move(done),
-                                  std::move(sink));
-          },
-          &EncodeEstimateRespBody, MsgType::kEstimateResp);
-      return;
     case MsgType::kSubplansReq:
-      ServeEstimation(
-          conn, frame, &DecodeSubplansReq,
-          [](EstimatorService& service, SubplansReq& req, auto done,
-             auto sink) {
-            service.EstimateSubplansAsync(std::move(req.query),
-                                          std::move(req.masks),
-                                          std::move(done), std::move(sink));
-          },
-          &EncodeSubplansRespBody, MsgType::kSubplansResp);
+      ServeSubplans(conn, frame);
       return;
     case MsgType::kNotifyUpdateReq: {
       // Remote NotifyUpdate covers the cache-invalidation half of the

@@ -17,8 +17,8 @@
 // constructor keeps the one-model deployment trivial by wrapping the
 // service in an internal registry.
 //
-// Each connection gets one reader thread (frame decode + dispatch). Both
-// estimation kinds are served by one path (ServeEstimation) through the
+// Each connection gets one reader thread (frame decode + dispatch). Every
+// estimate is a sub-plans request, served (ServeSubplans) through the
 // resolved service's callback API, so decoding the next request never
 // blocks on estimating the previous one. Every frame goes to the socket
 // from the thread that produced it, one whole frame at a time under the
@@ -206,12 +206,9 @@ class EstimatorServer {
   /// Handles one decoded request frame; throws ProtocolError upward on
   /// malformed bodies.
   void Dispatch(const ConnectionPtr& conn, const Frame& frame);
-  /// Serves an estimation request of either kind; only the body decoder,
-  /// the service call (`submit`) and the value encoder differ between them.
-  template <typename Req, typename Submit, typename Encode>
-  void ServeEstimation(const ConnectionPtr& conn, const Frame& frame,
-                       Req (*decode)(const std::vector<uint8_t>&),
-                       Submit submit, Encode encode, MsgType resp_type);
+  /// Decodes a sub-plans request and submits it to the routed service; the
+  /// completion encodes the response and sends it from the worker.
+  void ServeSubplans(const ConnectionPtr& conn, const Frame& frame);
   void SendError(const ConnectionPtr& conn, uint64_t request_id,
                  const std::string& message);
   /// Resolves a request's model id against the registry; on an unknown

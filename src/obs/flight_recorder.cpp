@@ -18,7 +18,7 @@ void AppendRecordJson(std::string* out, const FlightRecord& r) {
   AppendF(out,
           "{\"seq\":%" PRIu64 ",\"t_us\":%" PRIu64 ",\"total_us\":%" PRIu64,
           r.seq, r.t_micros, r.total_micros);
-  AppendF(out, ",\"kind\":\"%s\",\"model\":\"%s\"", r.kind, r.model);
+  AppendF(out, ",\"model\":\"%s\"", r.model);
   AppendF(out, ",\"fp\":\"%016" PRIx64 "%016" PRIx64 "\",\"masks\":%u",
           r.fp_hi, r.fp_lo, r.masks);
   AppendF(out, ",\"dominant_stage\":\"%s\",\"stages\":{",
@@ -58,8 +58,7 @@ Stage FlightRecord::DominantStage() const {
 FlightRecorder::FlightRecorder(size_t capacity)
     : slots_(capacity > 0 ? capacity : 1) {}
 
-void FlightRecorder::Append(const char* kind,
-                            const QueryFingerprint& fingerprint, size_t masks,
+void FlightRecorder::Append(const QueryFingerprint& fingerprint, size_t masks,
                             const char* model, const RequestTrace& trace) {
   FlightRecord record;
   // Ticket 0 is reserved as "slot never written".
@@ -70,7 +69,6 @@ void FlightRecorder::Append(const char* kind,
   record.fp_lo = fingerprint.lo;
   record.fp_hi = fingerprint.hi;
   record.masks = static_cast<uint32_t>(masks);
-  CopyName(record.kind, sizeof(record.kind), kind);
   CopyName(record.model, sizeof(record.model), model);
 
   Slot& slot = slots_[(record.seq - 1) % slots_.size()];

@@ -53,8 +53,7 @@ struct FlightRecord {
   std::array<uint64_t, kNumStages> stage_micros{};
   uint64_t fp_lo = 0;      // query fingerprint
   uint64_t fp_hi = 0;
-  uint32_t masks = 0;      // batch size, 0 for single estimates
-  char kind[12] = {};      // "estimate" / "subplans", NUL-terminated
+  uint32_t masks = 0;      // batch size
   char model[16] = {};     // model name, truncated, NUL-terminated
 
   /// Stage holding the largest share of the trace (ties → first).
@@ -70,8 +69,8 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Appends one completed request. Thread-safe, lock-light (see header).
-  void Append(const char* kind, const QueryFingerprint& fingerprint,
-              size_t masks, const char* model, const RequestTrace& trace);
+  void Append(const QueryFingerprint& fingerprint, size_t masks,
+              const char* model, const RequestTrace& trace);
 
   /// The retained recent records, newest first, at most `last_n`.
   /// Thread-safe; skips any slot mid-append rather than blocking it.

@@ -47,7 +47,7 @@ struct MetricLabel {
 /// One evaluated metric sample. `value` is meaningful for counters and
 /// gauges, `hist` for histograms.
 struct MetricSample {
-  std::string name;  // full Prometheus name, e.g. "fj_requests_total"
+  std::string name;  // full Prometheus name, e.g. "fj_errors_total"
   MetricKind kind = MetricKind::kCounter;
   std::string help;
   std::vector<MetricLabel> labels;

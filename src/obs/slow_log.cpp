@@ -12,8 +12,7 @@ SlowRequestLog::SlowRequestLog(uint64_t threshold_micros, std::FILE* sink,
       model_(model.empty() ? "default" : std::move(model)),
       clock_(clock ? std::move(clock) : MonotonicMicros) {}
 
-bool SlowRequestLog::MaybeLog(const char* kind,
-                              const QueryFingerprint& fingerprint,
+bool SlowRequestLog::MaybeLog(const QueryFingerprint& fingerprint,
                               size_t masks, const RequestTrace& trace) {
   if (threshold_micros_ == 0 || trace.total_micros < threshold_micros_) {
     return false;
@@ -23,8 +22,8 @@ bool SlowRequestLog::MaybeLog(const char* kind,
   char line[512];
   int len = std::snprintf(
       line, sizeof(line),
-      "fj_slow_request model=%s kind=%s fp=%s masks=%zu total_us=%llu",
-      model_.c_str(), kind, fingerprint.ToString().c_str(), masks,
+      "fj_slow_request model=%s fp=%s masks=%zu total_us=%llu",
+      model_.c_str(), fingerprint.ToString().c_str(), masks,
       static_cast<unsigned long long>(trace.total_micros));
   for (size_t i = 0; i < kNumStages && len > 0 &&
                      static_cast<size_t>(len) < sizeof(line);

@@ -3,7 +3,7 @@
 // The serving worker calls MaybeLog() after fulfilling each request; when
 // the end-to-end latency reaches the threshold, one line is written:
 //
-//   fj_slow_request model=default kind=subplans fp=00c3...9a masks=842
+//   fj_slow_request model=default fp=00c3...9a masks=842
 //       total_us=15234 queue_wait_us=12 cache_probe_us=301 estimate_us=14850
 //
 // (single line on the wire; zero stages are elided). The format is
@@ -61,11 +61,10 @@ class SlowRequestLog {
   uint64_t threshold_micros() const { return threshold_micros_; }
 
   /// Logs one line when trace.total_micros >= threshold and the token
-  /// bucket has a token. `kind` is "estimate" or "subplans"; `masks` is the
-  /// batch size (0 for single estimates). Returns true when a line was
-  /// written (false: under threshold, or suppressed). Thread-safe.
-  bool MaybeLog(const char* kind, const QueryFingerprint& fingerprint,
-                size_t masks, const RequestTrace& trace);
+  /// bucket has a token. `masks` is the batch size. Returns true when a
+  /// line was written (false: under threshold, or suppressed). Thread-safe.
+  bool MaybeLog(const QueryFingerprint& fingerprint, size_t masks,
+                const RequestTrace& trace);
 
   /// Lines written so far (summary lines excluded). Thread-safe.
   uint64_t logged() const { return logged_.load(std::memory_order_relaxed); }

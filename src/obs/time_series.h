@@ -121,7 +121,7 @@ class TimeSeriesRing {
 ///   {"retention_seconds":N,"window_count":M,"windows":[{"t_us":...,
 ///    "seconds":...,"qps":...,"latency_count":...,"mean_us":...,
 ///    "p50_us":...,"p99_us":...,"p999_us":...,"hit_rate":...,
-///    "queue_wait_p99_us":...,"counters":{"fj_requests_total":...,...},
+///    "queue_wait_p99_us":...,"counters":{"fj_subplan_requests_total":...,...},
 ///    "stages":{"queue_wait":{"count":..,"mean_us":..}}}]}
 /// `counters` holds every row of both counter tables, keyed by metric name.
 /// Timestamps are monotonic microseconds (the subsystem's shared clock);

@@ -83,8 +83,7 @@ std::unique_ptr<PlanNode> GreedyPlan(
     }
   }
   auto plan = MakeLeaf(start, best_card, options.cost);
-  uint64_t remaining =
-      ((n == 64) ? ~uint64_t{0} : (uint64_t{1} << n) - 1) & ~plan->mask;
+  uint64_t remaining = query.AllAliases() & ~plan->mask;
   while (remaining != 0) {
     int pick = -1;
     double pick_card = std::numeric_limits<double>::max();
@@ -180,8 +179,7 @@ std::unique_ptr<PlanNode> OptimizeJoinOrder(
     if (best_plan) best[mask] = std::move(best_plan);
   }
 
-  uint64_t full = (n == 64) ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
-  auto it = best.find(full);
+  auto it = best.find(query.AllAliases());
   if (it == best.end()) {
     throw std::invalid_argument("optimizer: query join graph not connected");
   }

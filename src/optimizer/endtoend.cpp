@@ -40,10 +40,7 @@ QueryRunResult RunQueryEndToEnd(const Database& db, const Query& query,
   auto plan = OptimizeJoinOrder(query, cards, options.optimizer);
   if (options.charge_planning) result.plan_seconds = plan_timer.Seconds();
 
-  uint64_t full = (query.NumTables() == 64)
-                      ? ~uint64_t{0}
-                      : (uint64_t{1} << query.NumTables()) - 1;
-  auto full_it = cards.find(full);
+  auto full_it = cards.find(query.AllAliases());
   result.estimated_card = full_it != cards.end() ? full_it->second : 0.0;
   std::vector<std::string> alias_names;
   for (const auto& ref : query.tables()) alias_names.push_back(ref.alias);

@@ -40,9 +40,7 @@ class PartDigest {
 
 SubplanFingerprinter::SubplanFingerprinter(const Query& query) {
   const std::vector<TableRef>& tables = query.tables();
-  all_aliases_ = tables.size() == Query::kMaxTables
-                     ? ~uint64_t{0}
-                     : (uint64_t{1} << tables.size()) - 1;
+  all_aliases_ = query.AllAliases();
   alias_parts_.reserve(tables.size());
   for (const TableRef& t : tables) {
     PartDigest part("T");

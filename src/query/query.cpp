@@ -143,9 +143,7 @@ bool Query::IsConnected() const {
   if (tables_.empty()) return false;
   if (tables_.size() == 1) return true;
   auto adj = AliasAdjacency();
-  uint64_t all = tables_.size() == 64
-                     ? ~uint64_t{0}
-                     : (uint64_t{1} << tables_.size()) - 1;
+  const uint64_t all = AllAliases();
   uint64_t reached = 1;
   uint64_t frontier = 1;
   while (frontier != 0) {

@@ -110,6 +110,12 @@ class Query {
 
   size_t NumTables() const { return tables_.size(); }
 
+  /// The alias mask of the whole query: bit i set for every tables()[i].
+  uint64_t AllAliases() const {
+    return tables_.size() == kMaxTables ? ~uint64_t{0}
+                                        : (uint64_t{1} << tables_.size()) - 1;
+  }
+
   /// Index of an alias in tables(); throws if unknown.
   size_t AliasIndex(const std::string& alias) const;
   const std::string& TableOf(const std::string& alias) const;

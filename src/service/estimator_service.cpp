@@ -9,16 +9,6 @@
 namespace fj {
 namespace {
 
-// Single-query and batched estimates live in separate cache namespaces:
-// FactorJoin's Estimate (greedy smallest-leaf order) and EstimateSubplans
-// (progressive split-off order) are both valid bounds but can differ for the
-// same sub-plan, so sharing one namespace would make a served value depend
-// on which API populated it first.
-QueryFingerprint BatchKey(const QueryFingerprint& fp) {
-  return {Mix64(fp.lo ^ 0xb4793d1a2c5e6f07ULL),
-          Mix64(fp.hi ^ 0x167f3ac2d4b59e81ULL)};
-}
-
 // The table bitmap a cache entry covering `alias_mask` is tagged with: the
 // OR of TableEpochRegistry::AliasBits over its aliases. Bits past the
 // query's aliases select no table, as they select no alias.
@@ -31,19 +21,6 @@ uint64_t TableBitsOf(const std::vector<uint64_t>& alias_bits,
     bits |= alias_bits[i];
   }
   return bits;
-}
-
-// The completion that adapts a callback overload to a future: it sets the
-// promise the caller's future reads.
-template <typename T>
-auto Fulfill(std::shared_ptr<std::promise<T>> promise) {
-  return [promise = std::move(promise)](T value, std::exception_ptr error) {
-    if (error != nullptr) {
-      promise->set_exception(std::move(error));
-    } else {
-      promise->set_value(std::move(value));
-    }
-  };
 }
 
 }  // namespace
@@ -98,36 +75,13 @@ void EstimatorService::ThrowIfWorkerThread(const char* what) const {
   }
 }
 
-void EstimatorService::EstimateAsync(
-    Query query, EstimateCallback done,
-    std::shared_ptr<obs::RequestTrace> trace_sink) {
-  auto req = std::make_unique<Request>();
-  req->query = std::move(query);
-  req->single_cb = std::move(done);
-  req->trace_sink = std::move(trace_sink);
-  Submit(std::move(req));
-}
-
-std::future<double> EstimatorService::EstimateAsync(Query query) {
-  auto promise = std::make_shared<std::promise<double>>();
-  std::future<double> result = promise->get_future();
-  EstimateAsync(std::move(query), Fulfill(std::move(promise)));
-  return result;
-}
-
-double EstimatorService::Estimate(const Query& query) {
-  ThrowIfWorkerThread("Estimate");
-  return EstimateAsync(query).get();
-}
-
 void EstimatorService::EstimateSubplansAsync(
     Query query, std::vector<uint64_t> masks, SubplansCallback done,
     std::shared_ptr<obs::RequestTrace> trace_sink) {
   auto req = std::make_unique<Request>();
   req->query = std::move(query);
   req->masks = std::move(masks);
-  req->batched = true;
-  req->batch_cb = std::move(done);
+  req->done = std::move(done);
   req->trace_sink = std::move(trace_sink);
   Submit(std::move(req));
 }
@@ -138,8 +92,16 @@ EstimatorService::EstimateSubplansAsync(Query query,
   auto promise =
       std::make_shared<std::promise<std::unordered_map<uint64_t, double>>>();
   auto result = promise->get_future();
-  EstimateSubplansAsync(std::move(query), std::move(masks),
-                        Fulfill(std::move(promise)));
+  EstimateSubplansAsync(
+      std::move(query), std::move(masks),
+      [promise](std::unordered_map<uint64_t, double> values,
+                std::exception_ptr error) {
+        if (error != nullptr) {
+          promise->set_exception(std::move(error));
+        } else {
+          promise->set_value(std::move(values));
+        }
+      });
   return result;
 }
 
@@ -273,27 +235,10 @@ void EstimatorService::Serve(Request& req) {
     req.split->RunChunks();
     return;
   }
-  if (req.batched) {
-    ServeAndComplete(
-        req, "subplans", req.masks.size(), subplan_requests_,
-        [&](obs::RequestTrace* trace) {
-          return ServeBatch(req.query, req.masks, trace);
-        },
-        req.batch_cb);
-  } else {
-    ServeAndComplete(
-        req, "estimate", 0, requests_,
-        [&](obs::RequestTrace* trace) { return ServeSingle(req.query, trace); },
-        req.single_cb);
-  }
+  ServeAndComplete(req);
 }
 
-template <typename ServeFn, typename Callback>
-void EstimatorService::ServeAndComplete(Request& req, const char* kind,
-                                        size_t masks,
-                                        std::atomic<uint64_t>& served,
-                                        const ServeFn& serve,
-                                        const Callback& done) {
+void EstimatorService::ServeAndComplete(Request& req) {
   const bool tracing = options_.enable_tracing;
   // Spans are recorded straight into the request's sink (so pre-filled
   // stages like the net server's decode span survive) or a stack-local
@@ -311,11 +256,11 @@ void EstimatorService::ServeAndComplete(Request& req, const char* kind,
   // The completion runs OUTSIDE the try block: estimation errors must flow
   // through the error argument, and a throwing callback must not re-enter
   // the error path and be invoked twice.
-  decltype(serve(nullptr)) result{};
+  std::unordered_map<uint64_t, double> result;
   std::exception_ptr error;
   try {
-    result = serve(tracing ? &trace : nullptr);
-    served.fetch_add(1, std::memory_order_relaxed);
+    result = ServeBatch(req.query, req.masks, tracing ? &trace : nullptr);
+    subplan_requests_.fetch_add(1, std::memory_order_relaxed);
   } catch (...) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     error = std::current_exception();
@@ -340,11 +285,11 @@ void EstimatorService::ServeAndComplete(Request& req, const char* kind,
   // feeds only the aggregate stage histogram.
   if (tracing) {
     obs::SpanTimer respond;
-    done(std::move(result), error);
+    req.done(std::move(result), error);
     stage_hist_[static_cast<size_t>(obs::Stage::kRespond)].Record(
         respond.ElapsedMicros());
   } else {
-    done(std::move(result), error);
+    req.done(std::move(result), error);
   }
   bool slow = slow_log_.enabled() &&
               trace.total_micros >= slow_log_.threshold_micros();
@@ -358,9 +303,9 @@ void EstimatorService::ServeAndComplete(Request& req, const char* kind,
   // Fingerprinted once, and only for requests that are logged or recorded;
   // never on the fast path.
   QueryFingerprint fp = req.query.Fingerprint();
-  if (slow) slow_log_.MaybeLog(kind, fp, masks, trace);
+  if (slow) slow_log_.MaybeLog(fp, req.masks.size(), trace);
   if (record) {
-    options_.flight_recorder->Append(kind, fp, masks,
+    options_.flight_recorder->Append(fp, req.masks.size(),
                                      options_.model_name.c_str(), trace);
   }
 }
@@ -373,32 +318,6 @@ uint64_t EstimatorService::NotifyUpdate(const std::string& table_name) {
 }
 
 void EstimatorService::InvalidateAll() { cache_.Clear(); }
-
-double EstimatorService::ServeSingle(const Query& query,
-                                     obs::RequestTrace* trace) {
-  auto timed_estimate = [&] {
-    obs::SpanTimer span;
-    double estimate = estimator_.Estimate(query);
-    span.Record(trace, obs::Stage::kEstimate);
-    return estimate;
-  };
-  if (!options_.cache_enabled) return timed_estimate();
-  obs::SpanTimer probe_span;
-  QueryFingerprint fp = query.Fingerprint();
-  auto cached = cache_.Lookup(fp);
-  probe_span.Record(trace, obs::Stage::kCacheProbe);
-  if (cached) return *cached;
-  // Snapshot the epoch BEFORE computing: if an update lands while the
-  // estimator runs, the inserted entry is tagged with the pre-update epoch
-  // and dies on its next lookup instead of serving a stale estimate forever.
-  uint64_t epoch = epochs_.Epoch();
-  uint64_t table_bits = TableBitsOf(epochs_.AliasBits(query), ~uint64_t{0});
-  double estimate = timed_estimate();
-  obs::SpanTimer insert_span;
-  cache_.Insert(fp, estimate, table_bits, epoch);
-  insert_span.Record(trace, obs::Stage::kCacheProbe);
-  return estimate;
-}
 
 std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
     const Query& query, const std::vector<uint64_t>& masks,
@@ -419,8 +338,10 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
   // order, a hit from another parent can differ from what recomputing under
   // *this* parent would give — but every cached value is a valid bound
   // produced by the same trained model.
-  // Epoch snapshot before any estimation (see ServeSingle): entries
-  // inserted below are invalidated by any update racing this batch.
+  // Snapshot the epoch BEFORE estimating: if an update lands while the
+  // estimator runs, the entries inserted below are tagged with the
+  // pre-update epoch and die on their next lookup instead of serving a
+  // stale estimate forever.
   uint64_t epoch = epochs_.Epoch();
   // The cache-probe span covers the whole resolve loop: digesting the
   // query's parts once, then per mask summing them into its key (the
@@ -431,7 +352,7 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
   std::vector<uint64_t> miss_masks;
   std::vector<QueryFingerprint> miss_fps;
   for (uint64_t mask : masks) {
-    QueryFingerprint fp = BatchKey(keys.Of(mask));
+    QueryFingerprint fp = keys.Of(mask);
     if (auto cached = cache_.Lookup(fp)) {
       out.emplace(mask, *cached);
     } else {
@@ -472,7 +393,6 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
 
 ServiceStats EstimatorService::Stats() const {
   ServiceStats stats;
-  stats.requests = requests_.load(std::memory_order_relaxed);
   stats.subplan_requests = subplan_requests_.load(std::memory_order_relaxed);
   stats.subplans_estimated =
       subplans_estimated_.load(std::memory_order_relaxed);

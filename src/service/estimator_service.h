@@ -8,14 +8,13 @@
 //
 // The service owns a fixed pool of worker threads consuming a bounded
 // request queue (back-pressure: submitters block while the queue is full).
-// Every estimate is keyed by the canonical Query::Fingerprint and served
-// from a sharded LRU cache when possible, so the ~10k sub-plan estimates an
-// optimizer requests per IMDB-JOB query (see query/subplan.h) are computed
-// once and shared across parent queries and across threads. Single-query
-// and batched estimates use disjoint cache namespaces because an
-// estimator's two code paths may compute different (equally valid) bounds
-// for the same sub-plan; within each namespace a request interleaving can
-// never change which API's value is served.
+// Every request is one sub-plan batch: a query plus the alias masks of the
+// sub-plans wanted, as an optimizer asks for them (query/subplan.h); a
+// caller that wants one query's estimate sends a batch of its full alias
+// mask. Every sub-plan is keyed by its canonical Query::Fingerprint and
+// served from a sharded LRU cache when possible, so the ~10k sub-plan
+// estimates an optimizer requests per IMDB-JOB query are computed once and
+// shared across parent queries and across threads.
 //
 // The wrapped estimator is taken by const reference: estimation is const on
 // CardinalityEstimator precisely so one trained model can be shared by the
@@ -123,58 +122,46 @@ class EstimatorService {
   EstimatorService(const EstimatorService&) = delete;
   EstimatorService& operator=(const EstimatorService&) = delete;
 
-  /// Completion callbacks, the one way every request completes (the
-  /// future overloads set a promise inside one): exactly one of (value,
+  /// The completion callback, the one way every request completes (the
+  /// future overload sets a promise inside one): exactly one of (values,
   /// error) is meaningful — `error` is nullptr on success. Callbacks run
   /// ON A WORKER THREAD right after the request is served; they must be
   /// quick, must not throw, and must not call the service's blocking APIs
-  /// (Estimate/EstimateSubplans/Drain — the worker-thread guard turns that
-  /// deadlock into std::logic_error). This is the hook the remote front end
+  /// (EstimateSubplans/Drain — the worker-thread guard turns that deadlock
+  /// into std::logic_error). This is the hook the remote front end
   /// (net/server.h) uses to write each response to its socket from the
   /// worker, in completion order, without parking a thread per outstanding
   /// future; that write blocks the worker only while its client has stopped
   /// reading.
-  using EstimateCallback = std::function<void(double, std::exception_ptr)>;
   using SubplansCallback = std::function<void(
       std::unordered_map<uint64_t, double>, std::exception_ptr)>;
 
-  /// Enqueues a single-query estimate; `done` runs on the serving worker
-  /// once it has been served (from cache or the estimator). Thread-safe;
-  /// blocks while the queue is full; throws std::runtime_error after
-  /// Shutdown() (and then never runs `done`). `trace_sink`, when non-null,
-  /// receives the request's stage breakdown: the worker records its spans
-  /// directly into it, and it is fully written by the time `done` runs
-  /// (stages a caller pre-filled — e.g. the net server's decode span — are
-  /// preserved). The sink must not be touched by the caller between
-  /// submission and completion.
-  void EstimateAsync(Query query, EstimateCallback done,
-                     std::shared_ptr<obs::RequestTrace> trace_sink = nullptr);
-
-  /// Future adapter over the callback overload: the future resolves when a
-  /// worker has served the request. Same blocking/shutdown behavior.
-  std::future<double> EstimateAsync(Query query);
-
-  /// Blocking convenience wrapper around EstimateAsync. Throws
-  /// std::logic_error when called from one of the service's own worker
-  /// threads (it would deadlock a single-thread pool).
-  double Estimate(const Query& query);
-
-  /// Enqueues one batched request for all sub-plan masks of `query` (masks
-  /// use Query::tables() bit order, as in EnumerateConnectedSubsets). Cached
+  /// Enqueues one batched request for the sub-plan `masks` of `query`
+  /// (Query::tables() bit order, as in EnumerateConnectedSubsets; one
+  /// query's own estimate is the batch {query.AllAliases()}). Cached
   /// sub-plans are reused; the misses go to the estimator in one session
   /// (PrepareSubplans) so progressive sharing (FactorJoin) is preserved.
-  /// Thread-safe; `done` and `trace_sink` as on EstimateAsync.
+  /// `done` runs on the serving worker once the batch has been served.
+  /// Thread-safe; blocks while the queue is full; throws std::runtime_error
+  /// after Shutdown() (and then never runs `done`). `trace_sink`, when
+  /// non-null, receives the request's stage breakdown: the worker records
+  /// its spans directly into it, and it is fully written by the time `done`
+  /// runs (stages a caller pre-filled — e.g. the net server's decode span —
+  /// are preserved). The sink must not be touched by the caller between
+  /// submission and completion.
   void EstimateSubplansAsync(Query query, std::vector<uint64_t> masks,
                              SubplansCallback done,
                              std::shared_ptr<obs::RequestTrace> trace_sink =
                                  nullptr);
 
-  /// Future adapter over the batched callback overload.
+  /// Future adapter over the callback overload: the future resolves when a
+  /// worker has served the request. Same blocking/shutdown behavior.
   std::future<std::unordered_map<uint64_t, double>> EstimateSubplansAsync(
       Query query, std::vector<uint64_t> masks);
 
   /// Blocking convenience wrapper around EstimateSubplansAsync. Throws
-  /// std::logic_error when called from a service worker thread.
+  /// std::logic_error when called from one of the service's own worker
+  /// threads (it would deadlock a single-thread pool).
   std::unordered_map<uint64_t, double> EstimateSubplans(
       const Query& query, const std::vector<uint64_t>& masks);
 
@@ -244,10 +231,7 @@ class EstimatorService {
   struct Request {
     Query query;
     std::vector<uint64_t> masks;
-    bool batched = false;
-    // The completion: batch_cb when batched, single_cb otherwise.
-    EstimateCallback single_cb;
-    SubplansCallback batch_cb;
+    SubplansCallback done;
     // Internal helper request: the worker joins this split job instead of
     // serving a client request (no completion, no stats).
     std::shared_ptr<SplitJob> split;
@@ -263,17 +247,14 @@ class EstimatorService {
   void ThrowIfWorkerThread(const char* what) const;
   void WorkerLoop();
   void Serve(Request& req);
-  /// The one path of a client request: runs `serve` (counted into `served`,
-  /// or errors_ when it throws), seals the trace (total + stage
-  /// histograms), records end-to-end latency, runs `done` (timed as the
-  /// respond stage), and writes the slow-request log line if warranted.
-  template <typename ServeFn, typename Callback>
-  void ServeAndComplete(Request& req, const char* kind, size_t masks,
-                        std::atomic<uint64_t>& served, const ServeFn& serve,
-                        const Callback& done);
+  /// The one path of a client request: serves the batch (counted into
+  /// subplan_requests_, or errors_ when it throws), seals the trace (total
+  /// + stage histograms), records end-to-end latency, runs `req.done`
+  /// (timed as the respond stage), and writes the slow-request log line if
+  /// warranted.
+  void ServeAndComplete(Request& req);
   /// `trace` may be null (tracing disabled); when set, cache-probe and
   /// estimate-kernel spans are added to it.
-  double ServeSingle(const Query& query, obs::RequestTrace* trace);
   std::unordered_map<uint64_t, double> ServeBatch(
       const Query& query, const std::vector<uint64_t>& masks,
       obs::RequestTrace* trace);
@@ -309,7 +290,6 @@ class EstimatorService {
   obs::LatencyHistogram latency_;
   std::array<obs::LatencyHistogram, obs::kNumStages> stage_hist_;
   obs::SlowRequestLog slow_log_;
-  std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> subplan_requests_{0};
   std::atomic<uint64_t> subplans_estimated_{0};
   std::atomic<uint64_t> errors_{0};

@@ -19,9 +19,7 @@
 namespace fj {
 
 struct ServiceStats {
-  /// Single-query estimate requests completed.
-  uint64_t requests = 0;
-  /// Batched sub-plan requests completed.
+  /// Requests completed: every request is one sub-plan batch.
   uint64_t subplan_requests = 0;
   /// Individual sub-plan estimates produced inside batched requests.
   uint64_t subplans_estimated = 0;
@@ -117,8 +115,6 @@ struct ServiceCounter {
 /// (obs/metrics_export.h) both walk this table, so a new counter is one
 /// field plus one row.
 inline constexpr ServiceCounter kServiceCounters[] = {
-    {"fj_requests_total", obs::MetricKind::kCounter,
-     "Single-query estimate requests completed.", &ServiceStats::requests},
     {"fj_subplan_requests_total", obs::MetricKind::kCounter,
      "Batched sub-plan requests completed.", &ServiceStats::subplan_requests},
     {"fj_subplans_estimated_total", obs::MetricKind::kCounter,

@@ -67,9 +67,7 @@ class TableEpochRegistry {
   /// The bit of each alias's base table, in query.tables() order,
   /// registering unseen tables in that order; self-joined aliases share
   /// their table's bit. A cache entry is tagged with the OR over the bits
-  /// of the aliases it covers, so the single-estimate path (every alias)
-  /// and the batch path (each mask) share one registration order and give
-  /// the same bitmap for the same aliases. One lock acquisition per query.
+  /// of the aliases its mask covers. One lock acquisition per query.
   std::vector<uint64_t> AliasBits(const Query& query) {
     std::vector<uint64_t> bits;
     bits.reserve(query.NumTables());

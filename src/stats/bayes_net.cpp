@@ -469,22 +469,14 @@ BayesNetEstimator::Beliefs BayesNetEstimator::PropagateImpl(
   return out;
 }
 
-double BayesNetEstimator::EstimateFilteredRows(const Predicate& filter) const {
-  auto evidence = BuildEvidence(filter);
-  if (!evidence.has_value()) return fallback_->EstimateFilteredRows(filter);
-  // Only Z is consumed: restrict the downward pass to the roots.
-  std::vector<size_t> no_targets;
-  Beliefs beliefs = Propagate(*evidence, &no_targets);
-  return beliefs.total_z * static_cast<double>(table_->num_rows());
-}
-
 KeyDistResult BayesNetEstimator::EstimateKeyDists(
     const Predicate& filter, const std::vector<KeyDistRequest>& keys) const {
   auto evidence = BuildEvidence(filter);
   if (!evidence.has_value()) return fallback_->EstimateKeyDists(filter, keys);
 
   // Restrict the downward pass to the requested key nodes (their ancestor
-  // chains): other beliefs would never be read.
+  // chains): other beliefs would never be read. With no key requested only
+  // Z is consumed, and the pass stops at the roots.
   std::vector<size_t> targets;
   targets.reserve(keys.size());
   for (const KeyDistRequest& key : keys) {

@@ -45,7 +45,6 @@ class BayesNetEstimator : public TableEstimator {
       const Table& table,
       std::unordered_map<std::string, const Binning*> key_binnings);
 
-  double EstimateFilteredRows(const Predicate& filter) const override;
   KeyDistResult EstimateKeyDists(
       const Predicate& filter,
       const std::vector<KeyDistRequest>& keys) const override;

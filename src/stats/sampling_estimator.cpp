@@ -72,21 +72,6 @@ void SamplingEstimator::DrawSample() {
                : static_cast<double>(n) / static_cast<double>(sample_rows_.size());
 }
 
-double SamplingEstimator::EstimateFilteredRows(const Predicate& filter) const {
-  size_t hits = 0;
-  if (filter.kind() == Predicate::Kind::kTrue) {
-    hits = sample_rows_.size();
-  } else if (!sample_rows_.empty()) {
-    CompiledPredicate compiled(*table_, filter);
-    compiled.SelectBlocks(sample_rows_.data(), sample_rows_.size(),
-                          [&](size_t, const uint32_t*, size_t k) { hits += k; });
-  }
-  // Zero hits bound selectivity below ~1/|sample|, they do not prove
-  // emptiness; report half a sample row to avoid catastrophic
-  // underestimation downstream.
-  return std::max(static_cast<double>(hits), 0.5) * scale_;
-}
-
 const SamplingEstimator::KeyMemo& SamplingEstimator::KeyMemoFor(
     const Column& col, const Binning& binning) const {
   auto key = std::make_pair(&col, &binning);
@@ -137,6 +122,7 @@ KeyDistResult SamplingEstimator::EstimateKeyDists(
         rows, sample_rows_.size(),
         [&](size_t first, const uint32_t* sel, size_t k) {
           hits += k;
+          if (keys.empty()) return;
           // The matches are an ascending subsequence of the block.
           for (size_t s = 0, j = first; s < k; ++s, ++j) {
             while (rows[j] != sel[s]) ++j;
@@ -153,6 +139,9 @@ KeyDistResult SamplingEstimator::EstimateKeyDists(
           }
         });
   }
+  // Zero hits bound selectivity below ~1/|sample|, they do not prove
+  // emptiness; report half a sample row to avoid catastrophic
+  // underestimation downstream.
   result.filtered_rows = std::max(static_cast<double>(hits), 0.5) * scale_;
   return result;
 }

@@ -26,7 +26,6 @@ class SamplingEstimator : public TableEstimator {
   /// Load() must run before any estimate.
   static std::unique_ptr<SamplingEstimator> MakeUntrained(const Table& table);
 
-  double EstimateFilteredRows(const Predicate& filter) const override;
   KeyDistResult EstimateKeyDists(
       const Predicate& filter,
       const std::vector<KeyDistRequest>& keys) const override;

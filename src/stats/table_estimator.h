@@ -40,10 +40,9 @@ class TableEstimator {
  public:
   virtual ~TableEstimator() = default;
 
-  /// Estimated number of rows satisfying `filter`.
-  virtual double EstimateFilteredRows(const Predicate& filter) const = 0;
-
-  /// Conditional binned join-key distributions under `filter`.
+  /// Conditional binned join-key distributions under `filter`, with the
+  /// estimated number of rows satisfying it; `keys` may be empty when only
+  /// that row count is wanted.
   virtual KeyDistResult EstimateKeyDists(
       const Predicate& filter,
       const std::vector<KeyDistRequest>& keys) const = 0;

@@ -4,10 +4,6 @@
 
 namespace fj {
 
-double TrueScanEstimator::EstimateFilteredRows(const Predicate& filter) const {
-  return static_cast<double>(CountMatches(*table_, filter));
-}
-
 KeyDistResult TrueScanEstimator::EstimateKeyDists(
     const Predicate& filter, const std::vector<KeyDistRequest>& keys) const {
   KeyDistResult result;

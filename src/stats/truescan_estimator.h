@@ -12,7 +12,6 @@ class TrueScanEstimator : public TableEstimator {
  public:
   explicit TrueScanEstimator(const Table& table) : table_(&table) {}
 
-  double EstimateFilteredRows(const Predicate& filter) const override;
   KeyDistResult EstimateKeyDists(
       const Predicate& filter,
       const std::vector<KeyDistRequest>& keys) const override;

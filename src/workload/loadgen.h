@@ -84,7 +84,7 @@ struct ArrivalSchedule {
 /// One scheduled operation of a trace. Reads address a query template by
 /// index; updates address a base table by index and carry a row count.
 enum class LoadOpKind : uint8_t {
-  kRead = 0,    // one Estimate of queries[index % queries.size()]
+  kRead = 0,    // a batch of queries[index % queries.size()]'s full mask
   kInsert = 1,  // append `rows` rows to table `index`, ApplyInsert
   kDelete = 2,  // truncate `rows` tail rows of table `index`, ApplyDelete
 };

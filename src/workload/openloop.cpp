@@ -1,9 +1,12 @@
 #include "workload/openloop.h"
 
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "net/client.h"
@@ -72,18 +75,16 @@ InProcessTarget::InProcessTarget(Database* db,
       table_names_(db->TableNames()) {}
 
 void InProcessTarget::SubmitRead(const Query& query, ReadDone done) {
-  outstanding_.fetch_add(1, std::memory_order_relaxed);
+  // `done` is shared: the service drops the completion when it rejects the
+  // submission (shut down), and the read still owes its one invocation.
+  auto shared = std::make_shared<ReadDone>(std::move(done));
   try {
-    service_->EstimateAsync(
-        query, [this, done = std::move(done)](double, std::exception_ptr err) {
-          done(err);
-          Finish();
-        });
+    service_->EstimateSubplansAsync(
+        query, {query.AllAliases()},
+        [shared](std::unordered_map<uint64_t, double>,
+                 std::exception_ptr err) { (*shared)(err); });
   } catch (...) {
-    // Submission failed (service shut down): the callback still owes its
-    // exactly-one invocation.
-    done(std::current_exception());
-    Finish();
+    (*shared)(std::current_exception());
   }
 }
 
@@ -111,33 +112,17 @@ void InProcessTarget::ApplyUpdate(const LoadOp& op) {
   service_->NotifyUpdate(table_name);
 }
 
-void InProcessTarget::AwaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] {
-    return outstanding_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-void InProcessTarget::Finish() {
-  if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(mu_);
-    idle_.notify_all();
-  }
-}
-
 RemoteTarget::RemoteTarget(net::EstimatorClient* client,
                            std::vector<std::string> table_names)
     : client_(client), table_names_(std::move(table_names)) {}
 
 void RemoteTarget::SubmitRead(const Query& query, ReadDone done) {
-  outstanding_.fetch_add(1, std::memory_order_relaxed);
   // The client's callback hook never throws and runs `done` exactly once
   // (connection failures arrive as the error argument).
-  client_->EstimateAsync(
-      query, [this, done = std::move(done)](double, std::exception_ptr err) {
-        done(err);
-        Finish();
-      });
+  client_->EstimateSubplansAsync(
+      query, {query.AllAliases()},
+      [done = std::move(done)](std::unordered_map<uint64_t, double>,
+                               std::exception_ptr err) { done(err); });
 }
 
 void RemoteTarget::ApplyUpdate(const LoadOp& op) {
@@ -145,20 +130,6 @@ void RemoteTarget::ApplyUpdate(const LoadOp& op) {
   // The wire protocol cannot ship row deltas yet (ROADMAP "replicated
   // updates"), so a remote update op exercises the invalidation half only.
   client_->NotifyUpdate(table_names_[op.index % table_names_.size()]);
-}
-
-void RemoteTarget::AwaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] {
-    return outstanding_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-void RemoteTarget::Finish() {
-  if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(mu_);
-    idle_.notify_all();
-  }
 }
 
 OpenLoopResult RunOpenLoop(const Trace& trace,
@@ -190,6 +161,12 @@ OpenLoopResult RunOpenLoop(const Trace& trace,
     window_hist.push_back(std::make_unique<obs::LatencyHistogram>());
   }
   std::atomic<uint64_t> errors{0};
+  // Reads submitted but not yet completed. The count only changes under
+  // the mutex, so a completion is done touching this frame's state once it
+  // releases the lock, and the wait below returns only after the last one.
+  uint64_t outstanding = 0;
+  std::mutex outstanding_mu;
+  std::condition_variable idle;
   WallTimer clock;
 
   auto record = [&](uint64_t scheduled, uint64_t now) {
@@ -203,11 +180,17 @@ OpenLoopResult RunOpenLoop(const Trace& trace,
     uint64_t scheduled = op.scheduled_micros;
     if (op.kind == LoadOpKind::kRead) {
       ++result.reads;
+      {
+        std::lock_guard<std::mutex> lock(outstanding_mu);
+        ++outstanding;
+      }
       target->SubmitRead(
           queries[op.index % queries.size()],
-          [&record, &errors, &clock, scheduled](std::exception_ptr err) {
+          [&, scheduled](std::exception_ptr err) {
             record(scheduled, static_cast<uint64_t>(clock.Micros()));
             if (err != nullptr) errors.fetch_add(1, std::memory_order_relaxed);
+            std::lock_guard<std::mutex> lock(outstanding_mu);
+            if (--outstanding == 0) idle.notify_all();
           });
     } else {
       ++result.updates;
@@ -219,9 +202,12 @@ OpenLoopResult RunOpenLoop(const Trace& trace,
       record(scheduled, static_cast<uint64_t>(clock.Micros()));
     }
   }
-  // All callbacks have run once AwaitIdle returns; only then is touching
-  // the stack-local histogram/error counters from this thread safe.
-  target->AwaitIdle();
+  // Only once every read completed is reading the stack-local histograms
+  // and error counter from this thread safe.
+  {
+    std::unique_lock<std::mutex> lock(outstanding_mu);
+    idle.wait(lock, [&] { return outstanding == 0; });
+  }
 
   result.wall_seconds = clock.Seconds();
   result.errors = errors.load();

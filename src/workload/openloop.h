@@ -17,17 +17,16 @@
 // through a LoadTarget, and applies update ops synchronously (updates are
 // rare, and the estimator update protocol requires a quiesced service —
 // the resulting stall is part of the latency story, not an artifact).
+// A read is one sub-plan batch holding only its query's full alias mask.
 // Completion callbacks record into an obs::LatencyHistogram, which is
 // lock-free, so recording from service workers or the client receiver
-// thread never perturbs the measurement.
+// thread never perturbs the measurement; the driver counts the reads still
+// outstanding and returns once the last completion ran.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -42,9 +41,7 @@ namespace net {
 class EstimatorClient;
 }  // namespace net
 
-/// Where the driver sends traffic. Implementations own their outstanding-
-/// request accounting: AwaitIdle() returns once every submitted read's
-/// `done` callback has finished.
+/// Where the driver sends traffic.
 class LoadTarget {
  public:
   /// Runs when the read completed; `error` is nullptr on success. Invoked
@@ -54,16 +51,13 @@ class LoadTarget {
 
   virtual ~LoadTarget() = default;
 
-  /// Submits one estimate asynchronously. `done` runs exactly once, even
-  /// when submission itself fails.
+  /// Submits one read asynchronously: a batch of `query`'s full alias
+  /// mask. `done` runs exactly once, even when submission itself fails.
   virtual void SubmitRead(const Query& query, ReadDone done) = 0;
 
   /// Applies one update op synchronously (kInsert/kDelete). Called from
   /// the dispatcher thread only, never concurrently with itself.
   virtual void ApplyUpdate(const LoadOp& op) = 0;
-
-  /// Blocks until no submitted read is outstanding.
-  virtual void AwaitIdle() = 0;
 };
 
 /// Drives an in-process EstimatorService. Updates run the full versioned-
@@ -81,19 +75,12 @@ class InProcessTarget : public LoadTarget {
 
   void SubmitRead(const Query& query, ReadDone done) override;
   void ApplyUpdate(const LoadOp& op) override;
-  void AwaitIdle() override;
 
  private:
-  void Finish();
-
   Database* db_;
   CardinalityEstimator* estimator_;
   EstimatorService* service_;
   std::vector<std::string> table_names_;  // db table order, fixed at ctor
-
-  std::atomic<uint64_t> outstanding_{0};
-  std::mutex mu_;
-  std::condition_variable idle_;
 };
 
 /// Drives a remote fj_server through a pipelined EstimatorClient. Reads
@@ -112,17 +99,10 @@ class RemoteTarget : public LoadTarget {
 
   void SubmitRead(const Query& query, ReadDone done) override;
   void ApplyUpdate(const LoadOp& op) override;
-  void AwaitIdle() override;
 
  private:
-  void Finish();
-
   net::EstimatorClient* client_;
   std::vector<std::string> table_names_;
-
-  std::atomic<uint64_t> outstanding_{0};
-  std::mutex mu_;
-  std::condition_variable idle_;
 };
 
 struct OpenLoopResult {
@@ -149,7 +129,8 @@ struct OpenLoopResult {
 /// Replays `trace` against `target`. Read ops address
 /// `queries[op.index % queries.size()]`; the caller supplies the same
 /// deterministic workload the trace was generated over. Blocks until every
-/// operation completed. Throws std::invalid_argument when the trace has
+/// operation completed: every read's `done` has run, on whichever thread
+/// the target runs it. Throws std::invalid_argument when the trace has
 /// read ops but `queries` is empty.
 OpenLoopResult RunOpenLoop(const Trace& trace,
                            const std::vector<Query>& queries,

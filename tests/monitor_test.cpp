@@ -255,8 +255,7 @@ void AppendTrace(FlightRecorder* recorder, uint64_t total,
   trace.total_micros = total;
   trace.Add(Stage::kQueueWait, queue_wait);
   trace.Add(Stage::kEstimate, total - queue_wait);
-  recorder->Append("subplans", QueryFingerprint{0xabc, 0xdef}, 4, "m1",
-                   trace);
+  recorder->Append(QueryFingerprint{0xabc, 0xdef}, 4, "m1", trace);
 }
 
 TEST(FlightRecorderTest, RetainsNewestAndFindsDominantStage) {
@@ -272,7 +271,6 @@ TEST(FlightRecorderTest, RetainsNewestAndFindsDominantStage) {
   EXPECT_EQ(recent[0].total_micros, 600u);
   EXPECT_EQ(recent[3].total_micros, 300u);
   EXPECT_EQ(recent[0].DominantStage(), Stage::kQueueWait);
-  EXPECT_STREQ(recent[0].kind, "subplans");
   EXPECT_STREQ(recent[0].model, "m1");
   EXPECT_EQ(recent[0].masks, 4u);
 
@@ -307,8 +305,7 @@ TEST(FlightRecorderTest, ConcurrentAppendsLoseNoTickets) {
         RequestTrace trace;
         trace.total_micros = t * kPerThread + i + 1;
         trace.Add(Stage::kEstimate, trace.total_micros);
-        recorder.Append("estimate", QueryFingerprint{t, i}, 0, "m",
-                        trace);
+        recorder.Append(QueryFingerprint{t, i}, 1, "m", trace);
       }
     });
   }
@@ -407,8 +404,9 @@ TEST(ServingMonitorTest, TickPipelineDerivesWindowsBurnAndHealth) {
   EXPECT_NE(history.find("\"windows\":["), std::string::npos) << history;
   EXPECT_NE(history.find("\"queue_wait\""), std::string::npos) << history;
   EXPECT_NE(history.find("\"qps\":1000.0"), std::string::npos) << history;
-  EXPECT_NE(history.find("\"counters\":{\"fj_requests_total\":0,"),
-            std::string::npos)
+  EXPECT_NE(
+      history.find("\"counters\":{\"fj_subplan_requests_total\":1000,"),
+      std::string::npos)
       << history;
   EXPECT_NE(history.find("\"fj_errors_total\":10,"), std::string::npos)
       << history;
@@ -435,15 +433,15 @@ TEST(ServingMonitorTest, CountersNeverGoBackwardsAcrossRestarts) {
   EXPECT_EQ(monitor.history().capacity(), options.retention_seconds);
   MonitorInput in;
   in.now_micros = 1'000'000;
-  in.service.requests = 1000;
+  in.service.subplan_requests = 1000;
   monitor.TickWith(in);
   in.now_micros = 2'000'000;
-  in.service.requests = 400;  // regressed
+  in.service.subplan_requests = 400;  // regressed
   monitor.TickWith(in);
   ASSERT_EQ(monitor.history().size(), 1u);
   EXPECT_EQ(
       monitor.history().Window()[0].service[ServiceCounterRow(
-          "fj_requests_total")],
+          "fj_subplan_requests_total")],
       0u);
 }
 
@@ -458,7 +456,7 @@ TEST(ServingMonitorTest, TicksRaceWritersAndScrapes) {
   ServingMonitor monitor(options, [&] {
     MonitorInput in;
     in.now_micros = MonotonicMicros();
-    in.service.requests = requests.load(std::memory_order_relaxed);
+    in.service.subplan_requests = requests.load(std::memory_order_relaxed);
     in.service.latency = latency.Snapshot();
     in.queue_capacity = 64;
     return in;

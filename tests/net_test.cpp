@@ -20,6 +20,7 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -265,13 +266,13 @@ struct SocketPair {
 
 TEST(ProtocolTest, FrameRoundTripsOverSocket) {
   SocketPair sp;
-  std::vector<uint8_t> body = net::EncodeEstimateResp(42.5);
-  ASSERT_TRUE(net::WriteFrame(sp.a, MsgType::kEstimateResp, 7, body));
+  std::vector<uint8_t> body = net::EncodeSubplansResp({{0b11, 42.5}});
+  ASSERT_TRUE(net::WriteFrame(sp.a, MsgType::kSubplansResp, 7, body));
   auto frame = net::ReadFrame(sp.b);
   ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->type, MsgType::kEstimateResp);
+  EXPECT_EQ(frame->type, MsgType::kSubplansResp);
   EXPECT_EQ(frame->request_id, 7u);
-  EXPECT_EQ(net::DecodeEstimateResp(frame->body), 42.5);
+  EXPECT_EQ(net::DecodeSubplansResp(frame->body).at(0b11), 42.5);
 }
 
 TEST(ProtocolTest, OversizedFrameRejectedBeforeAllocation) {
@@ -282,14 +283,17 @@ TEST(ProtocolTest, OversizedFrameRejectedBeforeAllocation) {
   EXPECT_THROW(net::ReadFrame(sp.b), ProtocolError);
 }
 
+// 3 and 4 are the single-estimate request and response retired in v6.
 TEST(ProtocolTest, UnknownMessageTypeRejected) {
-  SocketPair sp;
-  ByteWriter w;
-  w.U32(9);
-  w.U8(99);  // not a MsgType
-  w.U64(1);
-  ASSERT_TRUE(net::SendAll(sp.a, w.bytes().data(), w.size()));
-  EXPECT_THROW(net::ReadFrame(sp.b), ProtocolError);
+  for (uint8_t type : {uint8_t{99}, uint8_t{0}, uint8_t{3}, uint8_t{4}}) {
+    SocketPair sp;
+    ByteWriter w;
+    w.U32(9);
+    w.U8(type);
+    w.U64(1);
+    ASSERT_TRUE(net::SendAll(sp.a, w.bytes().data(), w.size()));
+    EXPECT_THROW(net::ReadFrame(sp.b), ProtocolError) << "type " << +type;
+  }
 }
 
 TEST(ProtocolTest, EofMidFrameIsOrderlyNullopt) {
@@ -356,13 +360,10 @@ TEST(ProtocolTest, SubplansRespRejectsARepeatedMask) {
 TEST(ProtocolTest, RequestBodiesCarryTheModelId) {
   Query q;
   q.AddTable("t");
-  net::EstimateReq est = net::DecodeEstimateReq(net::EncodeEstimateReq("m1", q));
-  EXPECT_EQ(est.model, "m1");
-  EXPECT_EQ(est.query.ToString(), q.ToString());
-
   net::SubplansReq sub =
       net::DecodeSubplansReq(net::EncodeSubplansReq("m2", q, {1}));
   EXPECT_EQ(sub.model, "m2");
+  EXPECT_EQ(sub.query.ToString(), q.ToString());
   ASSERT_EQ(sub.masks.size(), 1u);
 
   net::NotifyUpdateReq upd =
@@ -457,8 +458,9 @@ TEST(ProtocolTest, ServiceStatsNameValueBody) {
     EXPECT_EQ(counter.Of(back), counter.Of(expect)) << counter.name;
   }
 
-  EXPECT_THROW(net::DecodeServiceStats(StatsBody({{"fj_requests_total", 1}})),
-               SerializeError);
+  EXPECT_THROW(
+      net::DecodeServiceStats(StatsBody({{"fj_subplan_requests_total", 1}})),
+      SerializeError);
   EXPECT_THROW(net::DecodeServiceStats(StatsBody(
                    {{"fj_unknown_total", 1}, {"fj_unknown_total", 2}})),
                SerializeError);
@@ -561,11 +563,16 @@ struct RemoteStack {
   }
 };
 
-TEST(RemoteTest, EstimateBitIdenticalToInProcess) {
-  RemoteStack stack;
-  Query q = ChainQuery(30, 250);
-  EXPECT_EQ(stack.client->Estimate(q), stack.service.Estimate(q));
-  EXPECT_EQ(stack.client->Estimate(q), stack.estimator.Estimate(q));
+using Estimates = std::unordered_map<uint64_t, double>;
+
+// One query's own estimate over the wire: the batch of its full alias mask.
+double Remote(EstimatorClient& client, const Query& q) {
+  return client.EstimateSubplans(q, {q.AllAliases()}).at(q.AllAliases());
+}
+
+// The same batch asked of the estimator directly.
+double Direct(const CardinalityEstimator& estimator, const Query& q) {
+  return estimator.EstimateSubplans(q, {q.AllAliases()}).at(q.AllAliases());
 }
 
 // Double literals without a fixed-point code (NaN, 1e13) decode on the
@@ -577,8 +584,8 @@ TEST(RemoteTest, DoubleLiteralsWithoutACodeAreServed) {
       Predicate::Cmp("price", CmpOp::kLt, Literal::Double(std::nan(""))),
       Predicate::Cmp("price", CmpOp::kLt, Literal::Double(1e13)),
   }));
-  EXPECT_EQ(std::bit_cast<uint64_t>(stack.client->Estimate(q)),
-            std::bit_cast<uint64_t>(stack.estimator.Estimate(q)));
+  EXPECT_EQ(std::bit_cast<uint64_t>(Remote(*stack.client, q)),
+            std::bit_cast<uint64_t>(Direct(stack.estimator, q)));
 }
 
 // The acceptance-criteria shape: EstimateSubplans through a socket returns
@@ -601,21 +608,22 @@ TEST(RemoteTest, UnixDomainSocketWorks) {
       "/tmp/fj_net_test_" + std::to_string(::getpid()) + ".sock";
   RemoteStack stack(options);
   Query q = ChainQuery(30, 250);
-  EXPECT_EQ(stack.client->Estimate(q), stack.service.Estimate(q));
+  EXPECT_EQ(Remote(*stack.client, q), Direct(stack.estimator, q));
 }
 
 TEST(RemoteTest, PipelinedRequestsAllResolveCorrectly) {
   RemoteStack stack;
   constexpr int kInFlight = 64;
   std::vector<Query> queries;
-  std::vector<std::future<double>> futures;
+  std::vector<std::future<Estimates>> futures;
   for (int i = 0; i < kInFlight; ++i) {
     queries.push_back(ChainQuery(20 + i % 30, 100 + (i * 13) % 400));
-    futures.push_back(stack.client->EstimateAsync(queries.back()));
+    futures.push_back(stack.client->EstimateSubplansAsync(
+        queries.back(), {queries.back().AllAliases()}));
   }
-  for (int i = 0; i < kInFlight; ++i) {
-    EXPECT_EQ(futures[static_cast<size_t>(i)].get(),
-              stack.estimator.Estimate(queries[static_cast<size_t>(i)]));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(futures[i].get().at(queries[i].AllAliases()),
+              Direct(stack.estimator, queries[i]));
   }
 }
 
@@ -631,7 +639,7 @@ TEST(RemoteTest, ConcurrentClientsShareOneServer) {
       EstimatorClient client(options);
       for (int i = 0; i < 8; ++i) {
         Query q = ChainQuery(20 + (c * 8 + i) % 30, 150 + i * 20);
-        if (client.Estimate(q) != stack.estimator.Estimate(q)) {
+        if (Remote(client, q) != Direct(stack.estimator, q)) {
           failures.fetch_add(1);
         }
       }
@@ -647,7 +655,7 @@ TEST(RemoteTest, ServerErrorsArriveAsRemoteError) {
   Query disconnected;
   disconnected.AddTable("users", "u").AddTable("items", "i");
   try {
-    stack.client->Estimate(disconnected);
+    Remote(*stack.client, disconnected);
     FAIL() << "expected RemoteError";
   } catch (const RemoteError& e) {
     // The server forwards the estimator's message.
@@ -655,17 +663,17 @@ TEST(RemoteTest, ServerErrorsArriveAsRemoteError) {
   }
   // The connection survives a request-scoped error.
   Query q = ChainQuery(30, 250);
-  EXPECT_EQ(stack.client->Estimate(q), stack.estimator.Estimate(q));
+  EXPECT_EQ(Remote(*stack.client, q), Direct(stack.estimator, q));
 }
 
 TEST(RemoteTest, NotifyUpdateAndStatsRpcs) {
   RemoteStack stack;
   Query q = ChainQuery(30, 250);
-  stack.client->Estimate(q);
+  Remote(*stack.client, q);
   EXPECT_EQ(stack.client->NotifyUpdate("orders"), 1u);
   EXPECT_EQ(stack.service.Epoch(), 1u);
   ServiceStats stats = stack.client->Stats();
-  EXPECT_EQ(stats.requests, 1u);
+  EXPECT_EQ(stats.subplan_requests, 1u);
   EXPECT_EQ(stats.epoch, 1u);
 }
 
@@ -708,7 +716,7 @@ TEST(RemoteTest, MalformedFrameDropsOnlyThatConnection) {
 
   // The well-behaved client is unaffected.
   Query q = ChainQuery(30, 250);
-  EXPECT_EQ(stack.client->Estimate(q), stack.estimator.Estimate(q));
+  EXPECT_EQ(Remote(*stack.client, q), Direct(stack.estimator, q));
   EXPECT_GE(stack.server.Stats().protocol_errors, 1u);
 }
 
@@ -716,10 +724,10 @@ TEST(RemoteTest, TruncatedFrameMidBodyDropsConnection) {
   RemoteStack stack;
   int fd = RawConnect(stack.server.endpoint());
   // A frame whose length promises more than the body delivers: the body
-  // claims to be an EstimateReq but is cut mid-query.
-  std::vector<uint8_t> good =
-      net::EncodeFrame(MsgType::kEstimateReq, 1,
-                       net::EncodeEstimateReq("", ChainQuery(30, 250)));
+  // claims to be a SubplansReq but is cut mid-query.
+  std::vector<uint8_t> good = net::EncodeFrame(
+      MsgType::kSubplansReq, 1,
+      net::EncodeSubplansReq("", ChainQuery(30, 250), {0b111}));
   // Rewrite the length prefix to only cover half the body, producing a
   // syntactically complete frame with a truncated query inside.
   ByteWriter w;
@@ -732,18 +740,19 @@ TEST(RemoteTest, TruncatedFrameMidBodyDropsConnection) {
   EXPECT_EQ(error->type, MsgType::kError);
   net::CloseSocket(fd);
   // Server still healthy.
-  EXPECT_EQ(stack.client->Estimate(ChainQuery(30, 250)),
-            stack.estimator.Estimate(ChainQuery(30, 250)));
+  EXPECT_EQ(Remote(*stack.client, ChainQuery(30, 250)),
+            Direct(stack.estimator, ChainQuery(30, 250)));
 }
 
 TEST(RemoteTest, HandshakeVersionMismatchRejected) {
   RemoteStack stack;
   // A from-the-future version and every retired one (v1 requests lack the
   // model-id field; v2 lacks the trace flag and histogram stats bodies; v3
-  // lacks the suppressed counter; v4 stats counters are positional) must
-  // be rejected cleanly at the handshake, never half-spoken.
+  // lacks the suppressed counter; v4 stats counters are positional; v5
+  // still speaks the single-estimate message pair) must be rejected
+  // cleanly at the handshake, never half-spoken.
   for (uint16_t version : {uint16_t{99}, uint16_t{1}, uint16_t{2},
-                           uint16_t{3}, uint16_t{4}}) {
+                           uint16_t{3}, uint16_t{4}, uint16_t{5}}) {
     int fd = net::ConnectSocket(stack.server.endpoint());
     net::Hello hello;
     hello.version = version;
@@ -780,12 +789,6 @@ TEST(RemoteTest, TracedRequestsCarryServerStageBreakdown) {
   EXPECT_GT(traced.trace.total_micros, 0u);
   EXPECT_EQ(traced.trace.Get(obs::Stage::kRespond), 0u);
   EXPECT_EQ(traced.trace.Get(obs::Stage::kSocketWrite), 0u);
-
-  EstimatorClient::TracedEstimate single =
-      stack.client->EstimateTraced(ChainQuery(31, 260));
-  ASSERT_TRUE(single.has_trace);
-  EXPECT_GT(single.trace.total_micros, 0u);
-  EXPECT_EQ(single.estimate, stack.client->Estimate(ChainQuery(31, 260)));
 
   // Untraced requests stay trace-free on the wire (flag off), seen on a
   // raw connection so nothing but the frame itself is inspected.
@@ -834,18 +837,18 @@ TEST(RemoteTest, ClientReconnectsAfterServerRestart) {
   client_options.endpoint.port = port;
   EstimatorClient client(client_options);
   Query q = ChainQuery(30, 250);
-  EXPECT_EQ(client.Estimate(q), estimator.Estimate(q));
+  EXPECT_EQ(Remote(client, q), Direct(estimator, q));
 
   // Kill the server: outstanding connection dies; the next request fails.
   server.reset();
-  EXPECT_THROW(client.Estimate(q), std::runtime_error);
+  EXPECT_THROW(Remote(client, q), std::runtime_error);
 
   // Restart on the same port: the client redials on the next request.
   EstimatorServerOptions restart_options;
   restart_options.endpoint.port = port;
   EstimatorServer restarted(service, restart_options);
   restarted.Start();
-  EXPECT_EQ(client.Estimate(q), estimator.Estimate(q));
+  EXPECT_EQ(Remote(client, q), Direct(estimator, q));
 }
 
 // fj_server_connections_active counts a connection until its reader exits,
@@ -857,7 +860,7 @@ TEST(RemoteTest, ClosedConnectionsLeaveTheActiveGauge) {
   for (int i = 0; i < 3; ++i) {
     // Each client connects after the previous one has closed.
     EstimatorClient client(EstimatorClientOptions{stack.server.endpoint(), ""});
-    EXPECT_EQ(client.Estimate(q), stack.estimator.Estimate(q));
+    EXPECT_EQ(Remote(client, q), Direct(stack.estimator, q));
   }
   EXPECT_TRUE(Eventually(
       [&] { return stack.server.Stats().connections_active == 0; }));
@@ -907,15 +910,15 @@ struct MultiModelStack {
 TEST(MultiModelTest, RequestsRouteToTheNamedModel) {
   MultiModelStack stack;
   Query q = ChainQuery(30, 250);
-  double a = stack.Client("a")->Estimate(q);
-  double b = stack.Client("b")->Estimate(q);
-  EXPECT_EQ(a, stack.trained_a.Estimate(q));
-  EXPECT_EQ(b, stack.trained_b.Estimate(q));
+  double a = Remote(*stack.Client("a"), q);
+  double b = Remote(*stack.Client("b"), q);
+  EXPECT_EQ(a, Direct(stack.trained_a, q));
+  EXPECT_EQ(b, Direct(stack.trained_b, q));
   // 16-bin and 48-bin models genuinely differ on this workload, so the
   // routing assertion cannot pass by accident.
   EXPECT_NE(a, b);
   // "" routes to the default (first-registered) model.
-  EXPECT_EQ(stack.Client("")->Estimate(q), a);
+  EXPECT_EQ(Remote(*stack.Client(""), q), a);
 }
 
 TEST(MultiModelTest, SubplansPerModelBitIdentical) {
@@ -938,7 +941,7 @@ TEST(MultiModelTest, UnknownModelIsARequestErrorNotADrop) {
   std::unique_ptr<EstimatorClient> nope = stack.Client("nope");
   for (int attempt = 0; attempt < 2; ++attempt) {
     try {
-      nope->Estimate(q);
+      Remote(*nope, q);
       FAIL() << "expected RemoteError";
     } catch (const RemoteError& e) {
       std::string message = e.what();
@@ -961,8 +964,8 @@ TEST(MultiModelTest, OneConnectionRoutesEachRequest) {
   Query q = ChainQuery(30, 250);
   int fd = RawConnect(stack.server.endpoint());
   auto estimate = [&](uint64_t id, const std::string& model) {
-    EXPECT_TRUE(net::WriteFrame(fd, MsgType::kEstimateReq, id,
-                                net::EncodeEstimateReq(model, q)));
+    EXPECT_TRUE(net::WriteFrame(fd, MsgType::kSubplansReq, id,
+                                net::EncodeSubplansReq(model, q, {0b111})));
     Frame resp = net::ReadFrame(fd).value();
     EXPECT_EQ(resp.request_id, id);
     return resp;
@@ -972,11 +975,13 @@ TEST(MultiModelTest, OneConnectionRoutesEachRequest) {
   EXPECT_NE(net::DecodeError(unknown.body).find("unknown model"),
             std::string::npos);
   Frame a = estimate(2, "a");
-  ASSERT_EQ(a.type, MsgType::kEstimateResp);
-  EXPECT_EQ(net::DecodeEstimateResp(a.body), stack.trained_a.Estimate(q));
+  ASSERT_EQ(a.type, MsgType::kSubplansResp);
+  EXPECT_EQ(net::DecodeSubplansResp(a.body).at(0b111),
+            Direct(stack.trained_a, q));
   Frame b = estimate(3, "b");
-  ASSERT_EQ(b.type, MsgType::kEstimateResp);
-  EXPECT_EQ(net::DecodeEstimateResp(b.body), stack.trained_b.Estimate(q));
+  ASSERT_EQ(b.type, MsgType::kSubplansResp);
+  EXPECT_EQ(net::DecodeSubplansResp(b.body).at(0b111),
+            Direct(stack.trained_b, q));
   net::CloseSocket(fd);
 }
 
@@ -985,30 +990,30 @@ TEST(MultiModelTest, EpochsAndStatsArePerModel) {
   Query q = ChainQuery(30, 250);
   std::unique_ptr<EstimatorClient> a = stack.Client("a");
   std::unique_ptr<EstimatorClient> b = stack.Client("b");
-  a->Estimate(q);
-  b->Estimate(q);
+  Remote(*a, q);
+  Remote(*b, q);
   EXPECT_EQ(a->NotifyUpdate("orders"), 1u);
   ServiceStats stats_a = a->Stats();
   ServiceStats stats_b = b->Stats();
   EXPECT_EQ(stats_a.epoch, 1u);
   EXPECT_EQ(stats_b.epoch, 0u);  // "b" never saw the update
-  EXPECT_EQ(stats_a.requests, 1u);
-  EXPECT_EQ(stats_b.requests, 1u);
+  EXPECT_EQ(stats_a.subplan_requests, 1u);
+  EXPECT_EQ(stats_b.subplan_requests, 1u);
 }
 
 // ---------------------------------------------------------------------------
-// Client completion callbacks: EstimateAsync(query, done).
+// Client completion callbacks: EstimateSubplansAsync(query, masks, done).
 
 // Records each request's callback runs (count, value, error) and waits
 // until every request has completed.
 struct Completions {
   explicit Completions(size_t n) : calls(n), values(n), errors(n) {}
 
-  EstimatorClient::EstimateCallback For(size_t i) {
-    return [this, i](double value, std::exception_ptr error) {
+  EstimatorClient::SubplansCallback For(size_t i) {
+    return [this, i](Estimates estimates, std::exception_ptr error) {
       std::lock_guard<std::mutex> lock(mu);
       ++calls[i];
-      values[i] = value;
+      values[i] = std::move(estimates);
       errors[i] = std::move(error);
       ++total;
       all_done.notify_all();
@@ -1024,7 +1029,7 @@ struct Completions {
   std::mutex mu;
   std::condition_variable all_done;
   std::vector<int> calls;
-  std::vector<double> values;
+  std::vector<Estimates> values;
   std::vector<std::exception_ptr> errors;
   size_t total = 0;
 };
@@ -1042,15 +1047,17 @@ TEST(ClientCallbackTest, DeliversValuesAndServerErrors) {
   queries.push_back(disconnected);
   Completions done(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    stack.client->EstimateAsync(queries[i], done.For(i));
+    stack.client->EstimateSubplansAsync(
+        queries[i], {queries[i].AllAliases()}, done.For(i));
   }
   ASSERT_TRUE(done.WaitAll());
   std::lock_guard<std::mutex> lock(done.mu);
   for (size_t i = 0; i + 1 < queries.size(); ++i) {
     EXPECT_EQ(done.calls[i], 1);
     EXPECT_EQ(done.errors[i], nullptr);
-    EXPECT_EQ(std::bit_cast<uint64_t>(done.values[i]),
-              std::bit_cast<uint64_t>(stack.estimator.Estimate(queries[i])));
+    EXPECT_EQ(
+        std::bit_cast<uint64_t>(done.values[i].at(queries[i].AllAliases())),
+        std::bit_cast<uint64_t>(Direct(stack.estimator, queries[i])));
   }
   EXPECT_EQ(done.calls.back(), 1);
   ASSERT_NE(done.errors.back(), nullptr);
@@ -1058,7 +1065,8 @@ TEST(ClientCallbackTest, DeliversValuesAndServerErrors) {
 }
 
 // A failed dial is a completion like any other: the callback runs once,
-// before EstimateAsync returns, and the future overload fails through get().
+// before EstimateSubplansAsync returns, and the future overload fails
+// through get().
 TEST(ClientCallbackTest, FailedDialCompletesOnTheCallingThread) {
   EstimatorClientOptions options;
   options.endpoint.unix_path =
@@ -1069,18 +1077,18 @@ TEST(ClientCallbackTest, FailedDialCompletesOnTheCallingThread) {
   std::atomic<int> calls{0};
   std::thread::id ran_on;
   std::exception_ptr error;
-  auto done = [&](double, std::exception_ptr e) {
+  auto done = [&](Estimates, std::exception_ptr e) {
     calls.fetch_add(1);
     ran_on = std::this_thread::get_id();
     error = std::move(e);
   };
-  EXPECT_NO_THROW(client.EstimateAsync(q, done));
+  EXPECT_NO_THROW(client.EstimateSubplansAsync(q, {q.AllAliases()}, done));
   ASSERT_EQ(calls.load(), 1);
   EXPECT_EQ(ran_on, std::this_thread::get_id());
   EXPECT_THROW(std::rethrow_exception(error), NetError);
 
-  std::future<double> future;
-  EXPECT_NO_THROW(future = client.EstimateAsync(q));
+  std::future<Estimates> future;
+  EXPECT_NO_THROW(future = client.EstimateSubplansAsync(q, {q.AllAliases()}));
   EXPECT_THROW(future.get(), NetError);
 }
 
@@ -1094,10 +1102,11 @@ TEST(RemoteTest, LostConnectionFailsOutstandingFutures) {
     queries.push_back(ChainQuery(20 + i % 30, 400 - i));
   }
   Completions done(queries.size());
-  std::vector<std::future<double>> futures;
+  std::vector<std::future<Estimates>> futures;
   for (size_t i = 0; i < queries.size(); ++i) {
-    stack.client->EstimateAsync(queries[i], done.For(i));
-    futures.push_back(stack.client->EstimateAsync(queries[i]));
+    std::vector<uint64_t> all = {queries[i].AllAliases()};
+    stack.client->EstimateSubplansAsync(queries[i], all, done.For(i));
+    futures.push_back(stack.client->EstimateSubplansAsync(queries[i], all));
   }
   stack.server.Stop();
   ASSERT_TRUE(done.WaitAll());
@@ -1105,16 +1114,17 @@ TEST(RemoteTest, LostConnectionFailsOutstandingFutures) {
 
   std::lock_guard<std::mutex> lock(done.mu);
   for (size_t i = 0; i < queries.size(); ++i) {
+    const uint64_t all = queries[i].AllAliases();
     uint64_t expect =
-        std::bit_cast<uint64_t>(stack.estimator.Estimate(queries[i]));
+        std::bit_cast<uint64_t>(Direct(stack.estimator, queries[i]));
     EXPECT_EQ(done.calls[i], 1) << "request " << i;
     if (done.errors[i] == nullptr) {
-      EXPECT_EQ(std::bit_cast<uint64_t>(done.values[i]), expect);
+      EXPECT_EQ(std::bit_cast<uint64_t>(done.values[i].at(all)), expect);
     } else {
       EXPECT_THROW(std::rethrow_exception(done.errors[i]), NetError);
     }
     try {
-      EXPECT_EQ(std::bit_cast<uint64_t>(futures[i].get()), expect);
+      EXPECT_EQ(std::bit_cast<uint64_t>(futures[i].get().at(all)), expect);
     } catch (const NetError&) {
       // failed by the disconnect sweep — also a single completion
     }
@@ -1169,8 +1179,8 @@ TEST(SendPathTest, LateCompletionNeverReachesALaterConnection) {
   // No ASSERT until Release(): the server's Stop() waits for the held
   // estimate.
   int a = RawConnect(server.endpoint());
-  EXPECT_TRUE(net::WriteFrame(a, MsgType::kEstimateReq, kLateId,
-                              net::EncodeEstimateReq("", q)));
+  EXPECT_TRUE(net::WriteFrame(a, MsgType::kSubplansReq, kLateId,
+                              net::EncodeSubplansReq("", q, {1})));
   EXPECT_TRUE(estimator.WaitEntered());
   net::CloseSocket(a);
   // A's reader has exited, so B's accept reaps A.

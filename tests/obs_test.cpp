@@ -333,22 +333,21 @@ TEST(SlowRequestLogTest, LogsOffendersInStableFormat) {
     RequestTrace fast;
     fast.total_micros = 99;
     QueryFingerprint fp{0x1234, 0xabcd};
-    EXPECT_FALSE(log.MaybeLog("subplans", fp, 7, fast));
+    EXPECT_FALSE(log.MaybeLog(fp, 7, fast));
     EXPECT_EQ(log.logged(), 0u);
 
     RequestTrace slow;
     slow.total_micros = 250;
     slow.Add(Stage::kQueueWait, 10);
     slow.Add(Stage::kEstimate, 230);
-    EXPECT_TRUE(log.MaybeLog("subplans", fp, 7, slow));
+    EXPECT_TRUE(log.MaybeLog(fp, 7, slow));
     EXPECT_EQ(log.logged(), 1u);
   }
   std::fclose(sink);
   std::string line(buf, buf_size);
   free(buf);
 
-  EXPECT_NE(line.find("fj_slow_request model=m1 kind=subplans fp="),
-            std::string::npos)
+  EXPECT_NE(line.find("fj_slow_request model=m1 fp="), std::string::npos)
       << line;
   EXPECT_NE(line.find("masks=7 total_us=250"), std::string::npos) << line;
   EXPECT_NE(line.find("queue_wait_us=10"), std::string::npos) << line;
@@ -363,7 +362,7 @@ TEST(SlowRequestLogTest, ZeroThresholdDisables) {
   EXPECT_FALSE(log.enabled());
   RequestTrace trace;
   trace.total_micros = UINT64_MAX;
-  EXPECT_FALSE(log.MaybeLog("estimate", QueryFingerprint{}, 0, trace));
+  EXPECT_FALSE(log.MaybeLog(QueryFingerprint{}, 0, trace));
   EXPECT_EQ(log.logged(), 0u);
 }
 
@@ -383,10 +382,10 @@ TEST(SlowRequestLogTest, TokenBucketSuppressesAndSummarizes) {
     // The bucket banks kSlowLogBurst tokens: that many lines pass, then
     // suppression.
     for (int i = 0; i < burst; ++i) {
-      EXPECT_TRUE(log.MaybeLog("estimate", fp, 0, slow));
+      EXPECT_TRUE(log.MaybeLog(fp, 0, slow));
     }
     for (int i = 0; i < 5; ++i) {
-      EXPECT_FALSE(log.MaybeLog("estimate", fp, 0, slow));
+      EXPECT_FALSE(log.MaybeLog(fp, 0, slow));
     }
     EXPECT_EQ(log.logged(), static_cast<uint64_t>(burst));
     EXPECT_EQ(log.suppressed(), 5u);
@@ -395,7 +394,7 @@ TEST(SlowRequestLogTest, TokenBucketSuppressesAndSummarizes) {
     // line must be preceded by the suppressed=N summary so the gap is
     // accounted for.
     now += static_cast<uint64_t>(1e6 / kSlowLogLinesPerSecond);
-    EXPECT_TRUE(log.MaybeLog("estimate", fp, 0, slow));
+    EXPECT_TRUE(log.MaybeLog(fp, 0, slow));
     EXPECT_EQ(log.logged(), static_cast<uint64_t>(burst) + 1);
     EXPECT_EQ(log.suppressed(), 5u);
 
@@ -403,9 +402,9 @@ TEST(SlowRequestLogTest, TokenBucketSuppressesAndSummarizes) {
     // not 600.
     now += 60'000'000;
     for (int i = 0; i < burst; ++i) {
-      EXPECT_TRUE(log.MaybeLog("estimate", fp, 0, slow));
+      EXPECT_TRUE(log.MaybeLog(fp, 0, slow));
     }
-    EXPECT_FALSE(log.MaybeLog("estimate", fp, 0, slow));
+    EXPECT_FALSE(log.MaybeLog(fp, 0, slow));
     EXPECT_EQ(log.suppressed(), 6u);
   }
   std::fclose(sink);

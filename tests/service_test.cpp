@@ -13,6 +13,7 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "baselines/postgres_estimator.h"
@@ -85,6 +86,23 @@ std::vector<Query> MakeWorkload(size_t count) {
                                  100 + static_cast<int>(i * 13 % 400)));
   }
   return queries;
+}
+
+using Estimates = std::unordered_map<uint64_t, double>;
+
+// One query's own estimate as the service serves it: the batch of the
+// query's full alias mask.
+double Served(EstimatorService& service, const Query& q) {
+  return service.EstimateSubplans(q, {q.AllAliases()}).at(q.AllAliases());
+}
+
+std::future<Estimates> ServedAsync(EstimatorService& service, const Query& q) {
+  return service.EstimateSubplansAsync(q, {q.AllAliases()});
+}
+
+// The same batch asked of the estimator directly.
+double Direct(const CardinalityEstimator& estimator, const Query& q) {
+  return estimator.EstimateSubplans(q, {q.AllAliases()}).at(q.AllAliases());
 }
 
 TEST(MpmcQueueTest, PushPopAcrossThreads) {
@@ -176,14 +194,6 @@ TEST(ShardedCacheTest, ConcurrentMixedWorkloadIsConsistent) {
   EXPECT_EQ(cache.Stats().entries, static_cast<size_t>(kKeys));
 }
 
-TEST(ServiceTest, SingleEstimateMatchesDirectCall) {
-  Database db = MakeDb();
-  FactorJoinEstimator estimator = MakeEstimator(db);
-  EstimatorService service(estimator, {.num_threads = 2});
-  Query q = ChainQuery(30, 250);
-  EXPECT_EQ(service.Estimate(q), estimator.Estimate(q));
-}
-
 // The acceptance-criteria test: N threads x M queries through the pool agree
 // bit-for-bit with serial estimation on the same trained model.
 TEST(ServiceTest, ConcurrentResultsBitIdenticalToSerial) {
@@ -192,7 +202,7 @@ TEST(ServiceTest, ConcurrentResultsBitIdenticalToSerial) {
   std::vector<Query> queries = MakeWorkload(24);
 
   std::vector<double> serial;
-  for (const Query& q : queries) serial.push_back(estimator.Estimate(q));
+  for (const Query& q : queries) serial.push_back(Direct(estimator, q));
 
   EstimatorService service(estimator,
                            {.num_threads = 8, .queue_capacity = 64});
@@ -207,7 +217,7 @@ TEST(ServiceTest, ConcurrentResultsBitIdenticalToSerial) {
       for (size_t i = 0; i < queries.size(); ++i) {
         size_t idx = (i + static_cast<size_t>(c) * 3) % queries.size();
         per_client[static_cast<size_t>(c)][idx] =
-            service.Estimate(queries[idx]);
+            Served(service, queries[idx]);
       }
     });
   }
@@ -220,7 +230,8 @@ TEST(ServiceTest, ConcurrentResultsBitIdenticalToSerial) {
     }
   }
   ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.requests, static_cast<uint64_t>(kClients) * queries.size());
+  EXPECT_EQ(stats.subplan_requests,
+            static_cast<uint64_t>(kClients) * queries.size());
   EXPECT_EQ(stats.errors, 0u);
   // Concurrent misses on the same query can race (both compute), so the
   // exact hit count varies — but with 8 clients replaying 24 queries, the
@@ -282,22 +293,22 @@ TEST(ServiceTest, CacheSharesSubplansAcrossParentQueries) {
   EXPECT_EQ(served.at(0b001), parent_results.at(0b001));
   EXPECT_EQ(served.at(0b010), parent_results.at(0b010));
 
-  // Single-query Estimate uses its own cache namespace (the two estimator
-  // code paths may produce different valid bounds): the same prefix query
-  // through Estimate must miss instead of returning a batch-path value.
-  service.Estimate(prefix);
-  EXPECT_EQ(service.Stats().cache.misses, misses_before + 1);
+  // One namespace: the prefix's own one-query request is the {u, o} entry
+  // the parent's batch cached.
+  EXPECT_EQ(Served(service, prefix), parent_results.at(0b011));
+  EXPECT_EQ(service.Stats().cache.misses, misses_before);
 }
 
 TEST(ServiceTest, AsyncFuturesResolve) {
   Database db = MakeDb();
   FactorJoinEstimator estimator = MakeEstimator(db);
   EstimatorService service(estimator, {.num_threads = 4});
-  std::vector<std::future<double>> futures;
+  std::vector<std::future<Estimates>> futures;
   std::vector<Query> queries = MakeWorkload(16);
-  for (const Query& q : queries) futures.push_back(service.EstimateAsync(q));
+  for (const Query& q : queries) futures.push_back(ServedAsync(service, q));
   for (size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), estimator.Estimate(queries[i]));
+    EXPECT_EQ(futures[i].get().at(queries[i].AllAliases()),
+              Direct(estimator, queries[i]));
   }
 }
 
@@ -308,7 +319,7 @@ TEST(ServiceTest, ErrorsPropagateThroughFutures) {
   // Disconnected join graph: FactorJoin throws; the future must rethrow.
   Query bad;
   bad.AddTable("users", "u").AddTable("items", "i");
-  EXPECT_THROW(service.Estimate(bad), std::invalid_argument);
+  EXPECT_THROW(Served(service, bad), std::invalid_argument);
   EXPECT_EQ(service.Stats().errors, 1u);
 }
 
@@ -316,11 +327,10 @@ TEST(ServiceTest, ShutdownDrainsThenRejects) {
   Database db = MakeDb();
   FactorJoinEstimator estimator = MakeEstimator(db);
   EstimatorService service(estimator, {.num_threads = 2});
-  auto future = service.EstimateAsync(ChainQuery(30, 250));
+  auto future = ServedAsync(service, ChainQuery(30, 250));
   service.Shutdown();
   EXPECT_NO_THROW(future.get());  // accepted before shutdown => served
-  EXPECT_THROW(service.EstimateAsync(ChainQuery(31, 251)),
-               std::runtime_error);
+  EXPECT_THROW(ServedAsync(service, ChainQuery(31, 251)), std::runtime_error);
 }
 
 TEST(ServiceTest, StatsTrackLatencyAndHitRate) {
@@ -328,12 +338,12 @@ TEST(ServiceTest, StatsTrackLatencyAndHitRate) {
   FactorJoinEstimator estimator = MakeEstimator(db);
   EstimatorService service(estimator, {.num_threads = 2});
   Query q = ChainQuery(30, 250);
-  for (int i = 0; i < 10; ++i) service.Estimate(q);
+  for (int i = 0; i < 10; ++i) Served(service, q);
   // Post-completion records (kRespond, slow log) land after the promise is
   // fulfilled; Drain() returns only after the worker fully finished.
   service.Drain();
   ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.requests, 10u);
+  EXPECT_EQ(stats.subplan_requests, 10u);
   EXPECT_GT(stats.cache.HitRate(), 0.8);  // 9 of 10 hit
   // Quantiles are derived from the latency histogram; one sample per
   // request, ordered p50 <= p90 <= p99 <= p999 <= max (max is exact).
@@ -367,7 +377,7 @@ TEST(ServiceTest, TracingDisabledStillFillsLatencyHistogram) {
   EstimatorService service(estimator,
                            {.num_threads = 2, .enable_tracing = false});
   Query q = ChainQuery(30, 250);
-  for (int i = 0; i < 5; ++i) service.Estimate(q);
+  for (int i = 0; i < 5; ++i) Served(service, q);
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.latency.count, 5u);
   EXPECT_GT(stats.p50_micros, 0.0);
@@ -392,8 +402,9 @@ TEST(ServiceTest, SlowRequestLogEmitsStructuredLines) {
     options.model_name = "slowtest";
     EstimatorService service(estimator, options);
     Query q = ChainQuery(30, 250);
-    service.Estimate(q);
+    Served(service, q);
     auto masks = EnumerateConnectedSubsets(q, 1);
+    ASSERT_EQ(masks.size(), 6u);
     service.EstimateSubplans(q, masks);
     service.Drain();  // slow-log lines land after promise fulfillment
     ServiceStats stats = service.Stats();
@@ -402,12 +413,10 @@ TEST(ServiceTest, SlowRequestLogEmitsStructuredLines) {
   std::fclose(sink);
   std::string log(buf, buf_size);
   free(buf);
-  EXPECT_NE(log.find("fj_slow_request model=slowtest kind=estimate"),
-            std::string::npos)
+  EXPECT_NE(log.find("fj_slow_request model=slowtest fp="), std::string::npos)
       << log;
-  EXPECT_NE(log.find("fj_slow_request model=slowtest kind=subplans"),
-            std::string::npos)
-      << log;
+  EXPECT_NE(log.find(" masks=1 total_us="), std::string::npos) << log;
+  EXPECT_NE(log.find(" masks=6 total_us="), std::string::npos) << log;
   EXPECT_NE(log.find("total_us="), std::string::npos) << log;
 }
 
@@ -447,8 +456,8 @@ TEST(TableEpochRegistryTest, PerTableEpochsDriveStaleness) {
   EXPECT_FALSE(reg.IsStale(orders, reg.Epoch()));
 }
 
-// Both serving paths tag entries from AliasBits: tables register in alias
-// order, self-joined aliases share a bit, and the OR over every alias is the
+// The service tags entries from AliasBits: tables register in alias order,
+// self-joined aliases share a bit, and the OR over every alias is the
 // bitmap of the query's distinct base tables.
 TEST(TableEpochRegistryTest, AliasBitsFollowAliasOrder) {
   Query q;
@@ -497,8 +506,8 @@ TEST(ServiceTest, EstimateAfterInsertAndNotifyIsFresh) {
   FactorJoinEstimator estimator = MakeEstimator(db);
   EstimatorService service(estimator, {.num_threads = 2});
   Query q = ChainQuery(20, 250);
-  double before = service.Estimate(q);
-  EXPECT_EQ(service.Estimate(q), before);  // warm: served from cache
+  double before = Served(service, q);
+  EXPECT_EQ(Served(service, q), before);  // warm: served from cache
 
   size_t first = AppendSkewedOrders(&db, 3000);
   // Update protocol: quiesce (nothing in flight here), update the estimator,
@@ -506,11 +515,11 @@ TEST(ServiceTest, EstimateAfterInsertAndNotifyIsFresh) {
   estimator.ApplyInsert("orders", first);
   service.NotifyUpdate("orders");
 
-  double fresh = estimator.Estimate(q);
+  double fresh = Direct(estimator, q);
   EXPECT_NE(fresh, before) << "insert was drastic enough to move the bound";
-  EXPECT_EQ(service.Estimate(q), fresh);
+  EXPECT_EQ(Served(service, q), fresh);
   // And the fresh value is cached again.
-  EXPECT_EQ(service.Estimate(q), fresh);
+  EXPECT_EQ(Served(service, q), fresh);
 }
 
 TEST(ServiceTest, UnrelatedEntriesSurviveInvalidation) {
@@ -524,8 +533,8 @@ TEST(ServiceTest, UnrelatedEntriesSurviveInvalidation) {
   Query items_q;
   items_q.AddTable("items", "i");
   items_q.SetFilter("i", Predicate::Cmp("price", CmpOp::kLt, Literal::Int(50)));
-  service.Estimate(users_q);
-  service.Estimate(items_q);
+  Served(service, users_q);
+  Served(service, items_q);
 
   Table* users = db.MutableTable("users");
   size_t first = users->num_rows();
@@ -538,14 +547,14 @@ TEST(ServiceTest, UnrelatedEntriesSurviveInvalidation) {
 
   // The items entry is untouched by the users update: it must still hit.
   ServiceStats s1 = service.Stats();
-  EXPECT_EQ(service.Estimate(items_q), estimator.Estimate(items_q));
+  EXPECT_EQ(Served(service, items_q), Direct(estimator, items_q));
   ServiceStats s2 = service.Stats();
   EXPECT_EQ(s2.cache.hits, s1.cache.hits + 1);
   EXPECT_EQ(s2.cache.misses, s1.cache.misses);
   EXPECT_EQ(s2.cache.invalidations, 0u);
 
   // The users entry is stale: lazily invalidated, then served fresh.
-  EXPECT_EQ(service.Estimate(users_q), estimator.Estimate(users_q));
+  EXPECT_EQ(Served(service, users_q), Direct(estimator, users_q));
   ServiceStats s3 = service.Stats();
   EXPECT_EQ(s3.cache.misses, s2.cache.misses + 1);
   EXPECT_EQ(s3.cache.invalidations, 1u);
@@ -665,13 +674,12 @@ TEST(ServiceTest, DrainRacesConcurrentSubmitters) {
   constexpr int kPerSubmitter = 60;
   std::atomic<bool> stop_draining{false};
   std::vector<std::thread> submitters;
-  std::vector<std::vector<std::future<double>>> futures(kSubmitters);
+  std::vector<std::vector<std::future<Estimates>>> futures(kSubmitters);
   for (int s = 0; s < kSubmitters; ++s) {
     submitters.emplace_back([&, s] {
       for (int i = 0; i < kPerSubmitter; ++i) {
-        futures[static_cast<size_t>(s)].push_back(
-            service.EstimateAsync(queries[static_cast<size_t>(i) %
-                                          queries.size()]));
+        futures[static_cast<size_t>(s)].push_back(ServedAsync(
+            service, queries[static_cast<size_t>(i) % queries.size()]));
       }
     });
   }
@@ -712,8 +720,8 @@ TEST(ServiceTest, ShutdownRacesInFlightSubmitters) {
     submitters.emplace_back([&, s] {
       for (int i = 0; i < 200; ++i) {
         try {
-          auto f = service.EstimateAsync(
-              queries[static_cast<size_t>(s + i) % queries.size()]);
+          auto f = ServedAsync(
+              service, queries[static_cast<size_t>(s + i) % queries.size()]);
           accepted.fetch_add(1);
           // Accepted before shutdown completed => must be served, not
           // abandoned.
@@ -732,9 +740,9 @@ TEST(ServiceTest, ShutdownRacesInFlightSubmitters) {
 
   EXPECT_GT(accepted.load(), 0u);
   ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.requests + stats.errors, accepted.load());
+  EXPECT_EQ(stats.subplan_requests + stats.errors, accepted.load());
   EXPECT_EQ(stats.pending_requests, 0u);
-  EXPECT_THROW(service.Estimate(queries[0]), std::runtime_error);
+  EXPECT_THROW(Served(service, queries[0]), std::runtime_error);
 }
 
 // The worker-thread guard: blocking APIs called from a worker (here: from
@@ -747,13 +755,8 @@ TEST(ServiceTest, BlockingCallsFromWorkerThreadThrow) {
   Query q = ChainQuery(30, 250);
 
   std::promise<void> done;
-  std::string estimate_msg, subplans_msg, drain_msg;
-  service.EstimateAsync(q, [&](double, std::exception_ptr) {
-    try {
-      service.Estimate(q);
-    } catch (const std::logic_error& e) {
-      estimate_msg = e.what();
-    }
+  std::string subplans_msg, drain_msg;
+  auto blocking_calls = [&](Estimates, std::exception_ptr) {
     try {
       service.EstimateSubplans(q, {0b1});
     } catch (const std::logic_error& e) {
@@ -765,14 +768,14 @@ TEST(ServiceTest, BlockingCallsFromWorkerThreadThrow) {
       drain_msg = e.what();
     }
     done.set_value();
-  });
+  };
+  service.EstimateSubplansAsync(q, {q.AllAliases()}, blocking_calls);
   done.get_future().get();
-  EXPECT_NE(estimate_msg.find("worker thread"), std::string::npos)
-      << estimate_msg;
-  EXPECT_NE(subplans_msg.find("worker thread"), std::string::npos);
+  EXPECT_NE(subplans_msg.find("worker thread"), std::string::npos)
+      << subplans_msg;
   EXPECT_NE(drain_msg.find("worker thread"), std::string::npos);
   // From a non-worker thread the same calls still work.
-  EXPECT_NO_THROW(service.Estimate(q));
+  EXPECT_NO_THROW(Served(service, q));
 }
 
 TEST(ServiceTest, CallbackVariantsMatchFutureVariants) {
@@ -781,13 +784,6 @@ TEST(ServiceTest, CallbackVariantsMatchFutureVariants) {
   EstimatorService service(estimator, {.num_threads = 2});
   Query q = ChainQuery(25, 300);
   std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
-
-  std::promise<double> single;
-  service.EstimateAsync(q, [&](double value, std::exception_ptr error) {
-    ASSERT_EQ(error, nullptr);
-    single.set_value(value);
-  });
-  EXPECT_EQ(single.get_future().get(), estimator.Estimate(q));
 
   std::promise<std::unordered_map<uint64_t, double>> batch;
   service.EstimateSubplansAsync(
@@ -805,9 +801,10 @@ TEST(ServiceTest, CallbackVariantsMatchFutureVariants) {
   Query bad;
   bad.AddTable("users", "u").AddTable("items", "i");
   std::promise<std::exception_ptr> failed;
-  service.EstimateAsync(bad, [&](double, std::exception_ptr error) {
-    failed.set_value(error);
-  });
+  service.EstimateSubplansAsync(bad, {bad.AllAliases()},
+                                [&](Estimates, std::exception_ptr error) {
+                                  failed.set_value(error);
+                                });
   std::exception_ptr error = failed.get_future().get();
   ASSERT_NE(error, nullptr);
   EXPECT_THROW(std::rethrow_exception(error), std::invalid_argument);
@@ -824,16 +821,17 @@ TEST(ServiceTest, PendingGaugeRisesAndDrainsToZero) {
   std::promise<void> entered;
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
-  service.EstimateAsync(ChainQuery(19, 300),
-                        [&](double, std::exception_ptr) {
-                          entered.set_value();
-                          gate.wait();
-                        });
+  Query first = ChainQuery(19, 300);
+  service.EstimateSubplansAsync(first, {first.AllAliases()},
+                                [&](Estimates, std::exception_ptr) {
+                                  entered.set_value();
+                                  gate.wait();
+                                });
   entered.get_future().get();
 
-  std::vector<std::future<double>> futures;
+  std::vector<std::future<Estimates>> futures;
   for (int i = 0; i < 16; ++i) {
-    futures.push_back(service.EstimateAsync(ChainQuery(20 + i, 300)));
+    futures.push_back(ServedAsync(service, ChainQuery(20 + i, 300)));
   }
   // 16 queued + the one in flight (a request counts as pending until its
   // callback returned).
@@ -853,9 +851,9 @@ TEST(ServiceTest, DrainWaitsForAllAcceptedRequests) {
   Database db = MakeDb();
   FactorJoinEstimator estimator = MakeEstimator(db);
   EstimatorService service(estimator, {.num_threads = 2});
-  std::vector<std::future<double>> futures;
+  std::vector<std::future<Estimates>> futures;
   std::vector<Query> queries = MakeWorkload(16);
-  for (const Query& q : queries) futures.push_back(service.EstimateAsync(q));
+  for (const Query& q : queries) futures.push_back(ServedAsync(service, q));
   service.Drain();
   for (auto& f : futures) {
     EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
@@ -867,14 +865,14 @@ TEST(ServiceTest, InvalidateAllDropsEverything) {
   Database db = MakeDb();
   FactorJoinEstimator estimator = MakeEstimator(db);
   EstimatorService service(estimator, {.num_threads = 2});
-  service.Estimate(ChainQuery(20, 250));
-  service.Estimate(ChainQuery(25, 300));
+  Served(service, ChainQuery(20, 250));
+  Served(service, ChainQuery(25, 300));
   Query q = ChainQuery(30, 350);
-  EXPECT_EQ(service.Estimate(q), estimator.Estimate(q));
+  EXPECT_EQ(Served(service, q), Direct(estimator, q));
   EXPECT_EQ(service.Stats().cache.entries, 3u);
   service.InvalidateAll();
   EXPECT_EQ(service.Stats().cache.entries, 0u);
-  EXPECT_EQ(service.Estimate(q), estimator.Estimate(q));
+  EXPECT_EQ(Served(service, q), Direct(estimator, q));
   EXPECT_EQ(service.Stats().cache.entries, 1u);
 }
 
@@ -884,8 +882,8 @@ TEST(ServiceTest, CacheDisabledStillCorrect) {
   EstimatorService service(estimator,
                            {.num_threads = 2, .cache_enabled = false});
   Query q = ChainQuery(30, 250);
-  EXPECT_EQ(service.Estimate(q), estimator.Estimate(q));
-  EXPECT_EQ(service.Estimate(q), estimator.Estimate(q));
+  EXPECT_EQ(Served(service, q), Direct(estimator, q));
+  EXPECT_EQ(Served(service, q), Direct(estimator, q));
   EXPECT_EQ(service.Stats().cache.hits, 0u);
 }
 

@@ -228,8 +228,12 @@ TEST(ModelRegistryTest, RoutesNamesAndDefault) {
 
   // Each model serves its own estimator.
   Query q = TwoWayQuery();
-  EXPECT_EQ(a.Estimate(q), registry.Find("a")->estimator().Estimate(q));
-  EXPECT_NE(a.Estimate(q), b.Estimate(q));  // 16 vs 24 bins differ here
+  const std::vector<uint64_t> all = {q.AllAliases()};
+  const CardinalityEstimator& model_a = registry.Find("a")->estimator();
+  double served_a = a.EstimateSubplans(q, all).at(all[0]);
+  EXPECT_EQ(served_a, model_a.EstimateSubplans(q, all).at(all[0]));
+  // 16 vs 24 bins differ here.
+  EXPECT_NE(served_a, b.EstimateSubplans(q, all).at(all[0]));
 }
 
 TEST(ModelRegistryTest, DuplicateNamesAndExternalServices) {

@@ -40,7 +40,7 @@ TEST(SamplingEstimatorTest, FullRateIsExact) {
   Table t = MakeCorrelatedTable(500, 1);
   SamplingEstimator est(t, 1.0);
   auto pred = Predicate::Cmp("a", CmpOp::kEq, Literal::Int(2));
-  EXPECT_DOUBLE_EQ(est.EstimateFilteredRows(*pred),
+  EXPECT_DOUBLE_EQ(est.EstimateKeyDists(*pred, {}).filtered_rows,
                    static_cast<double>(CountMatches(t, *pred)));
 }
 
@@ -49,7 +49,7 @@ TEST(SamplingEstimatorTest, PartialRateApproximates) {
   SamplingEstimator est(t, 0.1);
   auto pred = Predicate::Cmp("a", CmpOp::kLe, Literal::Int(1));
   double truth = static_cast<double>(CountMatches(t, *pred));
-  double estimate = est.EstimateFilteredRows(*pred);
+  double estimate = est.EstimateKeyDists(*pred, {}).filtered_rows;
   EXPECT_NEAR(estimate, truth, truth * 0.15);
 }
 
@@ -165,7 +165,8 @@ TEST(DiscretizerTest, LikeReturnsNullopt) {
 TEST(BayesNetTest, UnfilteredMatchesRowCount) {
   Table t = MakeCorrelatedTable(3000, 6);
   BayesNetEstimator est(t, {});
-  EXPECT_NEAR(est.EstimateFilteredRows(*Predicate::True()), 3000.0, 30.0);
+  EXPECT_NEAR(est.EstimateKeyDists(*Predicate::True(), {}).filtered_rows,
+              3000.0, 30.0);
 }
 
 TEST(BayesNetTest, CapturesCorrelationBetterThanIndependence) {
@@ -176,7 +177,7 @@ TEST(BayesNetTest, CapturesCorrelationBetterThanIndependence) {
   auto pred = Predicate::And({Predicate::Cmp("a", CmpOp::kEq, Literal::Int(3)),
                               Predicate::Cmp("b", CmpOp::kEq, Literal::Int(6))});
   double truth = static_cast<double>(CountMatches(t, *pred));
-  double bn = est.EstimateFilteredRows(*pred);
+  double bn = est.EstimateKeyDists(*pred, {}).filtered_rows;
   EXPECT_NEAR(bn, truth, truth * 0.35);
 }
 
@@ -201,7 +202,7 @@ TEST(BayesNetTest, FallsBackOnDisjunction) {
   auto pred = Predicate::Or({Predicate::Cmp("a", CmpOp::kEq, Literal::Int(0)),
                              Predicate::Cmp("a", CmpOp::kEq, Literal::Int(3))});
   double truth = static_cast<double>(CountMatches(t, *pred));
-  double estimate = est.EstimateFilteredRows(*pred);
+  double estimate = est.EstimateKeyDists(*pred, {}).filtered_rows;
   EXPECT_NEAR(estimate, truth, truth * 0.3);
 }
 
@@ -219,7 +220,8 @@ TEST(BayesNetTest, IncrementalUpdateTracksNewRows) {
   est.IncrementalUpdate(t, before);
   auto pred = Predicate::Cmp("a", CmpOp::kEq, Literal::Int(3));
   double truth = static_cast<double>(CountMatches(t, *pred));
-  EXPECT_NEAR(est.EstimateFilteredRows(*pred), truth, truth * 0.3);
+  EXPECT_NEAR(est.EstimateKeyDists(*pred, {}).filtered_rows, truth,
+              truth * 0.3);
 }
 
 TEST(HistogramTest, EqualitySelectivity) {
@@ -277,9 +279,10 @@ TEST(HistogramTest, LiteralsAtTheEndsOfTheCodeSpace) {
     ColumnHistogram h(col, 8);
     EXPECT_EQ(h.LeafSelectivity(col, *a), h.LeafSelectivity(col, *b))
         << a->ToString();
-    double rows = est.EstimateFilteredRows(*a);
+    double rows = est.EstimateKeyDists(*a, {}).filtered_rows;
     EXPECT_TRUE(std::isfinite(rows)) << a->ToString();
-    EXPECT_EQ(rows, est.EstimateFilteredRows(*b)) << a->ToString();
+    EXPECT_EQ(rows, est.EstimateKeyDists(*b, {}).filtered_rows)
+        << a->ToString();
   }
 }
 

@@ -164,7 +164,6 @@ curl -sSf "$METRICS_URL" > "$BEFORE"
 # The scrape must carry the core metric families, with the per-model label.
 for name in \
   'fj_subplan_requests_total{model="default"}' \
-  'fj_requests_total{model="default"}' \
   'fj_cache_hits_total{model="default"}' \
   'fj_request_latency_micros_bucket' \
   'fj_request_latency_micros_count' \
