@@ -1,9 +1,9 @@
 // Micro-benchmark for the paper's headline efficiency claim: FactorJoin can
 // estimate ~10,000 sub-plan queries within one second (Section 6.2).
 // Measures per-sub-plan estimation latency of FactorJoin's progressive
-// algorithm vs estimating every sub-plan independently (the >10x saving of
-// Section 5.2), vs the shared-leaf session path (PrepareSubplans, what the
-// serving layer's batch splitter runs per chunk), and vs Postgres/PessEst
+// algorithm (EstimateSubplans, which is one PrepareSubplans session over
+// the batch — the path the serving layer runs) vs estimating every sub-plan
+// independently (the >10x saving of Section 5.2), and vs Postgres/PessEst
 // per-estimate costs.
 //
 // Self-timed passes over the whole workload (no external benchmark library):
@@ -89,16 +89,6 @@ int main(int argc, char** argv) {
     }
   });
 
-  // Shared-leaf session: leaves prepared once per query, masks estimated
-  // against them — the per-chunk cost of the service's batch splitter.
-  CaseResult session = TimeCase(total_subplans, [&] {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      auto s = factorjoin->PrepareSubplans(queries[i]);
-      auto cards = s->EstimateSubplans(masks[i]);
-      DoNotOptimizeAway(cards.size());
-    }
-  });
-
   // Every sub-plan independently (the >10x saving of Section 5.2).
   CaseResult independent = TimeCase(total_subplans, [&] {
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -132,8 +122,6 @@ int main(int argc, char** argv) {
   TablePrinter tp({"Case", "ms/pass", "Sub-plans/s"});
   tp.AddRow({"factorjoin progressive", Fmt(progressive.ms_per_pass, 2),
              Fmt(progressive.subplans_per_sec, 0)});
-  tp.AddRow({"factorjoin session (shared leaves)", Fmt(session.ms_per_pass, 2),
-             Fmt(session.subplans_per_sec, 0)});
   tp.AddRow({"factorjoin independent", Fmt(independent.ms_per_pass, 2),
              Fmt(independent.subplans_per_sec, 0)});
   tp.AddRow({"postgres", Fmt(pg.ms_per_pass, 2), Fmt(pg.subplans_per_sec, 0)});
@@ -146,7 +134,6 @@ int main(int argc, char** argv) {
   report.Add("progressive_ms_per_pass", progressive.ms_per_pass, "ms");
   report.Add("progressive_subplans_per_sec", progressive.subplans_per_sec,
              "1/s");
-  report.Add("session_ms_per_pass", session.ms_per_pass, "ms");
   report.Add("independent_ms_per_pass", independent.ms_per_pass, "ms");
   report.Add("postgres_ms_per_pass", pg.ms_per_pass, "ms");
   report.Add("pessest_ms_per_pass", pe.ms_per_pass, "ms");

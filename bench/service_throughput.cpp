@@ -33,7 +33,6 @@
 
 #include "bench_util.h"
 #include "factorjoin/estimator.h"
-#include "obs/flight_recorder.h"
 #include "obs/latency_histogram.h"
 #include "obs/metrics_export.h"
 #include "obs/metrics_registry.h"
@@ -294,51 +293,6 @@ int main(int argc, char** argv) {
     report.Add("traced_qps", qps_on, "1/s");
     report.Add("untraced_qps", qps_off, "1/s");
     AddLatencyQuantiles(&report, "traced", traced_stats.latency);
-  }
-
-  // ---- Flight recorder overhead: the same alternating best-of-4
-  // discipline, tracing on for both services, one additionally appending
-  // every 16th request (plus any slow offenders) into a FlightRecorder
-  // ring — the fj_server default. Isolates the recorder's serving-path
-  // cost: one fetch_add plus, on sampled requests, a per-slot spinlock
-  // and a ~120-byte copy. Must sit under the same <2% bar as tracing.
-  std::printf("\nflight recorder overhead (warm, 4 workers, 64 clients):\n");
-  {
-    obs::FlightRecorder recorder(256);
-    auto make_service = [&](bool record) {
-      EstimatorServiceOptions options;
-      options.num_threads = 4;
-      options.queue_capacity = 256;
-      options.cache_capacity = 1 << 18;
-      options.enable_tracing = true;
-      if (record) options.flight_recorder = &recorder;
-      auto service = std::make_unique<EstimatorService>(estimator, options);
-      for (size_t i = 0; i < workload->queries.size(); ++i) {
-        service->EstimateSubplans(workload->queries[i], masks[i]);
-      }
-      RunLoad(*service, workload->queries, masks, 64, requests);
-      return service;
-    };
-    auto off = make_service(false);
-    auto on = make_service(true);
-    double qps_off = 0.0;
-    double qps_on = 0.0;
-    for (int run = 0; run < 4; ++run) {
-      LoadPoint p_off = RunLoad(*off, workload->queries, masks, 64, requests);
-      qps_off = std::max(qps_off, p_off.qps);
-      LoadPoint p_on = RunLoad(*on, workload->queries, masks, 64, requests);
-      qps_on = std::max(qps_on, p_on.qps);
-    }
-    double overhead_pct =
-        qps_off > 0.0 ? (qps_off - qps_on) / qps_off * 100.0 : 0.0;
-    std::printf("  recorder on: %.0f QPS, off: %.0f QPS -> overhead %.2f%% "
-                "(target <2%%); %llu records appended, dump %zu bytes\n",
-                qps_on, qps_off, overhead_pct,
-                static_cast<unsigned long long>(recorder.appended()),
-                recorder.DumpJson(16).size());
-    report.Add("flight_overhead_pct", overhead_pct, "%");
-    report.Add("flight_records_appended",
-               static_cast<double>(recorder.appended()));
   }
 
   // ---- Cold start: train from scratch vs restore a snapshot (the

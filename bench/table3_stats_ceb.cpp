@@ -72,6 +72,6 @@ int main() {
   }
 
   PrintEndToEndTable(rows, "postgres");
-  std::printf("\n(learned data-driven analogs marked *; see DESIGN.md)\n");
+  std::printf("\n(learned data-driven analogs marked *; see docs/BENCHMARKS.md)\n");
   return 0;
 }

@@ -79,7 +79,8 @@ class FactorJoinEstimator : public CardinalityEstimator {
   /// bit-identical on any mask subset — the serving layer uses this to
   /// split one large batch across its worker pool. Note the batch and
   /// Estimate may produce different (equally valid) bounds for the same
-  /// sub-plan — see EstimatorService's cache namespaces.
+  /// sub-plan: the service serves only batches, so its cache holds the
+  /// batch's values.
   std::unique_ptr<SubplanSession> PrepareSubplans(
       const Query& query) const override;
 

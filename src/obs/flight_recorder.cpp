@@ -2,23 +2,17 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstring>
+#include <utility>
 
 #include "obs/metrics_registry.h"
 
 namespace fj::obs {
 namespace {
 
-void CopyName(char* dst, size_t dst_size, const char* src) {
-  std::strncpy(dst, src != nullptr ? src : "", dst_size - 1);
-  dst[dst_size - 1] = '\0';
-}
-
 void AppendRecordJson(std::string* out, const FlightRecord& r) {
   AppendF(out,
           "{\"seq\":%" PRIu64 ",\"t_us\":%" PRIu64 ",\"total_us\":%" PRIu64,
           r.seq, r.t_micros, r.total_micros);
-  AppendF(out, ",\"model\":\"%s\"", r.model);
   AppendF(out, ",\"fp\":\"%016" PRIx64 "%016" PRIx64 "\",\"masks\":%u",
           r.fp_hi, r.fp_lo, r.masks);
   AppendF(out, ",\"dominant_stage\":\"%s\",\"stages\":{",
@@ -35,14 +29,24 @@ void AppendRecordJson(std::string* out, const FlightRecord& r) {
 }
 
 /// Renders records (as from Recent/Slowest) to a JSON array body.
-std::string RenderFlightRecordsJson(const std::vector<FlightRecord>& records) {
-  std::string out = "[";
+void AppendRecordsJson(std::string* out,
+                       const std::vector<FlightRecord>& records) {
+  *out += '[';
   for (size_t i = 0; i < records.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendRecordJson(&out, records[i]);
+    if (i > 0) *out += ',';
+    AppendRecordJson(out, records[i]);
   }
-  out += "]";
-  return out;
+  *out += ']';
+}
+
+/// Spins for a slot's one-byte lock: only a reader copying this exact slot
+/// (or its next appender) ever holds it, and only for a ~100-byte copy.
+void LockSlot(std::atomic<uint8_t>& lock) {
+  uint8_t expected = 0;
+  while (!lock.compare_exchange_weak(expected, 1,
+                                     std::memory_order_acquire)) {
+    expected = 0;
+  }
 }
 
 }  // namespace
@@ -55,30 +59,39 @@ Stage FlightRecord::DominantStage() const {
   return static_cast<Stage>(best);
 }
 
-FlightRecorder::FlightRecorder(size_t capacity)
-    : slots_(capacity > 0 ? capacity : 1) {}
+FlightRecorder::FlightRecorder(std::string model, uint64_t slow_micros,
+                               std::FILE* sink,
+                               std::function<uint64_t()> clock)
+    : model_(model.empty() ? "default" : std::move(model)),
+      slow_micros_(slow_micros),
+      sink_(sink != nullptr ? sink : stderr),
+      clock_(clock ? std::move(clock) : MonotonicMicros) {}
 
-void FlightRecorder::Append(const QueryFingerprint& fingerprint, size_t masks,
-                            const char* model, const RequestTrace& trace) {
+bool FlightRecorder::Record(const Query& query, size_t masks,
+                            const RequestTrace& trace) {
+  uint64_t offered = offered_.fetch_add(1, std::memory_order_relaxed);
+  bool offender = slow_micros_ > 0 && trace.total_micros >= slow_micros_;
+  if (!offender && offered % kFlightSampleEvery != 0) return false;
+
   FlightRecord record;
   // Ticket 0 is reserved as "slot never written".
   record.seq = ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
-  record.t_micros = MonotonicMicros();
+  record.t_micros = clock_();
   record.total_micros = trace.total_micros;
   record.stage_micros = trace.stage_micros;
-  record.fp_lo = fingerprint.lo;
-  record.fp_hi = fingerprint.hi;
+  // Fingerprinted only here: never for a request the recorder drops.
+  QueryFingerprint fp = query.Fingerprint();
+  record.fp_lo = fp.lo;
+  record.fp_hi = fp.hi;
   record.masks = static_cast<uint32_t>(masks);
-  CopyName(record.model, sizeof(record.model), model);
+  Append(record);
+  if (offender) WriteSlowLine(record);
+  return true;
+}
 
-  Slot& slot = slots_[(record.seq - 1) % slots_.size()];
-  uint8_t expected = 0;
-  // Only a reader copying this exact slot ever holds the lock, and only
-  // for a ~120-byte memcpy — spin, don't yield.
-  while (!slot.lock.compare_exchange_weak(expected, 1,
-                                          std::memory_order_acquire)) {
-    expected = 0;
-  }
+void FlightRecorder::Append(const FlightRecord& record) {
+  Slot& slot = slots_[(record.seq - 1) % kFlightCapacity];
+  LockSlot(slot.lock);
   slot.record = record;
   slot.lock.store(0, std::memory_order_release);
 
@@ -103,28 +116,63 @@ void FlightRecorder::Append(const QueryFingerprint& fingerprint, size_t masks,
   }
 }
 
+void FlightRecorder::WriteSlowLine(const FlightRecord& record) {
+  // Build the line outside the lock; hold it only for the bucket update and
+  // the single write.
+  std::string line = "fj_slow_request model=" + model_;
+  AppendF(&line, " fp=%016" PRIx64 "%016" PRIx64 " masks=%u total_us=%" PRIu64,
+          record.fp_hi, record.fp_lo, record.masks, record.total_micros);
+  for (size_t i = 0; i < kNumStages; ++i) {
+    if (record.stage_micros[i] == 0) continue;
+    AppendF(&line, " %s_us=%" PRIu64, StageName(static_cast<Stage>(i)),
+            record.stage_micros[i]);
+  }
+  {
+    std::lock_guard<std::mutex> lock(slow_mu_);
+    uint64_t now = clock_();
+    if (last_refill_micros_ == 0) last_refill_micros_ = now;
+    if (now > last_refill_micros_) {
+      tokens_ += static_cast<double>(now - last_refill_micros_) / 1e6 *
+                 kSlowLogLinesPerSecond;
+      if (tokens_ > kSlowLogBurst) tokens_ = kSlowLogBurst;
+      last_refill_micros_ = now;
+    }
+    if (tokens_ < 1.0) {
+      ++pending_suppressed_;
+      suppressed_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    tokens_ -= 1.0;
+    // Acknowledge any gap the limiter created before resuming, so the line
+    // stream accounts for every offender.
+    if (pending_suppressed_ > 0) {
+      std::fprintf(sink_,
+                   "fj_slow_request_suppressed model=%s suppressed=%" PRIu64
+                   "\n",
+                   model_.c_str(), pending_suppressed_);
+      pending_suppressed_ = 0;
+    }
+    std::fprintf(sink_, "%s\n", line.c_str());
+    std::fflush(sink_);
+  }
+  logged_.fetch_add(1, std::memory_order_relaxed);
+}
+
 std::vector<FlightRecord> FlightRecorder::Recent(size_t last_n) const {
   std::vector<FlightRecord> out;
-  out.reserve(slots_.size() < last_n ? slots_.size() : last_n);
+  out.reserve(std::min(kFlightCapacity, last_n));
   uint64_t newest = ticket_.load(std::memory_order_relaxed);
   // Walk tickets newest → oldest; each slot is copied under its spinlock.
-  // A slot being overwritten right now is skipped on contention grounds
-  // only if its appender holds the lock for the copy — we spin like the
-  // writer does, the critical section is tiny.
   for (uint64_t t = newest; t > 0 && out.size() < last_n &&
-                            newest - t < slots_.size();
+                            newest - t < kFlightCapacity;
        --t) {
-    const Slot& slot = slots_[(t - 1) % slots_.size()];
-    uint8_t expected = 0;
-    while (!slot.lock.compare_exchange_weak(expected, 1,
-                                            std::memory_order_acquire)) {
-      expected = 0;
-    }
+    const Slot& slot = slots_[(t - 1) % kFlightCapacity];
+    LockSlot(slot.lock);
     FlightRecord copy = slot.record;
     slot.lock.store(0, std::memory_order_release);
-    // The slot may have been lapped (overwritten by a newer ticket) or
-    // never written; keep only real records, order stays newest-first by
-    // construction even when lapped records slip in.
+    // The slot may have been lapped (overwritten by a newer ticket) or not
+    // yet written by its appender; keep only real records. Order stays
+    // newest-first by construction even when lapped records slip in.
     if (copy.seq != 0) out.push_back(copy);
   }
   return out;
@@ -146,13 +194,12 @@ std::vector<FlightRecord> FlightRecorder::Slowest() const {
 }
 
 std::string FlightRecorder::DumpJson(size_t max_recent) const {
-  std::string out;
-  AppendF(&out, "{\"appended\":%" PRIu64 ",\"recent\":",
-          appended());
-  out += RenderFlightRecordsJson(Recent(max_recent));
+  std::string out = "{\"model\":\"" + Escape(model_) + "\"";
+  AppendF(&out, ",\"appended\":%" PRIu64 ",\"recent\":", appended());
+  AppendRecordsJson(&out, Recent(max_recent));
   out += ",\"slowest\":";
-  out += RenderFlightRecordsJson(Slowest());
-  out += "}";
+  AppendRecordsJson(&out, Slowest());
+  out += '}';
   return out;
 }
 

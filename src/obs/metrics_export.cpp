@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "net/server.h"
-#include "obs/flight_recorder.h"
 #include "obs/monitor.h"
 #include "obs/request_trace.h"
 #include "service/estimator_service.h"
@@ -150,13 +149,16 @@ void ExportProcess(MetricsRegistry* registry, uint64_t start_micros) {
   });
 }
 
-void ExportFlightRecorder(MetricsRegistry* registry,
-                          const FlightRecorder& recorder) {
-  registry->AddCollector([&recorder](std::vector<MetricSample>* out) {
-    out->push_back(Counter("fj_flight_records_appended_total",
-                           "Requests captured by the flight recorder.", {},
-                           recorder.appended()));
-  });
+std::string FlightDumpJson(const ModelRegistry& models, size_t max_recent) {
+  std::string out = "{\"models\":[";
+  for (const std::string& name : models.ModelNames()) {
+    const EstimatorService* service = models.Find(name);
+    if (service == nullptr) continue;
+    if (out.back() != '[') out += ',';
+    out += service->flight_recorder().DumpJson(max_recent);
+  }
+  out += "]}";
+  return out;
 }
 
 }  // namespace fj::obs

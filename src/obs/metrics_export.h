@@ -1,9 +1,10 @@
 // Canonical metric registrations: wires the serving components into a
 // MetricsRegistry under the stable `fj_*` metric names listed in
-// docs/OBSERVABILITY.md. Each Export* call installs ONE collector that
-// snapshots the component's Stats() per scrape and fans it out into
-// samples, so a scrape costs one snapshot per component regardless of how
-// many metric families it feeds.
+// docs/OBSERVABILITY.md, and renders every model's flight recorder as one
+// JSON dump. Each Export* call installs ONE collector that snapshots the
+// component's Stats() per scrape and fans it out into samples, so a scrape
+// costs one snapshot per component regardless of how many metric families
+// it feeds.
 //
 // Per-model metrics carry a `model` label; ExportRegistryModels re-resolves
 // the ModelRegistry's name list on every scrape, so models registered after
@@ -24,9 +25,9 @@ class EstimatorServer;
 
 namespace fj::obs {
 
-/// Registers one model's service metrics (requests, errors, cache,
-/// latency + stage histograms, slow-request counter) labeled
-/// model=`model`. `service` must outlive the registry's last scrape.
+/// Registers one model's service metrics (every kServiceCounters row,
+/// latency + stage histograms) labeled model=`model`. `service` must
+/// outlive the registry's last scrape.
 void ExportService(MetricsRegistry* registry, std::string model,
                    const EstimatorService& service);
 
@@ -41,7 +42,6 @@ void ExportServer(MetricsRegistry* registry,
                   const net::EstimatorServer& server);
 
 class ServingMonitor;
-class FlightRecorder;
 
 /// Registers the monitor's derived signals: per-objective fj_slo_fast_burn /
 /// fj_slo_slow_burn / fj_slo_burning gauges, the fj_health_state gauge
@@ -55,8 +55,11 @@ void ExportMonitor(MetricsRegistry* registry, const ServingMonitor& monitor);
 /// (/proc/self/statm; 0 where procfs is unavailable).
 void ExportProcess(MetricsRegistry* registry, uint64_t start_micros);
 
-/// Registers fj_flight_records_appended_total.
-void ExportFlightRecorder(MetricsRegistry* registry,
-                          const FlightRecorder& recorder);
+/// Every model's flight recorder (FlightRecorder::DumpJson, at most
+/// `max_recent` recent records each), in registration order:
+/// {"models":[{"model":M,"appended":N,"recent":[...],"slowest":[...]},...]}.
+/// Resolved per call, like ExportRegistryModels.
+std::string FlightDumpJson(const ModelRegistry& models,
+                           size_t max_recent = 64);
 
 }  // namespace fj::obs

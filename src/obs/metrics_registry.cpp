@@ -21,28 +21,6 @@ const char* KindName(MetricKind kind) {
   return "untyped";
 }
 
-/// Prometheus label-value / JSON string escaping (backslash, quote, LF).
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 std::string FormatValue(double value) {
   char buf[64];
   if (value == static_cast<double>(static_cast<int64_t>(value)) &&
@@ -77,6 +55,27 @@ std::string LabelBlock(const std::vector<MetricLabel>& labels,
 }
 
 }  // namespace
+
+std::string Escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '\\':
+        out += "\\\\";
+        break;
+      case '"':
+        out += "\\\"";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      default:
+        out += c;
+    }
+  }
+  return out;
+}
 
 void AppendF(std::string* out, const char* fmt, ...) {
   char buf[256];

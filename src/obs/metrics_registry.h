@@ -80,6 +80,9 @@ inline MetricSample Histogram(std::string name, std::string help,
 void AppendF(std::string* out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
+/// Prometheus label-value / JSON string escaping (backslash, quote, LF).
+std::string Escape(const std::string& s);
+
 class MetricsRegistry {
  public:
   using Collector = std::function<void(std::vector<MetricSample>*)>;

@@ -1,7 +1,6 @@
 #include "query/filter_eval.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <string_view>
 
@@ -45,19 +44,8 @@ bool CompareLeaf(const Column& col, size_t r, CmpOp op, const Literal& lit) {
     }
     return false;
   }
-  int64_t v = col.IntAt(r);
-  int64_t x = lit.type == ColumnType::kDouble
-                  ? static_cast<int64_t>(std::llround(lit.d))
-                  : lit.i;
-  switch (op) {
-    case CmpOp::kEq: return v == x;
-    case CmpOp::kNe: return v != x;
-    case CmpOp::kLt: return v < x;
-    case CmpOp::kLe: return v <= x;
-    case CmpOp::kGt: return v > x;
-    case CmpOp::kGe: return v >= x;
-  }
-  return false;
+  bool inside = LiteralCodes(col, op, lit).Contains(col.IntAt(r));
+  return op == CmpOp::kNe ? !inside : inside;
 }
 
 }  // namespace
@@ -126,58 +114,70 @@ uint32_t CompiledPredicate::Compile(const Table& table, const Predicate& pred) {
   n.kind = pred.kind();
 
   // Mirrors CompareLeaf's per-row literal coercion, done once: int columns
-  // llround double literals, double columns widen int literals, string
-  // equality resolves the literal to its dictionary code (-1 when the value
-  // never occurs — such a comparison can only match negatively).
-  auto resolve = [](const Column& col, const Literal& lit, CmpOp op,
-                    int64_t* i, double* d, std::string* text) {
-    switch (col.type()) {
-      case ColumnType::kString:
-        if (op == CmpOp::kEq || op == CmpOp::kNe) {
-          *i = col.pool()->Lookup(lit.s);
-        } else {
-          *text = lit.s;
-        }
-        break;
-      case ColumnType::kDouble:
-        *d = lit.type == ColumnType::kDouble ? lit.d
-                                             : static_cast<double>(lit.i);
-        break;
-      case ColumnType::kInt64:
-        *i = lit.type == ColumnType::kDouble
-                 ? static_cast<int64_t>(std::llround(lit.d))
-                 : lit.i;
-        break;
-    }
+  // select the codes in [i, i_hi] (LiteralCodes), double columns widen int
+  // literals, string equality resolves the literal to its dictionary code
+  // (-1 when the value never occurs — such a comparison can only match
+  // negatively).
+  auto widen = [](const Literal& lit) {
+    return lit.type == ColumnType::kDouble ? lit.d
+                                           : static_cast<double>(lit.i);
   };
 
   switch (pred.kind()) {
     case Kind::kTrue:
       break;
-    case Kind::kCompare:
+    case Kind::kCompare: {
       n.col = &table.Col(pred.column());
       n.op = pred.op();
-      resolve(*n.col, pred.value(), n.op, &n.i, &n.d, &n.text);
+      const Literal& lit = pred.value();
+      if (n.col->type() == ColumnType::kInt64) {
+        CodeRange codes = LiteralCodes(*n.col, n.op, lit);
+        n.i = codes.lo;
+        n.i_hi = codes.hi;
+      } else if (n.col->type() == ColumnType::kDouble) {
+        n.d = widen(lit);
+      } else if (n.op == CmpOp::kEq || n.op == CmpOp::kNe) {
+        n.i = n.col->pool()->Lookup(lit.s);
+      } else {
+        n.text = lit.s;
+      }
       break;
+    }
     case Kind::kBetween:
       n.col = &table.Col(pred.column());
-      resolve(*n.col, pred.lo(), CmpOp::kGe, &n.i, &n.d, &n.text);
-      resolve(*n.col, pred.hi(), CmpOp::kLe, &n.i_hi, &n.d_hi, &n.text_hi);
+      if (n.col->type() == ColumnType::kInt64) {
+        CodeRange codes = BetweenCodes(*n.col, pred.lo(), pred.hi());
+        n.i = codes.lo;
+        n.i_hi = codes.hi;
+      } else if (n.col->type() == ColumnType::kDouble) {
+        n.d = widen(pred.lo());
+        n.d_hi = widen(pred.hi());
+      } else {
+        n.text = pred.lo().s;
+        n.text_hi = pred.hi().s;
+      }
       break;
     case Kind::kIn:
       n.col = &table.Col(pred.column());
       for (const Literal& lit : pred.set()) {
-        int64_t i = 0;
-        double d = 0.0;
-        std::string unused;
-        resolve(*n.col, lit, CmpOp::kEq, &i, &d, &unused);
         if (n.col->type() == ColumnType::kDouble) {
-          n.set_doubles.push_back(d);
-        } else if (n.col->type() == ColumnType::kInt64 || i >= 0) {
+          n.set_doubles.push_back(widen(lit));
+          continue;
+        }
+        int64_t code = 0;
+        if (n.col->type() == ColumnType::kInt64) {
+          // A literal with no code (beyond the code space, or NaN) can
+          // never be equal, so it is dropped.
+          CodeRange codes = LiteralCodes(*n.col, CmpOp::kEq, lit);
+          if (codes.empty()) continue;
+          code = codes.lo;
+        } else {
           // A string literal absent from the dictionary (code -1) can never
           // match (CompareLeaf's `code >= 0` guard), so it is dropped.
-          n.set_ints.push_back(i);
+          code = n.col->pool()->Lookup(lit.s);
+          if (code < 0) continue;
         }
+        n.set_ints.push_back(code);
       }
       break;
     case Kind::kLike:
@@ -362,6 +362,16 @@ size_t Keep(const uint32_t* rows, size_t n, uint32_t* out, Test test) {
   return k;
 }
 
+// Rows whose non-null code lies in [lo, hi] or, with `inside` false,
+// outside it; `ints` is the column's code array (kNullInt64 marks a null).
+size_t KeepCodes(const uint32_t* rows, size_t n, uint32_t* out,
+                 const int64_t* ints, int64_t lo, int64_t hi, bool inside) {
+  return Keep(rows, n, out, [=](uint32_t r) {
+    int64_t v = ints[r];
+    return (v != kNullInt64) & (((v >= lo) & (v <= hi)) == inside);
+  });
+}
+
 // Rows whose non-null value compares `op` to `x`; `ints` is the column's
 // code array (kNullInt64 marks a null) and `vals` its values.
 template <typename T>
@@ -510,7 +520,8 @@ size_t CompiledPredicate::SelectCompare(Node& node, const uint32_t* rows,
   const int64_t* ints = col.ints().data();
   switch (col.type()) {
     case ColumnType::kInt64:
-      return KeepCompare(rows, n, out, ints, ints, node.op, node.i);
+      return KeepCodes(rows, n, out, ints, node.i, node.i_hi,
+                       node.op != CmpOp::kNe);
     case ColumnType::kDouble:
       return KeepCompare(rows, n, out, ints, col.doubles().data(), node.op,
                          node.d);
@@ -542,13 +553,8 @@ size_t CompiledPredicate::SelectBetween(Node& node, const uint32_t* rows,
   const Column& col = *node.col;
   const int64_t* ints = col.ints().data();
   switch (col.type()) {
-    case ColumnType::kInt64: {
-      int64_t lo = node.i, hi = node.i_hi;
-      return Keep(rows, n, out, [=](uint32_t r) {
-        int64_t v = ints[r];
-        return (v != kNullInt64) & (v >= lo) & (v <= hi);
-      });
-    }
+    case ColumnType::kInt64:
+      return KeepCodes(rows, n, out, ints, node.i, node.i_hi, true);
     case ColumnType::kDouble: {
       const double* vals = col.doubles().data();
       double lo = node.d, hi = node.d_hi;

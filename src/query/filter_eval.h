@@ -99,10 +99,11 @@ class CompiledPredicate {
     LikeClass like_class = LikeClass::kGenericLike;
     const Column* col = nullptr;  // borrowed from the table
     // Resolved right-hand sides (which are used depends on kind and column
-    // type): `i`/`i_hi` for int comparisons and string equality codes
-    // (-1 = literal absent from the dictionary, never matches), `d`/`d_hi`
-    // for double comparisons, `text`/`text_hi` for string ordering
-    // comparisons and LIKE patterns.
+    // type): `i`/`i_hi` for the code range an int comparison selects
+    // (LiteralCodes; kNe keeps the codes outside it) and for string
+    // equality codes (`i` only; -1 = literal absent from the dictionary,
+    // never matches), `d`/`d_hi` for double comparisons, `text`/`text_hi`
+    // for string ordering comparisons and LIKE patterns.
     int64_t i = 0, i_hi = 0;
     double d = 0.0, d_hi = 0.0;
     std::string text, text_hi;

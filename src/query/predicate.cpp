@@ -1,6 +1,8 @@
 #include "query/predicate.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace fj {
@@ -37,6 +39,62 @@ Literal Literal::Str(std::string v) {
   l.type = ColumnType::kString;
   l.s = std::move(v);
   return l;
+}
+
+CodeRange LiteralCodes(const Column& col, CmpOp op, const Literal& lit) {
+  constexpr int64_t kMinCode = kNullInt64 + 1;
+  constexpr int64_t kMaxCode = std::numeric_limits<int64_t>::max();
+  const CodeRange kNone;
+  // The literal's code, or the side of the code space it lies beyond.
+  enum class Place { kCode, kBelow, kAbove } place = Place::kCode;
+  int64_t x = 0;
+  if (col.type() == ColumnType::kString) {
+    if (lit.type != ColumnType::kString || col.pool() == nullptr) return kNone;
+    x = col.pool()->Lookup(lit.s);
+  } else if (col.type() == ColumnType::kInt64 &&
+             lit.type == ColumnType::kInt64) {
+    x = lit.i;
+    if (x == kNullInt64) place = Place::kBelow;
+  } else {
+    double v = lit.type == ColumnType::kDouble ? lit.d
+                                               : static_cast<double>(lit.i);
+    if (std::isnan(v)) return kNone;
+    if (col.type() == ColumnType::kDouble) {
+      x = Column::DoubleToCode(v);
+    } else if (v > -0x1p63 && v < 0x1p63) {  // 0x1p63 is 2^63
+      x = std::llround(v);
+    } else {
+      x = kNullInt64;
+    }
+    if (x == kNullInt64) place = v > 0 ? Place::kAbove : Place::kBelow;
+  }
+  switch (op) {
+    case CmpOp::kEq:
+    case CmpOp::kNe:
+      return place == Place::kCode ? CodeRange{x, x} : kNone;
+    case CmpOp::kLt:
+    case CmpOp::kLe:
+      if (place != Place::kCode) {
+        return place == Place::kAbove ? CodeRange{kMinCode, kMaxCode} : kNone;
+      }
+      // x - 1 cannot overflow: x is a code, so x >= kMinCode.
+      return {kMinCode, op == CmpOp::kLt ? x - 1 : x};
+    case CmpOp::kGt:
+    case CmpOp::kGe:
+      if (place != Place::kCode) {
+        return place == Place::kBelow ? CodeRange{kMinCode, kMaxCode} : kNone;
+      }
+      if (op == CmpOp::kGe) return {x, kMaxCode};
+      return x == kMaxCode ? kNone : CodeRange{x + 1, kMaxCode};
+  }
+  return kNone;
+}
+
+CodeRange BetweenCodes(const Column& col, const Literal& lo,
+                       const Literal& hi) {
+  CodeRange ge = LiteralCodes(col, CmpOp::kGe, lo);
+  CodeRange le = LiteralCodes(col, CmpOp::kLe, hi);
+  return {std::max(ge.lo, le.lo), std::min(ge.hi, le.hi)};
 }
 
 std::string Literal::ToString() const {

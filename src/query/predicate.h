@@ -36,6 +36,36 @@ struct Literal {
   std::string ToString() const;
 };
 
+/// A closed range [lo, hi] of column codes (Column::IntAt); empty when
+/// lo > hi.
+struct CodeRange {
+  int64_t lo = 1;
+  int64_t hi = 0;
+
+  bool empty() const { return lo > hi; }
+  bool Contains(int64_t code) const { return lo <= code && code <= hi; }
+};
+
+/// The codes c of `col` for which `c op lit` holds: the one literal-to-code
+/// coercion of every reader of codes (the row-at-a-time filter and the
+/// compiled kernel on int columns, the column histogram and the BayesNet
+/// discretizer on every column). kNe is answered as kEq: its matches are
+/// the non-null codes outside the range.
+///
+/// A numeric literal in the code space keeps its code (llround on an int
+/// column, Column::DoubleToCode on a double column). One beyond it (or the
+/// null code itself) compares by its sign: above every code or below every
+/// code. NaN matches no code, so only kNe holds for it, as on a double
+/// column's values. A string column resolves a string literal through its
+/// dictionary (-1, a code no row has, when absent); any other literal
+/// matches no code there.
+CodeRange LiteralCodes(const Column& col, CmpOp op, const Literal& lit);
+
+/// The codes of `col` in [lo, hi]: LiteralCodes(kGe, lo) ∩ LiteralCodes(kLe,
+/// hi).
+CodeRange BetweenCodes(const Column& col, const Literal& lo,
+                       const Literal& hi);
+
 /// Immutable predicate node. Build via the static factory functions; share
 /// freely via PredicatePtr.
 class Predicate {

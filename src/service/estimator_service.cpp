@@ -31,8 +31,7 @@ EstimatorService::EstimatorService(const CardinalityEstimator& estimator,
       options_(options),
       cache_(options.cache_capacity, kCacheShards, &epochs_),
       queue_(options.queue_capacity),
-      slow_log_(options.slow_request_micros, options.slow_log_sink,
-                options.model_name) {
+      flight_(options.model_name, options.slow_request_micros) {
   size_t threads = options_.num_threads == 0 ? 1 : options_.num_threads;
   workers_.reserve(threads);
   worker_ids_.reserve(threads);
@@ -291,23 +290,9 @@ void EstimatorService::ServeAndComplete(Request& req) {
   } else {
     req.done(std::move(result), error);
   }
-  bool slow = slow_log_.enabled() &&
-              trace.total_micros >= slow_log_.threshold_micros();
-  uint64_t finished = finished_.fetch_add(1, std::memory_order_relaxed);
-  // The flight recorder keeps every Nth request plus every slow-log
-  // offender: the sampled stream keeps the recent ring representative, the
-  // offenders make sure the requests worth dumping are never sampled away.
-  bool record = options_.flight_recorder != nullptr &&
-                (slow || finished % obs::kFlightSampleEvery == 0);
-  if (!slow && !record) return;
-  // Fingerprinted once, and only for requests that are logged or recorded;
-  // never on the fast path.
-  QueryFingerprint fp = req.query.Fingerprint();
-  if (slow) slow_log_.MaybeLog(fp, req.masks.size(), trace);
-  if (record) {
-    options_.flight_recorder->Append(fp, req.masks.size(),
-                                     options_.model_name.c_str(), trace);
-  }
+  // After the response went out: the recorder keeps every Nth request
+  // plus every offender, and fingerprints only what it keeps.
+  flight_.Record(req.query, req.masks.size(), trace);
 }
 
 uint64_t EstimatorService::NotifyUpdate(const std::string& table_name) {
@@ -402,8 +387,9 @@ ServiceStats EstimatorService::Stats() const {
   stats.epoch = epochs_.Epoch();
   stats.pending_requests = pending_.load(std::memory_order_acquire);
   stats.queue_depth = queue_.Size();
-  stats.slow_requests = slow_log_.logged();
-  stats.slow_suppressed = slow_log_.suppressed();
+  stats.slow_requests = flight_.logged();
+  stats.slow_suppressed = flight_.suppressed();
+  stats.flight_records = flight_.appended();
   stats.cache = cache_.Stats();
   stats.latency = latency_.Snapshot();
   for (size_t i = 0; i < obs::kNumStages; ++i) {

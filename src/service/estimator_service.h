@@ -32,7 +32,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <future>
 #include <memory>
@@ -45,7 +44,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/latency_histogram.h"
 #include "obs/request_trace.h"
-#include "obs/slow_log.h"
 #include "query/query.h"
 #include "service/mpmc_queue.h"
 #include "service/service_stats.h"
@@ -89,23 +87,15 @@ struct EstimatorServiceOptions {
   /// histograms empty and trace sinks only partially filled (total + queue
   /// wait).
   bool enable_tracing = true;
-  /// Slow-request log threshold (microseconds): every request whose
-  /// end-to-end latency reaches it produces one structured line (query
-  /// fingerprint, model, stage breakdown — obs/slow_log.h). 0 disables.
+  /// Offender threshold (microseconds): every request whose end-to-end
+  /// latency reaches it is kept by the service's flight recorder and
+  /// logged to stderr as one structured, rate-limited line (query
+  /// fingerprint, model, stage breakdown — obs/flight_recorder.h). 0: no
+  /// request is an offender.
   uint64_t slow_request_micros = 0;
-  /// Slow-log destination; nullptr = stderr. Not owned. Emission is
-  /// rate-limited (obs::kSlowLogLinesPerSecond): during overload nearly
-  /// every request is an offender, and the cap keeps the log from flooding
-  /// stderr and worsening the episode it reports.
-  std::FILE* slow_log_sink = nullptr;
-  /// Flight recorder (obs/flight_recorder.h) receiving every
-  /// obs::kFlightSampleEvery-th completed request plus every slow-log
-  /// offender — the slowest requests are exactly the ones a post-hoc dump
-  /// is for; nullptr disables. Not owned — must outlive the service.
-  obs::FlightRecorder* flight_recorder = nullptr;
-  /// Model name stamped on slow-log lines and metrics labels; "" renders
-  /// as "default". ModelRegistry::AddModel fills it with the registered
-  /// name automatically.
+  /// Model name stamped on slow-log lines, the flight dump and metrics
+  /// labels; "" renders as "default". ModelRegistry::AddModel fills it with
+  /// the registered name automatically.
   std::string model_name = {};
 };
 
@@ -206,6 +196,10 @@ class EstimatorService {
   const CardinalityEstimator& estimator() const { return estimator_; }
   const EstimatorServiceOptions& options() const { return options_; }
 
+  /// The service's flight recorder: every obs::kFlightSampleEvery-th
+  /// completed request plus every offender. Thread-safe to read.
+  const obs::FlightRecorder& flight_recorder() const { return flight_; }
+
  private:
   /// Shared state of one split batch: contiguous mask chunks claimed by an
   /// atomic cursor (work stealing — idle workers help, the serving worker
@@ -250,8 +244,8 @@ class EstimatorService {
   /// The one path of a client request: serves the batch (counted into
   /// subplan_requests_, or errors_ when it throws), seals the trace (total
   /// + stage histograms), records end-to-end latency, runs `req.done`
-  /// (timed as the respond stage), and writes the slow-request log line if
-  /// warranted.
+  /// (timed as the respond stage), and then offers the request to the
+  /// flight recorder.
   void ServeAndComplete(Request& req);
   /// `trace` may be null (tracing disabled); when set, cache-probe and
   /// estimate-kernel spans are added to it.
@@ -289,15 +283,12 @@ class EstimatorService {
   // (recorded while options_.enable_tracing); lock-free on the worker path.
   obs::LatencyHistogram latency_;
   std::array<obs::LatencyHistogram, obs::kNumStages> stage_hist_;
-  obs::SlowRequestLog slow_log_;
+  obs::FlightRecorder flight_;
   std::atomic<uint64_t> subplan_requests_{0};
   std::atomic<uint64_t> subplans_estimated_{0};
   std::atomic<uint64_t> errors_{0};
   std::atomic<uint64_t> batches_split_{0};
   std::atomic<uint64_t> split_chunks_{0};
-  // Completed requests, counted in ServeAndComplete — the flight recorder's
-  // every-Nth sampling ticket.
-  std::atomic<uint64_t> finished_{0};
 };
 
 }  // namespace fj

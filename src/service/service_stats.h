@@ -54,6 +54,9 @@ struct ServiceStats {
   /// obs::kSlowLogLinesPerSecond). Each is acknowledged in the log by a
   /// `suppressed=N` summary line when emission resumes.
   uint64_t slow_suppressed = 0;
+  /// Requests kept by the service's flight recorder (every
+  /// obs::kFlightSampleEvery-th completed request plus every offender).
+  uint64_t flight_records = 0;
 
   CacheStats cache;
 
@@ -137,6 +140,9 @@ inline constexpr ServiceCounter kServiceCounters[] = {
     {"fj_slow_suppressed_total", obs::MetricKind::kCounter,
      "Slow-request offenders swallowed by the log rate limiter.",
      &ServiceStats::slow_suppressed},
+    {"fj_flight_records_appended_total", obs::MetricKind::kCounter,
+     "Requests captured by the flight recorder.",
+     &ServiceStats::flight_records},
     {"fj_cache_hits_total", obs::MetricKind::kCounter, "Estimate-cache hits.",
      nullptr, &CacheStats::hits},
     {"fj_cache_misses_total", obs::MetricKind::kCounter,

@@ -120,31 +120,11 @@ double Discretizer::RangeOverlap(const CategoryMeta& m, int64_t lo,
 
 std::optional<std::vector<double>> Discretizer::LeafEvidence(
     const Column& col, const Predicate& leaf) const {
-  const int64_t kMin = std::numeric_limits<int64_t>::min() + 1;
-  const int64_t kMax = std::numeric_limits<int64_t>::max();
   std::vector<double> w(num_categories_, 0.0);
 
-  auto code_of = [&](const Literal& lit) -> int64_t {
-    switch (col.type()) {
-      case ColumnType::kString:
-        return lit.type == ColumnType::kString && col.pool() != nullptr
-                   ? col.pool()->Lookup(lit.s)
-                   : kNullInt64;
-      case ColumnType::kDouble:
-        return lit.type == ColumnType::kDouble
-                   ? Column::DoubleToCode(lit.d)
-                   : Column::DoubleToCode(static_cast<double>(lit.i));
-      case ColumnType::kInt64:
-        return lit.type == ColumnType::kDouble
-                   ? static_cast<int64_t>(std::llround(lit.d))
-                   : lit.i;
-    }
-    return kNullInt64;
-  };
-
-  auto range_weights = [&](int64_t lo, int64_t hi) {
+  auto range_weights = [&](const CodeRange& codes) {
     for (uint32_t c = 0; c + 1 < num_categories_; ++c) {
-      w[c] = RangeOverlap(meta_[c], lo, hi);
+      w[c] = RangeOverlap(meta_[c], codes.lo, codes.hi);
     }
   };
 
@@ -153,42 +133,34 @@ std::optional<std::vector<double>> Discretizer::LeafEvidence(
       std::fill(w.begin(), w.end(), 1.0);
       return w;
     case Predicate::Kind::kCompare: {
-      int64_t x = code_of(leaf.value());
+      CodeRange codes = LiteralCodes(col, leaf.op(), leaf.value());
       switch (leaf.op()) {
-        case CmpOp::kEq: {
-          if (x == kNullInt64) return w;  // literal unseen: zero selectivity
-          w[CategoryOf(x)] = EqualityWeight(x);
-          return w;
-        }
-        case CmpOp::kNe: {
-          std::fill(w.begin(), w.end() - 1, 1.0);
-          if (x != kNullInt64) {
-            w[CategoryOf(x)] = 1.0 - EqualityWeight(x);
+        case CmpOp::kEq:
+          // A literal with no code matches nothing.
+          if (!codes.empty()) {
+            w[CategoryOf(codes.lo)] = EqualityWeight(codes.lo);
           }
           return w;
-        }
-        // A strict bound at an end of int64 (the null code, or the largest
-        // code) has no neighbour to step to; its range takes every code.
-        case CmpOp::kLt:
-          range_weights(kMin, x == kNullInt64 ? kMax : x - 1);
+        case CmpOp::kNe:
+          std::fill(w.begin(), w.end() - 1, 1.0);
+          if (!codes.empty()) {
+            w[CategoryOf(codes.lo)] = 1.0 - EqualityWeight(codes.lo);
+          }
           return w;
-        case CmpOp::kLe: range_weights(kMin, x); return w;
-        case CmpOp::kGt:
-          range_weights(x == kMax ? kMin : x + 1, kMax);
+        default:
+          range_weights(codes);
           return w;
-        case CmpOp::kGe: range_weights(x, kMax); return w;
       }
-      return w;
     }
     case Predicate::Kind::kBetween:
-      range_weights(code_of(leaf.lo()), code_of(leaf.hi()));
+      range_weights(BetweenCodes(col, leaf.lo(), leaf.hi()));
       return w;
     case Predicate::Kind::kIn: {
       for (const Literal& lit : leaf.set()) {
-        int64_t x = code_of(lit);
-        if (x == kNullInt64) continue;
-        uint32_t c = CategoryOf(x);
-        w[c] = std::min(1.0, w[c] + EqualityWeight(x));
+        CodeRange codes = LiteralCodes(col, CmpOp::kEq, lit);
+        if (codes.empty()) continue;
+        uint32_t c = CategoryOf(codes.lo);
+        w[c] = std::min(1.0, w[c] + EqualityWeight(codes.lo));
       }
       return w;
     }

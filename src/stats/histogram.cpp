@@ -86,56 +86,28 @@ double ColumnHistogram::RangeSelectivity(int64_t lo, int64_t hi) const {
 
 double ColumnHistogram::LeafSelectivity(const Column& col,
                                         const Predicate& leaf) const {
-  const int64_t kMin = std::numeric_limits<int64_t>::min() + 1;
-  const int64_t kMax = std::numeric_limits<int64_t>::max();
-
-  auto code_of = [&](const Literal& lit) -> int64_t {
-    switch (col.type()) {
-      case ColumnType::kString:
-        return lit.type == ColumnType::kString && col.pool() != nullptr
-                   ? col.pool()->Lookup(lit.s)
-                   : kNullInt64;
-      case ColumnType::kDouble:
-        return lit.type == ColumnType::kDouble
-                   ? Column::DoubleToCode(lit.d)
-                   : Column::DoubleToCode(static_cast<double>(lit.i));
-      case ColumnType::kInt64:
-        return lit.type == ColumnType::kDouble
-                   ? static_cast<int64_t>(std::llround(lit.d))
-                   : lit.i;
-    }
-    return kNullInt64;
-  };
-
   switch (leaf.kind()) {
     case Predicate::Kind::kTrue:
       return 1.0;
     case Predicate::Kind::kCompare: {
-      int64_t x = code_of(leaf.value());
-      switch (leaf.op()) {
-        case CmpOp::kEq:
-          return x == kNullInt64 ? 0.0 : EqualitySelectivity(x);
-        case CmpOp::kNe:
-          return std::max(0.0, 1.0 - null_fraction_ -
-                                   (x == kNullInt64 ? 0.0 : EqualitySelectivity(x)));
-        // A strict bound at an end of int64 (the null code, or the largest
-        // code) has no neighbour to step to; its range takes every code.
-        case CmpOp::kLt:
-          return RangeSelectivity(kMin, x == kNullInt64 ? kMax : x - 1);
-        case CmpOp::kLe: return RangeSelectivity(kMin, x);
-        case CmpOp::kGt:
-          return RangeSelectivity(x == kMax ? kMin : x + 1, kMax);
-        case CmpOp::kGe: return RangeSelectivity(x, kMax);
+      CodeRange codes = LiteralCodes(col, leaf.op(), leaf.value());
+      if (leaf.op() != CmpOp::kEq && leaf.op() != CmpOp::kNe) {
+        return RangeSelectivity(codes.lo, codes.hi);
       }
-      return kDefaultLeafSelectivity;
+      double equal = codes.empty() ? 0.0 : EqualitySelectivity(codes.lo);
+      return leaf.op() == CmpOp::kEq
+                 ? equal
+                 : std::max(0.0, 1.0 - null_fraction_ - equal);
     }
-    case Predicate::Kind::kBetween:
-      return RangeSelectivity(code_of(leaf.lo()), code_of(leaf.hi()));
+    case Predicate::Kind::kBetween: {
+      CodeRange codes = BetweenCodes(col, leaf.lo(), leaf.hi());
+      return RangeSelectivity(codes.lo, codes.hi);
+    }
     case Predicate::Kind::kIn: {
       double s = 0.0;
       for (const Literal& lit : leaf.set()) {
-        int64_t x = code_of(lit);
-        if (x != kNullInt64) s += EqualitySelectivity(x);
+        CodeRange codes = LiteralCodes(col, CmpOp::kEq, lit);
+        if (!codes.empty()) s += EqualitySelectivity(codes.lo);
       }
       return std::min(s, 1.0);
     }

@@ -4,7 +4,7 @@
 // Zipf-skewed foreign-key fan-outs, correlated attributes, and a query
 // workload of star/chain templates with numeric/categorical filters.
 //
-// Substitution note (DESIGN.md): the real STATS dump is not available
+// Substitution note (docs/BENCHMARKS.md): the real STATS dump is not available
 // offline; this generator reproduces the properties the paper's evaluation
 // depends on — key skew, attribute correlation, template variety and a wide
 // true-cardinality range — at a configurable scale.

@@ -6,7 +6,9 @@
 // scrapes (the tsan build runs this file).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <utility>
@@ -249,42 +251,64 @@ TEST(HealthTrackerTest, QueueWaitAloneTriggersWithoutABoundedQueue) {
 
 // ---------------------------------------------------------- flight recorder
 
-void AppendTrace(FlightRecorder* recorder, uint64_t total,
+// A one-table query whose fingerprint tells records apart.
+Query RecorderQuery(const std::string& table) {
+  Query q;
+  q.AddTable(table);
+  return q;
+}
+
+// Offers a request whose trace is dominated by its queue wait; with a
+// 1us threshold every request is an offender, so every one is kept.
+void RecordTrace(FlightRecorder* recorder, uint64_t total,
                  uint64_t queue_wait) {
   RequestTrace trace;
   trace.total_micros = total;
   trace.Add(Stage::kQueueWait, queue_wait);
   trace.Add(Stage::kEstimate, total - queue_wait);
-  recorder->Append(QueryFingerprint{0xabc, 0xdef}, 4, "m1", trace);
+  recorder->Record(RecorderQuery("t"), 4, trace);
 }
 
 TEST(FlightRecorderTest, RetainsNewestAndFindsDominantStage) {
-  FlightRecorder recorder(4);
-  for (uint64_t i = 1; i <= 6; ++i) {
-    AppendTrace(&recorder, 100 * i, 90 * i);  // queue_wait dominates
+  std::FILE* sink = std::fopen("/dev/null", "w");
+  ASSERT_NE(sink, nullptr);
+  {
+    FlightRecorder recorder("m1", 1, sink);
+    const uint64_t n = kFlightCapacity + 2;
+    for (uint64_t i = 1; i <= n; ++i) {
+      RecordTrace(&recorder, 100 * i, 90 * i);  // queue_wait dominates
+    }
+    EXPECT_EQ(recorder.appended(), n);
+
+    std::vector<FlightRecord> recent = recorder.Recent();
+    ASSERT_EQ(recent.size(), kFlightCapacity);
+    // Newest first; the oldest two fell off the ring.
+    EXPECT_EQ(recent[0].total_micros, 100 * n);
+    EXPECT_EQ(recent.back().total_micros, 300u);
+    EXPECT_EQ(recent[0].DominantStage(), Stage::kQueueWait);
+    EXPECT_EQ(recent[0].masks, 4u);
+    QueryFingerprint fp = RecorderQuery("t").Fingerprint();
+    EXPECT_EQ(recent[0].fp_lo, fp.lo);
+    EXPECT_EQ(recent[0].fp_hi, fp.hi);
+
+    std::string dump = recorder.DumpJson();
+    EXPECT_EQ(dump.rfind("{\"model\":\"m1\",", 0), 0u) << dump;
+    EXPECT_NE(dump.find("\"dominant_stage\":\"queue_wait\""),
+              std::string::npos)
+        << dump;
+    EXPECT_NE(dump.find("\"appended\":" + std::to_string(n)),
+              std::string::npos)
+        << dump;
   }
-  EXPECT_EQ(recorder.appended(), 6u);
-
-  std::vector<FlightRecord> recent = recorder.Recent();
-  ASSERT_EQ(recent.size(), 4u);
-  // Newest first; the oldest two fell off the ring.
-  EXPECT_EQ(recent[0].total_micros, 600u);
-  EXPECT_EQ(recent[3].total_micros, 300u);
-  EXPECT_EQ(recent[0].DominantStage(), Stage::kQueueWait);
-  EXPECT_STREQ(recent[0].model, "m1");
-  EXPECT_EQ(recent[0].masks, 4u);
-
-  std::string dump = recorder.DumpJson();
-  EXPECT_NE(dump.find("\"dominant_stage\":\"queue_wait\""),
-            std::string::npos)
-      << dump;
-  EXPECT_NE(dump.find("\"appended\":6"), std::string::npos) << dump;
+  std::fclose(sink);
 }
 
 TEST(FlightRecorderTest, ConcurrentAppendsLoseNoTickets) {
-  FlightRecorder recorder(64);
+  // Threshold 0 and the every-16th sample: a fixed share of the requests
+  // offered is kept, whichever threads offered them.
+  FlightRecorder recorder("m", 0);
   constexpr size_t kThreads = 8;
-  constexpr size_t kPerThread = 500;
+  constexpr size_t kPerThread = 512;
   std::atomic<bool> stop{false};
   // A reader hammering dumps while appenders run: the per-slot locks must
   // keep every copied record internally consistent (this file runs under
@@ -301,11 +325,12 @@ TEST(FlightRecorderTest, ConcurrentAppendsLoseNoTickets) {
   std::vector<std::thread> writers;
   for (size_t t = 0; t < kThreads; ++t) {
     writers.emplace_back([&, t] {
+      Query q = RecorderQuery("t" + std::to_string(t));
       for (size_t i = 0; i < kPerThread; ++i) {
         RequestTrace trace;
         trace.total_micros = t * kPerThread + i + 1;
         trace.Add(Stage::kEstimate, trace.total_micros);
-        recorder.Append(QueryFingerprint{t, i}, 1, "m", trace);
+        recorder.Record(q, 1, trace);
       }
     });
   }
@@ -313,12 +338,13 @@ TEST(FlightRecorderTest, ConcurrentAppendsLoseNoTickets) {
   stop.store(true, std::memory_order_relaxed);
   reader.join();
 
-  EXPECT_EQ(recorder.appended(), kThreads * kPerThread);
+  const uint64_t kept = kThreads * kPerThread / kFlightSampleEvery;
+  EXPECT_EQ(recorder.appended(), kept);
   std::vector<FlightRecord> recent = recorder.Recent();
-  EXPECT_EQ(recent.size(), 64u);
+  EXPECT_EQ(recent.size(), std::min<uint64_t>(kept, kFlightCapacity));
   for (const FlightRecord& r : recent) {
     EXPECT_GT(r.seq, 0u);
-    EXPECT_LE(r.seq, kThreads * kPerThread);
+    EXPECT_LE(r.seq, kept);
   }
 }
 

@@ -1,8 +1,8 @@
 // src/obs/ unit tests: histogram bucket geometry and quantile accuracy
 // (against a sorted-vector oracle), snapshot merge/delta algebra,
 // lock-free recording under concurrency, the trace and histogram wire
-// codecs (including hostile input), the slow-request log line format, and
-// the metrics registry + HTTP endpoint.
+// codecs (including hostile input), the flight recorder's slow-line format,
+// and the metrics registry + HTTP endpoint.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -20,11 +20,11 @@
 #include <thread>
 #include <vector>
 
+#include "obs/flight_recorder.h"
 #include "obs/latency_histogram.h"
 #include "obs/metrics_http.h"
 #include "obs/metrics_registry.h"
 #include "obs/request_trace.h"
-#include "obs/slow_log.h"
 #include "query/query.h"
 #include "util/bytes.h"
 
@@ -319,35 +319,53 @@ TEST(TraceTest, StageNamesAreStableSnakeCase) {
   EXPECT_STREQ(StageName(Stage::kSocketWrite), "socket_write");
 }
 
-// --------------------------------------------------------------- slow log
+// ------------------------------------------------------------- slow lines
 
-TEST(SlowRequestLogTest, LogsOffendersInStableFormat) {
+// The slow log is the flight recorder's formatter: these run at the
+// recorder level, where a line sink and a test clock can be injected.
+
+// Reads and closes an open_memstream sink.
+std::string CloseSink(std::FILE* sink, char* const& buf, const size_t& size) {
+  std::fclose(sink);
+  std::string out(buf, size);
+  free(buf);
+  return out;
+}
+
+Query SlowTestQuery() {
+  Query q;
+  q.AddTable("t");
+  return q;
+}
+
+TEST(SlowLineTest, LogsOffendersInStableFormat) {
   char* buf = nullptr;
   size_t buf_size = 0;
   std::FILE* sink = open_memstream(&buf, &buf_size);
   ASSERT_NE(sink, nullptr);
+  Query q = SlowTestQuery();
   {
-    SlowRequestLog log(100, sink, "m1");
-    EXPECT_TRUE(log.enabled());
-
+    FlightRecorder recorder("m1", 100, sink);
+    // The first request offered is a sampled one: kept, but not logged.
     RequestTrace fast;
     fast.total_micros = 99;
-    QueryFingerprint fp{0x1234, 0xabcd};
-    EXPECT_FALSE(log.MaybeLog(fp, 7, fast));
-    EXPECT_EQ(log.logged(), 0u);
+    EXPECT_TRUE(recorder.Record(q, 7, fast));
+    EXPECT_FALSE(recorder.Record(q, 7, fast));
+    EXPECT_EQ(recorder.logged(), 0u);
 
     RequestTrace slow;
     slow.total_micros = 250;
     slow.Add(Stage::kQueueWait, 10);
     slow.Add(Stage::kEstimate, 230);
-    EXPECT_TRUE(log.MaybeLog(fp, 7, slow));
-    EXPECT_EQ(log.logged(), 1u);
+    EXPECT_TRUE(recorder.Record(q, 7, slow));
+    EXPECT_EQ(recorder.logged(), 1u);
+    EXPECT_EQ(recorder.appended(), 2u);
   }
-  std::fclose(sink);
-  std::string line(buf, buf_size);
-  free(buf);
+  std::string line = CloseSink(sink, buf, buf_size);
 
-  EXPECT_NE(line.find("fj_slow_request model=m1 fp="), std::string::npos)
+  EXPECT_NE(line.find("fj_slow_request model=m1 fp=" +
+                      q.Fingerprint().ToString()),
+            std::string::npos)
       << line;
   EXPECT_NE(line.find("masks=7 total_us=250"), std::string::npos) << line;
   EXPECT_NE(line.find("queue_wait_us=10"), std::string::npos) << line;
@@ -357,16 +375,27 @@ TEST(SlowRequestLogTest, LogsOffendersInStableFormat) {
   EXPECT_EQ(std::count(line.begin(), line.end(), '\n'), 1);
 }
 
-TEST(SlowRequestLogTest, ZeroThresholdDisables) {
-  SlowRequestLog log(0, nullptr, "");
-  EXPECT_FALSE(log.enabled());
-  RequestTrace trace;
-  trace.total_micros = UINT64_MAX;
-  EXPECT_FALSE(log.MaybeLog(QueryFingerprint{}, 0, trace));
-  EXPECT_EQ(log.logged(), 0u);
+TEST(SlowLineTest, ZeroThresholdDisables) {
+  char* buf = nullptr;
+  size_t buf_size = 0;
+  std::FILE* sink = open_memstream(&buf, &buf_size);
+  ASSERT_NE(sink, nullptr);
+  {
+    FlightRecorder recorder("", 0, sink);
+    RequestTrace trace;
+    trace.total_micros = UINT64_MAX;
+    // Only the sampled requests are kept; none is an offender.
+    for (uint64_t i = 0; i < 2 * kFlightSampleEvery; ++i) {
+      recorder.Record(SlowTestQuery(), 0, trace);
+    }
+    EXPECT_EQ(recorder.appended(), 2u);
+    EXPECT_EQ(recorder.logged(), 0u);
+    EXPECT_EQ(recorder.suppressed(), 0u);
+  }
+  EXPECT_EQ(CloseSink(sink, buf, buf_size), "");
 }
 
-TEST(SlowRequestLogTest, TokenBucketSuppressesAndSummarizes) {
+TEST(SlowLineTest, TokenBucketSuppressesAndSummarizes) {
   char* buf = nullptr;
   size_t buf_size = 0;
   std::FILE* sink = open_memstream(&buf, &buf_size);
@@ -374,42 +403,36 @@ TEST(SlowRequestLogTest, TokenBucketSuppressesAndSummarizes) {
   uint64_t now = 1'000'000;  // injectable clock: the test owns time
   const int burst = static_cast<int>(kSlowLogBurst);
   {
-    SlowRequestLog log(100, sink, "m1", [&now] { return now; });
+    FlightRecorder recorder("m1", 100, sink, [&now] { return now; });
     RequestTrace slow;
     slow.total_micros = 500;
-    QueryFingerprint fp{0x1, 0x2};
+    Query q = SlowTestQuery();
 
     // The bucket banks kSlowLogBurst tokens: that many lines pass, then
-    // suppression.
-    for (int i = 0; i < burst; ++i) {
-      EXPECT_TRUE(log.MaybeLog(fp, 0, slow));
+    // suppression. A suppressed offender is still recorded.
+    for (int i = 0; i < burst + 5; ++i) {
+      EXPECT_TRUE(recorder.Record(q, 0, slow));
     }
-    for (int i = 0; i < 5; ++i) {
-      EXPECT_FALSE(log.MaybeLog(fp, 0, slow));
-    }
-    EXPECT_EQ(log.logged(), static_cast<uint64_t>(burst));
-    EXPECT_EQ(log.suppressed(), 5u);
+    EXPECT_EQ(recorder.logged(), static_cast<uint64_t>(burst));
+    EXPECT_EQ(recorder.suppressed(), 5u);
+    EXPECT_EQ(recorder.appended(), static_cast<uint64_t>(burst) + 5);
 
     // One token refills every 1/kSlowLogLinesPerSecond seconds; the emitted
     // line must be preceded by the suppressed=N summary so the gap is
     // accounted for.
     now += static_cast<uint64_t>(1e6 / kSlowLogLinesPerSecond);
-    EXPECT_TRUE(log.MaybeLog(fp, 0, slow));
-    EXPECT_EQ(log.logged(), static_cast<uint64_t>(burst) + 1);
-    EXPECT_EQ(log.suppressed(), 5u);
+    recorder.Record(q, 0, slow);
+    EXPECT_EQ(recorder.logged(), static_cast<uint64_t>(burst) + 1);
+    EXPECT_EQ(recorder.suppressed(), 5u);
 
     // Refill is capped at the burst: a minute of quiet banks 20 tokens,
     // not 600.
     now += 60'000'000;
-    for (int i = 0; i < burst; ++i) {
-      EXPECT_TRUE(log.MaybeLog(fp, 0, slow));
-    }
-    EXPECT_FALSE(log.MaybeLog(fp, 0, slow));
-    EXPECT_EQ(log.suppressed(), 6u);
+    for (int i = 0; i < burst + 1; ++i) recorder.Record(q, 0, slow);
+    EXPECT_EQ(recorder.logged(), 2 * static_cast<uint64_t>(burst) + 1);
+    EXPECT_EQ(recorder.suppressed(), 6u);
   }
-  std::fclose(sink);
-  std::string out(buf, buf_size);
-  free(buf);
+  std::string out = CloseSink(sink, buf, buf_size);
   EXPECT_NE(out.find("fj_slow_request_suppressed model=m1 suppressed=5"),
             std::string::npos)
       << out;

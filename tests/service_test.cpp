@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -18,8 +19,12 @@
 
 #include "baselines/postgres_estimator.h"
 #include "factorjoin/estimator.h"
+#include "net/protocol.h"
+#include "obs/metrics_export.h"
+#include "obs/metrics_registry.h"
 #include "query/subplan.h"
 #include "service/estimator_service.h"
+#include "service/model_registry.h"
 #include "service/mpmc_queue.h"
 #include "service/sharded_cache.h"
 #include "service/table_epochs.h"
@@ -386,38 +391,114 @@ TEST(ServiceTest, TracingDisabledStillFillsLatencyHistogram) {
   }
 }
 
-TEST(ServiceTest, SlowRequestLogEmitsStructuredLines) {
+// Each service owns its flight recorder: with default options it keeps
+// every kFlightSampleEvery-th completed request, and nothing is an
+// offender.
+TEST(ServiceTest, RecorderKeepsEverySixteenthRequest) {
   Database db = MakeDb();
   FactorJoinEstimator estimator = MakeEstimator(db);
-  char* buf = nullptr;
-  size_t buf_size = 0;
-  std::FILE* sink = open_memstream(&buf, &buf_size);
-  ASSERT_NE(sink, nullptr);
-  {
-    // Threshold 1us: every request is an offender.
-    EstimatorServiceOptions options;
-    options.num_threads = 2;
-    options.slow_request_micros = 1;
-    options.slow_log_sink = sink;
-    options.model_name = "slowtest";
-    EstimatorService service(estimator, options);
-    Query q = ChainQuery(30, 250);
+  EstimatorService service(estimator, {.num_threads = 2});
+  Query q = ChainQuery(30, 250);
+  for (uint64_t i = 0; i <= 3 * obs::kFlightSampleEvery; ++i) {
     Served(service, q);
-    auto masks = EnumerateConnectedSubsets(q, 1);
-    ASSERT_EQ(masks.size(), 6u);
-    service.EstimateSubplans(q, masks);
-    service.Drain();  // slow-log lines land after promise fulfillment
-    ServiceStats stats = service.Stats();
-    EXPECT_EQ(stats.slow_requests, 2u);
   }
-  std::fclose(sink);
-  std::string log(buf, buf_size);
-  free(buf);
-  EXPECT_NE(log.find("fj_slow_request model=slowtest fp="), std::string::npos)
+  service.Drain();  // the recorder is offered a request after its completion
+  ServiceStats stats = service.Stats();
+  // Requests 0, 16, 32 and 48 of 49.
+  EXPECT_EQ(service.flight_recorder().appended(), 4u);
+  EXPECT_EQ(stats.flight_records, 4u);
+  EXPECT_EQ(stats.slow_requests, 0u);
+  EXPECT_EQ(stats.slow_suppressed, 0u);
+  std::vector<obs::FlightRecord> recent = service.flight_recorder().Recent();
+  ASSERT_EQ(recent.size(), 4u);
+  EXPECT_EQ(recent[0].fp_lo, q.Fingerprint().lo);
+  EXPECT_EQ(recent[0].fp_hi, q.Fingerprint().hi);
+  EXPECT_EQ(recent[0].masks, 1u);
+}
+
+// With a 1us threshold every request is an offender: the recorder keeps
+// each one and writes its slow line to stderr.
+TEST(ServiceTest, OffendersEmitStructuredSlowLines) {
+  Database db = MakeDb();
+  FactorJoinEstimator estimator = MakeEstimator(db);
+  EstimatorServiceOptions options;
+  options.num_threads = 2;
+  options.slow_request_micros = 1;
+  options.model_name = "slowtest";
+  EstimatorService service(estimator, options);
+  Query q = ChainQuery(30, 250);
+  auto masks = EnumerateConnectedSubsets(q, 1);
+  ASSERT_EQ(masks.size(), 6u);
+  testing::internal::CaptureStderr();
+  Served(service, q);
+  service.EstimateSubplans(q, masks);
+  service.Drain();  // slow lines land after promise fulfillment
+  std::string log = testing::internal::GetCapturedStderr();
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.slow_requests, 2u);
+  EXPECT_EQ(stats.flight_records, 2u);
+  EXPECT_NE(log.find("fj_slow_request model=slowtest fp=" +
+                     q.Fingerprint().ToString()),
+            std::string::npos)
       << log;
   EXPECT_NE(log.find(" masks=1 total_us="), std::string::npos) << log;
   EXPECT_NE(log.find(" masks=6 total_us="), std::string::npos) << log;
-  EXPECT_NE(log.find("total_us="), std::string::npos) << log;
+  EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 2) << log;
+}
+
+std::unique_ptr<CardinalityEstimator> OwnedEstimator(const Database& db) {
+  FactorJoinConfig config;
+  config.num_bins = 32;
+  return std::make_unique<FactorJoinEstimator>(db, config);
+}
+
+// A model's name reaches its slow lines and its flight dump whole.
+TEST(ServiceTest, LongModelNameStaysWhole) {
+  Database db = MakeDb();
+  const std::string name = "model_name_that_is_forty_characters_long";
+  ASSERT_EQ(name.size(), 40u);
+  ModelRegistry registry;
+  registry.AddModel(name, OwnedEstimator(db),
+                    {.num_threads = 1, .slow_request_micros = 1});
+  testing::internal::CaptureStderr();
+  Served(*registry.Find(name), ChainQuery(30, 250));
+  registry.DrainAll();
+  std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("fj_slow_request model=" + name + " fp="),
+            std::string::npos)
+      << log;
+  std::string dump = obs::FlightDumpJson(registry);
+  EXPECT_EQ(dump.rfind("{\"models\":[{\"model\":\"" + name + "\",", 0), 0u)
+      << dump;
+  EXPECT_NE(dump.find("\"recent\":[{"), std::string::npos) << dump;
+}
+
+// fj_flight_records_appended_total is a service counter: labeled per model
+// on the scrape, and carried by the stats wire body.
+TEST(ServiceTest, FlightRecordsCounterIsPerModel) {
+  Database db = MakeDb();
+  ModelRegistry registry;
+  registry.AddModel("a", OwnedEstimator(db), {.num_threads = 1});
+  registry.AddModel("b", OwnedEstimator(db), {.num_threads = 1});
+  Query q = ChainQuery(30, 250);
+  for (uint64_t i = 0; i <= obs::kFlightSampleEvery; ++i) {
+    Served(*registry.Find("a"), q);
+  }
+  Served(*registry.Find("b"), q);
+  registry.DrainAll();
+
+  obs::MetricsRegistry metrics;
+  obs::ExportRegistryModels(&metrics, registry);
+  std::string text = metrics.RenderPrometheus();
+  EXPECT_NE(text.find("fj_flight_records_appended_total{model=\"a\"} 2\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("fj_flight_records_appended_total{model=\"b\"} 1\n"),
+            std::string::npos)
+      << text;
+  ServiceStats back = net::DecodeServiceStats(
+      net::EncodeServiceStats(registry.Find("a")->Stats()));
+  EXPECT_EQ(back.flight_records, 2u);
 }
 
 // ---------------------------------------------------------------------------

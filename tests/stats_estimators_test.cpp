@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "factorjoin/binning.h"
 #include "query/filter_eval.h"
@@ -210,7 +212,7 @@ TEST(BayesNetTest, IncrementalUpdateTracksNewRows) {
   Table t = MakeCorrelatedTable(2000, 10);
   BayesNetEstimator est(t, {});
   size_t before = t.num_rows();
-  // Append 500 rows of a brand-new a-value (5).
+  // Append 500 rows of a = 3, a value inside the trained range.
   for (int i = 0; i < 500; ++i) {
     t.MutableCol("a")->AppendInt(3);
     t.MutableCol("b")->AppendInt(6);
@@ -254,9 +256,9 @@ TEST(HistogramTest, NullFraction) {
 
 // Literals at the ends of the int64 code space, in the Postgres-style
 // column histogram and the BayesNet discretizer. An int literal of 2^62 on
-// a double column has no fixed-point code and gets the null code, as NaN
-// does; a strict bound below the null code or above the largest code
-// selects every code.
+// a double column has no fixed-point code and compares by its sign, as
+// 1e30 does; NaN matches no code, and neither does a strict bound above
+// the largest code or below the null code.
 TEST(HistogramTest, LiteralsAtTheEndsOfTheCodeSpace) {
   Table t("t");
   Column* x = t.AddColumn("x", ColumnType::kDouble);
@@ -269,6 +271,8 @@ TEST(HistogramTest, LiteralsAtTheEndsOfTheCodeSpace) {
   // Pairs of leaves that must estimate alike.
   const std::pair<PredicatePtr, PredicatePtr> alike[] = {
       {Predicate::Cmp("x", CmpOp::kLt, Literal::Int(int64_t{1} << 62)),
+       Predicate::Cmp("x", CmpOp::kLe, Literal::Double(1e30))},
+      {Predicate::Cmp("x", CmpOp::kGt, Literal::Int(int64_t{1} << 62)),
        Predicate::Cmp("x", CmpOp::kLt, Literal::Double(std::nan("")))},
       {Predicate::Cmp("y", CmpOp::kGt, Literal::Int(kMaxCode)),
        Predicate::Cmp("y", CmpOp::kLt, Literal::Int(kNullInt64))},
@@ -283,6 +287,84 @@ TEST(HistogramTest, LiteralsAtTheEndsOfTheCodeSpace) {
     EXPECT_TRUE(std::isfinite(rows)) << a->ToString();
     EXPECT_EQ(rows, est.EstimateKeyDists(*b, {}).filtered_rows)
         << a->ToString();
+  }
+}
+
+// A literal beyond the code space (±1e30) or NaN keeps its meaning on an
+// int and a double column with nulls: each comparison matches every
+// non-null row or none. The row-at-a-time filter and the compiled kernel
+// count the same rows, and the column histogram and BayesNet estimate 0
+// for none and their own IS NOT NULL estimate for every row.
+TEST(LiteralCodesTest, OutOfRangeLiteralsKeepTheirMeaning) {
+  Table t("t");
+  Column* i = t.AddColumn("i", ColumnType::kInt64);
+  Column* d = t.AddColumn("d", ColumnType::kDouble);
+  size_t non_null = 0;
+  for (int r = 0; r < 400; ++r) {
+    if (r % 10 == 9) {
+      i->AppendNull();
+      d->AppendNull();
+      continue;
+    }
+    i->AppendInt(r % 50);
+    d->AppendDouble((r % 40) * 0.25);
+    ++non_null;
+  }
+  BayesNetEstimator bn(t, {});
+  const double kBig = 1e30;
+  const double kNaN = std::nan("");
+  enum class Shape { kCmp, kBetween, kIn };
+  struct Case {
+    Shape shape;
+    CmpOp op;            // kCmp only
+    double all_rows_at;  // the literal that matches every non-null row;
+                         // NaN: no literal does
+    bool any = false;    // every literal matches every non-null row
+  };
+  const Case cases[] = {
+      {Shape::kCmp, CmpOp::kLt, kBig},
+      {Shape::kCmp, CmpOp::kLe, kBig},
+      {Shape::kCmp, CmpOp::kGt, -kBig},
+      {Shape::kCmp, CmpOp::kGe, -kBig},
+      {Shape::kCmp, CmpOp::kEq, kNaN},
+      {Shape::kCmp, CmpOp::kNe, kNaN, true},
+      {Shape::kBetween, CmpOp::kEq, kBig},  // BETWEEN min AND x
+      {Shape::kIn, CmpOp::kEq, kNaN},       // IN {x}
+  };
+  for (const char* column : {"i", "d"}) {
+    const Column& col = t.Col(column);
+    Literal min = col.type() == ColumnType::kInt64 ? Literal::Int(0)
+                                                   : Literal::Double(0.0);
+    ColumnHistogram hist(col, 8);
+    double hist_not_null =
+        hist.LeafSelectivity(col, *Predicate::IsNotNull(column));
+    double bn_not_null =
+        bn.EstimateKeyDists(*Predicate::IsNotNull(column), {}).filtered_rows;
+    for (const Case& c : cases) {
+      for (double x : {kBig, -kBig, kNaN}) {
+        bool all = c.any || x == c.all_rows_at;
+        Literal lit = Literal::Double(x);
+        PredicatePtr p =
+            c.shape == Shape::kBetween ? Predicate::Between(column, min, lit)
+            : c.shape == Shape::kIn    ? Predicate::In(column, {lit})
+                                       : Predicate::Cmp(column, c.op, lit);
+        SCOPED_TRACE(p->ToString());
+        size_t by_row = 0;
+        for (size_t r = 0; r < t.num_rows(); ++r) by_row += EvalRow(t, *p, r);
+        size_t count = CountMatches(t, *p);
+        EXPECT_EQ(count, by_row);
+        EXPECT_EQ(count, all ? non_null : 0u);
+        double sel = hist.LeafSelectivity(col, *p);
+        double rows = bn.EstimateKeyDists(*p, {}).filtered_rows;
+        if (all) {
+          EXPECT_NEAR(sel, hist_not_null, 1e-9 * hist_not_null);
+          EXPECT_NEAR(rows, bn_not_null, 1e-9 * bn_not_null);
+        } else {
+          EXPECT_EQ(sel, 0.0);
+          EXPECT_EQ(rows, 0.0);
+        }
+      }
+    }
   }
 }
 

@@ -36,7 +36,6 @@
 
 #include "factorjoin/estimator.h"
 #include "net/server.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics_export.h"
 #include "obs/metrics_http.h"
 #include "obs/metrics_registry.h"
@@ -71,8 +70,6 @@ struct Args {
   std::string slo_spec;
   // --history-seconds: /metrics/history retention (one window per second).
   size_t history_seconds = 300;
-  // --flight-capacity: flight-recorder recent-ring slots; 0 disables.
-  size_t flight_capacity = 256;
 };
 
 void Usage(const char* argv0) {
@@ -90,9 +87,7 @@ void Usage(const char* argv0) {
       "  --slo SPEC              SLO objectives, e.g. p99=5ms,avail=99.9\n"
       "                          (burn-rate gauges + /healthz; needs\n"
       "                          --metrics-port)\n"
-      "  --history-seconds N     /metrics/history retention (default 300)\n"
-      "  --flight-capacity N     flight-recorder ring slots (default 256;\n"
-      "                          0 disables /debug/traces)\n",
+      "  --history-seconds N     /metrics/history retention (default 300)\n",
       argv0, fj::tools::kWorkloadFlagsUsage);
 }
 
@@ -122,8 +117,6 @@ bool Parse(int argc, char** argv, Args* args) {
       args->slo_spec = argv[++i];
     } else if (flag == "--history-seconds") {
       ok = fj::tools::ParseIntFlag(argc, argv, &i, &args->history_seconds);
-    } else if (flag == "--flight-capacity") {
-      ok = fj::tools::ParseIntFlag(argc, argv, &i, &args->flight_capacity);
     } else if (flag == "--load-model" && i + 1 < argc) {
       std::string spec = argv[++i];
       size_t eq = spec.find('=');
@@ -177,14 +170,9 @@ int main(int argc, char** argv) {
   }
 
   auto workload = fj::tools::MakeFlaggedWorkload(args.common);
-  // The flight recorder outlives every service holding a pointer to it
-  // (services die with the registry at end of main).
-  fj::obs::FlightRecorder flight(
-      args.flight_capacity > 0 ? args.flight_capacity : 1);
   fj::EstimatorServiceOptions service_options;
   service_options.num_threads = args.threads;
   service_options.slow_request_micros = args.slow_log_micros;
-  if (args.flight_capacity > 0) service_options.flight_recorder = &flight;
 
   fj::ModelRegistry registry;
   if (args.load_models.empty()) {
@@ -254,9 +242,6 @@ int main(int argc, char** argv) {
     fj::obs::ExportRegistryModels(&metrics, registry);
     fj::obs::ExportServer(&metrics, server);
     fj::obs::ExportProcess(&metrics, server.Stats().start_micros);
-    if (args.flight_capacity > 0) {
-      fj::obs::ExportFlightRecorder(&metrics, flight);
-    }
 
     // Monitor: samples every model's service plus the net front end once
     // per second into the time-series ring that feeds history, SLO burn
@@ -264,18 +249,16 @@ int main(int argc, char** argv) {
     fj::obs::MonitorOptions monitor_options;
     monitor_options.retention_seconds = args.history_seconds;
     monitor_options.slo = slo;
-    monitor_options.on_transition = [&flight, &args](
-                                        fj::obs::HealthState from,
-                                        fj::obs::HealthState to) {
+    monitor_options.on_transition = [&registry](fj::obs::HealthState from,
+                                                fj::obs::HealthState to) {
       std::fprintf(stderr, "fj_server: health %s -> %s\n",
                    fj::obs::HealthStateName(from),
                    fj::obs::HealthStateName(to));
-      if (to == fj::obs::HealthState::kOverloaded &&
-          args.flight_capacity > 0) {
+      if (to == fj::obs::HealthState::kOverloaded) {
         // The post-hoc record of what was on the floor at overload entry,
-        // captured before the episode scrolls it out of the ring.
+        // captured before the episode scrolls it out of the rings.
         std::fprintf(stderr, "fj_server: flight dump on overload: %s\n",
-                     flight.DumpJson(16).c_str());
+                     fj::obs::FlightDumpJson(registry, 16).c_str());
       }
     };
     size_t queue_capacity_per_model = service_options.queue_capacity;
@@ -308,12 +291,10 @@ int main(int argc, char** argv) {
       result.body = mon->HealthJson(&result.status);
       return result;
     });
-    if (args.flight_capacity > 0) {
-      metrics_http->AddHandler("/debug/traces", [&flight] {
-        return fj::obs::HttpHandlerResult{200, "application/json",
-                                          flight.DumpJson()};
-      });
-    }
+    metrics_http->AddHandler("/debug/traces", [&registry] {
+      return fj::obs::HttpHandlerResult{200, "application/json",
+                                        fj::obs::FlightDumpJson(registry)};
+    });
     try {
       metrics_http->Start();
     } catch (const std::exception& e) {
