@@ -1,20 +1,24 @@
-// Bump arena for the estimation hot path: one FactorArena per
-// Estimate/EstimateSubplans call owns every per-bin mass/MFV array of every
-// bound factor built during that call.
+// Bump arena for the estimation hot path: owns the per-bin mass/MFV arrays
+// of the bound factors built while estimating. A sub-plan session owns one
+// for its leaves, its decomposition alternates two (one per live level, each
+// rewound with Reset once its level is dead), and a greedy Estimate call
+// owns one for everything it builds.
 //
 // Why not std::vector<double> per group? A progressive sub-plan batch builds
 // thousands of factors, each with a handful of short arrays — under the old
 // std::map<int, GroupBound> layout the allocator dominated the inner loop.
 // The arena turns all of that into pointer bumps over a few large blocks,
 // keeps the arrays contiguous (the kernels in kernels.h stream over them),
-// and frees everything at once when the call returns. Blocks are left
+// and frees everything at once when it is destroyed. Blocks are left
 // uninitialized: every span is written before it is read.
 //
 // Pointer stability: blocks are never reallocated or released while the
-// arena lives, so a span handed out by Alloc stays valid for the arena's
-// lifetime — factors reference arena memory directly instead of owning it.
-// Not thread-safe: one arena belongs to one call/thread (concurrent calls
-// each use their own).
+// arena lives, so a span handed out by Alloc stays valid until the next
+// Reset — factors reference arena memory directly instead of owning it.
+// Under AddressSanitizer, Reset poisons the blocks it rewinds and Alloc
+// unpoisons each span it hands out, so a read through a span of a released
+// level is reported. Not thread-safe: one arena belongs to one call/thread
+// (concurrent calls each use their own).
 #pragma once
 
 #include <algorithm>
@@ -22,6 +26,10 @@
 #include <cstring>
 #include <memory>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace fj {
 
@@ -42,13 +50,16 @@ class FactorArena {
   FactorArena& operator=(const FactorArena&) = delete;
 
   /// Uninitialized span of `n` doubles. O(1) amortized; never invalidates
-  /// previously returned spans.
+  /// previously returned spans (only Reset does).
   double* Alloc(size_t n) {
     if (n == 0) return nullptr;
     if (used_ + n > capacity_) Grow(n);
-    double* out = blocks_.back().get() + used_;
+    double* out = current_ + used_;
     used_ += n;
     allocated_ += n;
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_UNPOISON_MEMORY_REGION(out, n * sizeof(double));
+#endif
     return out;
   }
 
@@ -66,21 +77,50 @@ class FactorArena {
     return out;
   }
 
-  /// Total doubles handed out (diagnostics / tests).
+  /// Releases every span at once and keeps the blocks: later Allocs reuse
+  /// them in order before any new block is allocated.
+  void Reset() {
+#if defined(__SANITIZE_ADDRESS__)
+    for (const Block& b : blocks_) {
+      ASAN_POISON_MEMORY_REGION(b.data.get(), b.size * sizeof(double));
+    }
+#endif
+    next_ = 0;
+    current_ = nullptr;
+    capacity_ = 0;
+    used_ = 0;
+    allocated_ = 0;
+  }
+
+  /// Doubles handed out since construction or the last Reset (diagnostics
+  /// / tests).
   size_t allocated_doubles() const { return allocated_; }
   size_t num_blocks() const { return blocks_.size(); }
 
  private:
+  struct Block {
+    std::unique_ptr<double[]> data;
+    size_t size = 0;
+  };
+
+  /// Moves to the next rewound block that fits `n`, or adds a new one.
   void Grow(size_t n) {
-    size_t block = std::max(n, kBlockDoubles);
-    blocks_.push_back(std::make_unique_for_overwrite<double[]>(block));
-    capacity_ = block;
+    while (next_ < blocks_.size() && blocks_[next_].size < n) ++next_;
+    if (next_ == blocks_.size()) {
+      size_t size = std::max(n, kBlockDoubles);
+      blocks_.push_back({std::make_unique_for_overwrite<double[]>(size), size});
+    }
+    current_ = blocks_[next_].data.get();
+    capacity_ = blocks_[next_].size;
     used_ = 0;
+    ++next_;
   }
 
-  std::vector<std::unique_ptr<double[]>> blocks_;
-  size_t capacity_ = 0;  // of the current (last) block
-  size_t used_ = 0;      // within the current block
+  std::vector<Block> blocks_;
+  size_t next_ = 0;            // index of the block Grow takes next
+  double* current_ = nullptr;  // the block spans are cut from
+  size_t capacity_ = 0;        // of the current block
+  size_t used_ = 0;            // within the current block
   size_t allocated_ = 0;
 };
 

@@ -222,10 +222,10 @@ FactorJoinEstimator::Leaves FactorJoinEstimator::MakeLeaves(
 
 namespace {
 
-/// Mask -> factor memo of one decomposition: an open-addressing table
-/// (linear probing, power-of-two capacity, Fibonacci hashing) over masks of
-/// two or more aliases, so mask 0 marks an empty slot. A value indexes the
-/// call's factor vector, or is kUndecomposable.
+/// Mask -> plan position memo of one decomposition plan: an open-addressing
+/// table (linear probing, power-of-two capacity, Fibonacci hashing) over
+/// masks of two or more aliases, so mask 0 marks an empty slot. A value is
+/// the mask's position within its level of the plan, or kUndecomposable.
 class FactorMemo {
  public:
   static constexpr uint32_t kUndecomposable = ~uint32_t{0};
@@ -284,11 +284,21 @@ class FactorMemo {
   size_t size_ = 0;
 };
 
+/// One planned join of a decomposition level: the factor of a k-alias mask
+/// is the factor at position `parent` of level k-1 (level 1 is the leaves,
+/// by alias index) joined with the leaf of `alias`. The build fills in the
+/// joined factor's card, which outlives the factor.
+struct PlanStep {
+  uint32_t parent;
+  uint32_t alias;
+  double card = 0.0;
+};
+
 }  // namespace
 
 /// The one batch path: the leaves (and their arena) live as long as the
-/// session; every EstimateSubplans call runs the canonical decomposition
-/// against them with a private join arena, so concurrent chunked calls
+/// session; every EstimateSubplans call plans and builds the canonical
+/// decomposition against them in arenas of its own, so concurrent calls
 /// never touch shared mutable state.
 class FactorJoinEstimator::Session : public CardinalityEstimator::SubplanSession {
  public:
@@ -310,67 +320,87 @@ class FactorJoinEstimator::Session : public CardinalityEstimator::SubplanSession
 std::unordered_map<uint64_t, double>
 FactorJoinEstimator::Session::EstimateSubplans(
     const std::vector<uint64_t>& masks) const {
-  // Joined factors are span headers over the call's own arena, held by
-  // value. A pointer into `factors` stays valid until the next factor is
-  // stored.
-  FactorArena arena;
-  std::vector<BoundFactor> factors;
-  factors.reserve(masks.size());
-  FactorMemo memo(masks.size());
-
-  // Canonical decomposition, independent of which masks were requested: the
-  // factor for a mask splits off the lowest-bit alias whose removal keeps
-  // the remainder connected (computing that remainder recursively). A mask's
-  // bound is therefore a function of (query, mask) alone — the serving
-  // layer's cache can recompute an invalidated subset of a batch, and the
-  // batch splitter can chunk one mask set across workers, both still
-  // producing values bit-identical to a full-batch run.
-  std::vector<int> connecting;  // reused across join steps
-  auto factor_of = [&](auto&& self, uint64_t mask) -> const BoundFactor* {
-    if (std::has_single_bit(mask)) {
-      return &leaves_.factors[static_cast<size_t>(std::countr_zero(mask))];
-    }
-    if (mask == 0) return nullptr;
-    uint32_t slot = memo.Find(mask);
-    if (slot == FactorMemo::kUndecomposable) return nullptr;
-    if (slot != FactorMemo::kAbsent) return &factors[slot];
-    uint64_t m = mask;
-    while (m != 0) {
-      size_t a = static_cast<size_t>(std::countr_zero(m));
-      m &= m - 1;
-      uint64_t rest = mask & ~(uint64_t{1} << a);
-      if ((leaves_.adj[a] & rest) == 0) continue;
-      if (!ConnectedAliasMask(rest, leaves_.adj)) continue;
-      const BoundFactor* rf = self(self, rest);
-      if (rf == nullptr) continue;
-      // Connecting query key groups: groups with bound state on both sides.
-      const BoundFactor& leaf = leaves_.factors[a];
-      connecting.clear();
-      for (const GroupSpan& g : leaf.groups) {
-        if (rf->FindGroup(g.gid) != nullptr) connecting.push_back(g.gid);
-      }
-      if (connecting.empty()) continue;
-      BoundFactor joined = JoinBoundFactors(*rf, leaf, connecting,
-                                            leaves_.group_masks, &arena);
-      memo.Insert(mask, static_cast<uint32_t>(factors.size()));
-      factors.push_back(std::move(joined));
-      return &factors.back();
-    }
-    memo.Insert(mask, FactorMemo::kUndecomposable);
-    return nullptr;
-  };
-
   const uint64_t all = query_.AllAliases();
-  std::unordered_map<uint64_t, double> out;
-  out.reserve(masks.size());
   for (uint64_t mask : masks) {
     if ((mask & ~all) != 0) {
       throw std::out_of_range(
           "FactorJoin::EstimateSubplans: mask has bits past the query's "
           "alias count");
     }
-    const BoundFactor* factor = factor_of(factor_of, mask);
-    if (factor == nullptr) {
+  }
+
+  // 1. Plan the closure of the requested masks by bitmask alone. Canonical
+  // decomposition, independent of which masks were requested: a mask's
+  // factor joins the leaf of its lowest alias whose removal leaves a rest
+  // that is connected and adjacent to it (a join condition puts both
+  // sides in one key group, so they share one) with the rest's factor,
+  // planned the same way. A mask's bound is therefore a function of
+  // (query, mask) alone, and the serving layer's cache can recompute an
+  // invalidated subset of a batch bit-identically to a full-batch run.
+  std::vector<std::vector<PlanStep>> levels(
+      static_cast<size_t>(std::popcount(all)) + 1);
+  FactorMemo memo(masks.size());
+  auto plan = [&](auto&& self, uint64_t mask) -> uint32_t {
+    if (std::has_single_bit(mask)) {
+      return static_cast<uint32_t>(std::countr_zero(mask));
+    }
+    if (mask == 0) return FactorMemo::kUndecomposable;
+    uint32_t slot = memo.Find(mask);
+    if (slot != FactorMemo::kAbsent) return slot;
+    for (uint64_t m = mask; m != 0; m &= m - 1) {
+      size_t a = static_cast<size_t>(std::countr_zero(m));
+      uint64_t rest = mask & ~(uint64_t{1} << a);
+      if ((leaves_.adj[a] & rest) == 0) continue;
+      if (!ConnectedAliasMask(rest, leaves_.adj)) continue;
+      uint32_t parent = self(self, rest);
+      if (parent == FactorMemo::kUndecomposable) continue;
+      std::vector<PlanStep>& level =
+          levels[static_cast<size_t>(std::popcount(mask))];
+      slot = static_cast<uint32_t>(level.size());
+      level.push_back({parent, static_cast<uint32_t>(a)});
+      memo.Insert(mask, slot);
+      return slot;
+    }
+    memo.Insert(mask, FactorMemo::kUndecomposable);
+    return FactorMemo::kUndecomposable;
+  };
+  std::vector<uint32_t> slots;
+  slots.reserve(masks.size());
+  for (uint64_t mask : masks) slots.push_back(plan(plan, mask));
+
+  // 2. Build the plan level by level. Only two levels are live: level k is
+  // joined from level k-1 into the arena that held level k-2, rewound
+  // first. Parents are positions, so the build does no memo lookups.
+  FactorArena arenas[2];
+  std::vector<BoundFactor> built;
+  std::vector<BoundFactor> parents;
+  std::vector<int> connecting;  // reused across join steps
+  for (size_t k = 2; k < levels.size() && !levels[k].empty(); ++k) {
+    const std::vector<BoundFactor>& from = k == 2 ? leaves_.factors : parents;
+    FactorArena& arena = arenas[k % 2];
+    arena.Reset();
+    built.clear();
+    built.reserve(levels[k].size());
+    for (PlanStep& step : levels[k]) {
+      const BoundFactor& rest = from[step.parent];
+      // Connecting query key groups: groups with bound state on both sides.
+      const BoundFactor& leaf = leaves_.factors[step.alias];
+      connecting.clear();
+      for (const GroupSpan& g : leaf.groups) {
+        if (rest.FindGroup(g.gid) != nullptr) connecting.push_back(g.gid);
+      }
+      built.push_back(JoinBoundFactors(rest, leaf, connecting,
+                                       leaves_.group_masks, &arena));
+      step.card = built.back().card;
+    }
+    std::swap(built, parents);
+  }
+
+  std::unordered_map<uint64_t, double> out;
+  out.reserve(masks.size());
+  for (size_t i = 0; i < masks.size(); ++i) {
+    const uint64_t mask = masks[i];
+    if (slots[i] == FactorMemo::kUndecomposable) {
       // No pairwise decomposition (e.g. a disconnected requested mask):
       // estimate this mask standalone.
       out[mask] = owner_->Estimate(query_.InducedSubquery(mask));
@@ -379,8 +409,9 @@ FactorJoinEstimator::Session::EstimateSubplans(
     // Floor at one tuple: a zero bound reflects estimator blind spots (e.g.
     // sparse samples), not proven emptiness. Single aliases report their
     // filtered cardinality unfloored, as before.
-    out[mask] = std::popcount(mask) == 1 ? factor->card
-                                         : std::max(factor->card, 1.0);
+    size_t k = static_cast<size_t>(std::popcount(mask));
+    out[mask] = k == 1 ? leaves_.factors[slots[i]].card
+                       : std::max(levels[k][slots[i]].card, 1.0);
   }
   return out;
 }

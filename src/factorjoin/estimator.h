@@ -73,14 +73,15 @@ class FactorJoinEstimator : public CardinalityEstimator {
 
   /// Progressive sub-plan estimation (Section 5.2), the one batch path:
   /// the session builds every leaf factor of `query` once (the expensive,
-  /// mask-independent part) into a session-owned arena, and each
-  /// EstimateSubplans call on it runs the canonical decomposition against
-  /// the shared leaves with a per-call join arena. Thread-safe and
-  /// bit-identical on any mask subset — the serving layer uses this to
-  /// split one large batch across its worker pool. Note the batch and
-  /// Estimate may produce different (equally valid) bounds for the same
-  /// sub-plan: the service serves only batches, so its cache holds the
-  /// batch's values.
+  /// mask-independent part) into a session-owned arena. Each
+  /// EstimateSubplans call on it plans the canonical decomposition of the
+  /// requested masks by bitmask, then builds it level by level against the
+  /// shared leaves, with only two levels of joined factors live.
+  /// Thread-safe and bit-identical on any mask subset, so the serving
+  /// layer's cache can recompute an invalidated part of a batch. Note the
+  /// batch and Estimate may produce different (equally valid) bounds for
+  /// the same sub-plan: the service serves only batches, so its cache
+  /// holds the batch's values.
   std::unique_ptr<SubplanSession> PrepareSubplans(
       const Query& query) const override;
 

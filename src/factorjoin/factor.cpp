@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "factorjoin/kernels.h"
 
@@ -24,16 +26,17 @@ double RescaleFactor(double sum, double target) {
   return sum <= 0.0 ? 1.0 : target / sum;
 }
 
-/// A group carried across a join, built in one pass from its source: mass
-/// rescaled to the joined cardinality, MFV multiplied by the other side's
-/// duplication bound and clamped by the result size.
+/// A group carried across a join, built in one pass from its source into
+/// `mass` and `mfv` (src.bins each): mass rescaled to the joined
+/// cardinality, MFV multiplied by the other side's duplication bound and
+/// clamped by the result size.
 GroupSpan Carry(const GroupSpan& src, double card, double dup, double cap,
-                FactorArena* arena) {
+                double* mass, double* mfv) {
   GroupSpan g;
   g.gid = src.gid;
   g.bins = src.bins;
-  g.mass = arena->Alloc(src.bins);
-  g.mfv = arena->Alloc(src.bins);
+  g.mass = mass;
+  g.mfv = mfv;
   double sum = src.MassSum();
   double f = RescaleFactor(sum, card);
   kernels::ScaleCarried(src.mass, src.mfv, src.bins, f, dup, cap, g.mass,
@@ -46,6 +49,16 @@ GroupSpan Carry(const GroupSpan& src, double card, double dup, double cap,
     g.mfv_max = std::min(src.mfv_max * dup, cap);
   }
   return g;
+}
+
+/// At least `n` doubles of this thread's join scratch: the per-bin arrays a
+/// join reads and drops (terms of the connecting groups, the right side of
+/// a min-merged carried group), so that the arena holds only the arrays of
+/// groups the joined factor keeps. Valid until the next call on the thread.
+double* JoinScratch(size_t n) {
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < n) scratch.resize(n);
+  return scratch.data();
 }
 
 }  // namespace
@@ -111,26 +124,34 @@ BoundFactor JoinBoundFactors(const BoundFactor& left, const BoundFactor& right,
     throw std::invalid_argument("JoinBoundFactors: no connecting key group");
   }
 
+  // Scratch layout, `width` doubles per slot: the best terms so far, the
+  // candidate terms, and the mass and MFV of a min-merged right carry.
+  uint32_t width = 0;
+  for (const GroupSpan& g : left.groups) width = std::max(width, g.bins);
+  for (const GroupSpan& g : right.groups) width = std::max(width, g.bins);
+  double* scratch = JoinScratch(size_t{4} * width);
+  double* star_terms = scratch;
+  double* candidate = scratch + width;
+
   // Tightest connecting group wins (each is a valid bound on its own). Each
-  // group's per-bin terms are computed once: the winner's become g*'s mass.
+  // group's per-bin terms are computed once, into scratch; the winner's
+  // become g*'s mass if g* stays open.
   int best_group = connecting_groups.front();
   double best_bound = -1.0;
   const GroupSpan* gl_star = nullptr;
   const GroupSpan* gr_star = nullptr;
-  double* star_terms = nullptr;
   for (int g : connecting_groups) {
     const GroupSpan& l = GroupOrThrow(left, g);
     const GroupSpan& r = GroupOrThrow(right, g);
     uint32_t bins = std::min(l.bins, r.bins);
-    double* terms = arena->Alloc(bins);
     double bound =
-        kernels::JoinTerms(l.mass, l.mfv, r.mass, r.mfv, bins, terms);
+        kernels::JoinTerms(l.mass, l.mfv, r.mass, r.mfv, bins, candidate);
     if (best_bound < 0.0 || bound < best_bound) {
       best_bound = bound;
       best_group = g;
       gl_star = &l;
       gr_star = &r;
-      star_terms = terms;
+      std::swap(star_terms, candidate);
     }
   }
   double card = std::min(best_bound, left.card * right.card);
@@ -153,6 +174,12 @@ BoundFactor JoinBoundFactors(const BoundFactor& left, const BoundFactor& right,
                      gid) != connecting_groups.end();
   };
   const uint64_t outside = ~out.alias_mask;
+  // A group the joined factor keeps, carried into the arena.
+  auto carry = [&](const GroupSpan& src, double dup) {
+    double* mass = arena->Alloc(src.bins);
+    double* mfv = arena->Alloc(src.bins);
+    return Carry(src, card, dup, cap, mass, mfv);
+  };
 
   // Merge the two sorted group indexes; the output stays sorted by gid.
   size_t li = 0, ri = 0;
@@ -179,7 +206,7 @@ BoundFactor JoinBoundFactors(const BoundFactor& left, const BoundFactor& right,
       GroupSpan g;
       g.gid = gid;
       g.bins = std::min(gl_star->bins, gr_star->bins);
-      g.mass = star_terms;
+      g.mass = arena->AllocCopy(star_terms, g.bins);
       double f = RescaleFactor(best_bound, card);
       if (f == 1.0) {
         g.mass_sum = best_bound;
@@ -193,19 +220,21 @@ BoundFactor JoinBoundFactors(const BoundFactor& left, const BoundFactor& right,
       continue;
     }
     if (on_left) {
-      GroupSpan g = Carry(*lg, card, dup_from_right, cap, arena);
+      GroupSpan g = carry(*lg, dup_from_right);
       if (on_right && is_connecting(gid)) {
         // Present on both sides: take the elementwise min of both rescaled
         // views (each is an upper-bound-flavored estimate of the same
-        // distribution in the join result).
-        g.MinWith(Carry(*rg, card, dup_from_left, cap, arena));
+        // distribution in the join result). The right view is read once,
+        // so it lives in scratch.
+        g.MinWith(Carry(*rg, card, dup_from_left, cap, scratch + 2 * width,
+                        scratch + 3 * width));
       }
       out.groups.push_back(g);
       continue;
     }
     // Right-only group: mass rescaled to the new cardinality, MFV
     // multiplied by the left side's maximal duplication factor.
-    out.groups.push_back(Carry(*rg, card, dup_from_left, cap, arena));
+    out.groups.push_back(carry(*rg, dup_from_left));
   }
   return out;
 }

@@ -15,12 +15,13 @@
 //
 // Layout: a factor is a structure-of-arrays view into a FactorArena — each
 // key group is a GroupSpan whose mass/mfv arrays live in arena memory owned
-// by the enclosing Estimate/EstimateSubplans call, and the group ids form a
-// small dense index sorted ascending. Copying a factor copies only the span
-// headers (a few words per group), never the per-bin data; the spans stay
-// valid for the arena's lifetime. The per-bin arithmetic itself lives in
-// kernels.h and is bit-identical to the former std::map<int, GroupBound>
-// implementation (pinned by golden_estimates_test.cpp).
+// by the enclosing Estimate/EstimateSubplans call or session, and the group
+// ids form a small dense index sorted ascending. Copying a factor copies
+// only the span headers (a few words per group), never the per-bin data;
+// the spans stay valid until their arena is reset or destroyed. The
+// per-bin arithmetic itself lives in kernels.h and is bit-identical to the
+// former std::map<int, GroupBound> implementation (pinned by
+// golden_estimates_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -104,8 +105,9 @@ std::vector<uint64_t> KeyGroupAliasMasks(
 double GroupJoinBound(const GroupSpan& left, const GroupSpan& right);
 
 /// Joins two factors, allocating the joined factor's per-bin arrays from
-/// `arena` (which must be the arena of the enclosing call; inputs may live
-/// in a different, longer-lived arena — e.g. shared leaf factors).
+/// `arena` and nothing else there: arrays read only within the join go to
+/// a per-thread scratch buffer. The inputs may live in other arenas (e.g.
+/// shared leaf factors, or the previous decomposition level).
 /// `connecting_groups` must be the key-group ids present in both factors
 /// (at least one); `group_masks[gid]` is group gid's alias mask
 /// (KeyGroupAliasMasks). Produces the joined factor:

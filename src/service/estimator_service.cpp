@@ -112,14 +112,10 @@ std::unordered_map<uint64_t, double> EstimatorService::EstimateSubplans(
 
 void EstimatorService::WorkerLoop() {
   while (auto req = queue_.Pop()) {
-    // Internal split helpers are not client requests: they never counted
-    // into pending_, so they must not decrement it either.
-    bool helper = (*req)->split != nullptr;
     Serve(**req);
     // The request counts as pending until after its completion ran, so
     // Drain() returning means every accepted future is ready.
-    if (!helper &&
-        pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lock(drain_mu_);
       drained_.notify_all();
     }
@@ -134,110 +130,20 @@ void EstimatorService::Drain() {
   });
 }
 
-void EstimatorService::SplitJob::RunChunks() {
-  for (;;) {
-    size_t i = next.fetch_add(1, std::memory_order_acq_rel);
-    if (i >= chunks.size()) return;
-    try {
-      results[i] = session->EstimateSubplans(chunks[i]);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-    if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks.size()) {
-      std::lock_guard<std::mutex> lock(mu);
-      finished.notify_all();
-    }
-  }
-}
-
-void EstimatorService::SplitJob::Wait() {
-  std::unique_lock<std::mutex> lock(mu);
-  finished.wait(lock, [&] {
-    return done.load(std::memory_order_acquire) == chunks.size();
-  });
-}
-
 std::unordered_map<uint64_t, double> EstimatorService::EstimateMisses(
     const Query& query, const std::vector<uint64_t>& miss_masks,
     obs::RequestTrace* trace) {
-  // A miss set at the threshold is split into up to one chunk per worker,
-  // sized from half the threshold up; a smaller set, or a single-worker
-  // pool, runs as one chunk.
-  size_t threshold = options_.split_batch_min_masks;
-  size_t num_chunks = 1;
-  if (threshold != 0 && miss_masks.size() >= threshold) {
-    size_t chunk_target = std::max<size_t>(threshold / 2, 1);
-    num_chunks = std::min(workers_.size(), miss_masks.size() / chunk_target);
-  }
   // The estimate span covers the session's shared work (FactorJoin's leaf
-  // factors) and every chunk, including time spent waiting for helper
-  // chunks — from the request's perspective, all of it is estimation.
+  // factors) as well as the masks: from the request's perspective, all of
+  // it is estimation.
   obs::SpanTimer span;
-  std::unique_ptr<CardinalityEstimator::SubplanSession> session =
-      estimator_.PrepareSubplans(query);
   std::unordered_map<uint64_t, double> out =
-      num_chunks < 2 ? session->EstimateSubplans(miss_masks)
-                     : EstimateSplit(*session, miss_masks, num_chunks);
+      estimator_.PrepareSubplans(query)->EstimateSubplans(miss_masks);
   span.Record(trace, obs::Stage::kEstimate);
   return out;
 }
 
-std::unordered_map<uint64_t, double> EstimatorService::EstimateSplit(
-    const CardinalityEstimator::SubplanSession& session,
-    const std::vector<uint64_t>& miss_masks, size_t num_chunks) {
-  auto job = std::make_shared<SplitJob>();
-  job->session = &session;
-  job->chunks.resize(num_chunks);
-  job->results.resize(num_chunks);
-  job->errors.resize(num_chunks);
-  size_t per_chunk = (miss_masks.size() + num_chunks - 1) / num_chunks;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    // Clamp both ends: with ceil-divided chunk sizes the last chunks can
-    // start past the end (e.g. 5 miss_masks over 4 chunks of 2) and simply come
-    // out empty.
-    size_t begin = std::min(c * per_chunk, miss_masks.size());
-    size_t end = std::min(begin + per_chunk, miss_masks.size());
-    job->chunks[c].assign(miss_masks.begin() + static_cast<long>(begin),
-                          miss_masks.begin() + static_cast<long>(end));
-  }
-  batches_split_.fetch_add(1, std::memory_order_relaxed);
-  split_chunks_.fetch_add(num_chunks, std::memory_order_relaxed);
-
-  // Offer helper tasks to idle workers — best effort (TryPush): if the
-  // queue is full or closed, the serving worker simply runs those chunks
-  // itself, so splitting can never block or deadlock. Helpers are NOT
-  // counted in pending_: the gauge (and Drain) tracks client requests, and
-  // the parent request stays pending until every chunk finished — once all
-  // parents are served, leftover helpers are claim-nothing no-ops.
-  for (size_t h = 0; h + 1 < num_chunks; ++h) {
-    auto helper = std::make_unique<Request>();
-    helper->split = job;
-    if (!queue_.TryPush(std::move(helper))) break;
-  }
-  job->RunChunks();
-  job->Wait();
-
-  std::unordered_map<uint64_t, double> merged;
-  merged.reserve(miss_masks.size());
-  for (size_t c = 0; c < num_chunks; ++c) {
-    if (job->errors[c] != nullptr) std::rethrow_exception(job->errors[c]);
-    merged.merge(job->results[c]);
-  }
-  return merged;
-}
-
 void EstimatorService::Serve(Request& req) {
-  if (req.split != nullptr) {
-    // Batch-split helper: join the job's work-claiming loop. Completion
-    // bookkeeping (callback/stats) belongs to the serving worker of the
-    // parent request.
-    req.split->RunChunks();
-    return;
-  }
-  ServeAndComplete(req);
-}
-
-void EstimatorService::ServeAndComplete(Request& req) {
   const bool tracing = options_.enable_tracing;
   // Spans are recorded straight into the request's sink (so pre-filled
   // stages like the net server's decode span survive) or a stack-local
@@ -349,8 +255,8 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
 
   // The misses go to the estimator together, in one session, so its shared
   // computation is preserved (FactorJoin estimates each leaf factor once for
-  // the whole batch); EstimateMisses splits a large miss set into
-  // per-worker chunks of that one session.
+  // the whole batch and each ancestor factor once for every mask that
+  // needs it).
   if (!miss_masks.empty()) {
     std::unordered_map<uint64_t, double> fresh =
         EstimateMisses(query, miss_masks, trace);
@@ -382,8 +288,6 @@ ServiceStats EstimatorService::Stats() const {
   stats.subplans_estimated =
       subplans_estimated_.load(std::memory_order_relaxed);
   stats.errors = errors_.load(std::memory_order_relaxed);
-  stats.batches_split = batches_split_.load(std::memory_order_relaxed);
-  stats.split_chunks = split_chunks_.load(std::memory_order_relaxed);
   stats.epoch = epochs_.Epoch();
   stats.pending_requests = pending_.load(std::memory_order_acquire);
   stats.queue_depth = queue_.Size();

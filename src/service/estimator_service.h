@@ -64,18 +64,6 @@ struct EstimatorServiceOptions {
   size_t cache_capacity = 1 << 16;
   /// Disable to measure raw estimator throughput.
   bool cache_enabled = true;
-  /// Batch-aware scheduling: every batch's misses run in one estimator
-  /// session (CardinalityEstimator::PrepareSubplans — for FactorJoin, one
-  /// leaf-factor computation). A batch whose cache-missed mask count
-  /// reaches this threshold is split into per-worker chunks of that
-  /// session, whatever the estimator, so a 10k-sub-plan batch stops
-  /// monopolizing a single worker slot. Chunks are offered to idle workers
-  /// and claimed work-stealing style; the serving worker always makes
-  /// progress itself, so splitting never deadlocks even on a loaded
-  /// single-worker pool. 0 disables splitting. Split results are
-  /// bit-identical to the unsplit batch (a session's values do not depend
-  /// on the mask set).
-  size_t split_batch_min_masks = 512;
   /// Per-request stage spans (obs/request_trace.h): queue wait, cache
   /// probe, estimate kernel, and respond times recorded into the per-stage
   /// histograms of ServiceStats::stages and into any per-request trace
@@ -201,34 +189,10 @@ class EstimatorService {
   const obs::FlightRecorder& flight_recorder() const { return flight_; }
 
  private:
-  /// Shared state of one split batch: contiguous mask chunks claimed by an
-  /// atomic cursor (work stealing — idle workers help, the serving worker
-  /// claims until empty so progress never depends on anyone else), results
-  /// and errors per chunk, and a latch the serving worker waits on.
-  struct SplitJob {
-    const CardinalityEstimator::SubplanSession* session = nullptr;
-    std::vector<std::vector<uint64_t>> chunks;
-    std::vector<std::unordered_map<uint64_t, double>> results;
-    std::vector<std::exception_ptr> errors;
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
-    std::mutex mu;
-    std::condition_variable finished;
-
-    /// Claims and runs chunks until none are left. Safe to call from any
-    /// number of threads.
-    void RunChunks();
-    /// Blocks until every chunk completed (call after RunChunks returned).
-    void Wait();
-  };
-
   struct Request {
     Query query;
     std::vector<uint64_t> masks;
     SubplansCallback done;
-    // Internal helper request: the worker joins this split job instead of
-    // serving a client request (no completion, no stats).
-    std::shared_ptr<SplitJob> split;
     // Per-request trace destination: the worker records spans straight
     // into it so pre-filled stages (net decode) survive.
     std::shared_ptr<obs::RequestTrace> trace_sink;
@@ -240,29 +204,22 @@ class EstimatorService {
   /// service's workers; `what` names the offending API in the message.
   void ThrowIfWorkerThread(const char* what) const;
   void WorkerLoop();
-  void Serve(Request& req);
-  /// The one path of a client request: serves the batch (counted into
+  /// The one path of a request: serves the batch (counted into
   /// subplan_requests_, or errors_ when it throws), seals the trace (total
   /// + stage histograms), records end-to-end latency, runs `req.done`
   /// (timed as the respond stage), and then offers the request to the
   /// flight recorder.
-  void ServeAndComplete(Request& req);
+  void Serve(Request& req);
   /// `trace` may be null (tracing disabled); when set, cache-probe and
   /// estimate-kernel spans are added to it.
   std::unordered_map<uint64_t, double> ServeBatch(
       const Query& query, const std::vector<uint64_t>& masks,
       obs::RequestTrace* trace);
-  /// Estimates the cache-missed masks of a batch in one estimator session,
-  /// split across workers when the batch is large enough (see
-  /// split_batch_min_masks), and records the estimate stage.
+  /// Estimates the cache-missed masks of a batch in one estimator session
+  /// and records the estimate stage.
   std::unordered_map<uint64_t, double> EstimateMisses(
       const Query& query, const std::vector<uint64_t>& miss_masks,
       obs::RequestTrace* trace);
-  /// Runs `miss_masks` as `num_chunks` chunks of `session`, offered to idle
-  /// workers as helper requests (see SplitJob).
-  std::unordered_map<uint64_t, double> EstimateSplit(
-      const CardinalityEstimator::SubplanSession& session,
-      const std::vector<uint64_t>& miss_masks, size_t num_chunks);
 
   const CardinalityEstimator& estimator_;
   const EstimatorServiceOptions options_;
@@ -287,8 +244,6 @@ class EstimatorService {
   std::atomic<uint64_t> subplan_requests_{0};
   std::atomic<uint64_t> subplans_estimated_{0};
   std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> batches_split_{0};
-  std::atomic<uint64_t> split_chunks_{0};
 };
 
 }  // namespace fj

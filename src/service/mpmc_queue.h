@@ -35,20 +35,6 @@ class MpmcQueue {
     return true;
   }
 
-  /// Non-blocking push: returns false (dropping `item`) when the queue is
-  /// full or closed, instead of waiting for space. Used for best-effort
-  /// internal work (batch-split helper tasks) that a worker must never
-  /// block on — the caller falls back to doing the work itself.
-  bool TryPush(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocks while the queue is empty. Returns nullopt once the queue is
   /// closed AND drained, so consumers finish all accepted work before
   /// exiting. Thread-safe for any number of concurrent consumers.

@@ -25,12 +25,9 @@ struct ServiceStats {
   uint64_t subplans_estimated = 0;
   /// Requests completed with an error.
   uint64_t errors = 0;
-  /// Batched requests whose cache-miss set was split into per-worker chunks
-  /// (batch-aware scheduling; see
-  /// EstimatorServiceOptions::split_batch_min_masks).
+  /// Always 0: the service no longer splits batches. Kept only for
+  /// readers that still report them; no counter row exports them.
   uint64_t batches_split = 0;
-  /// Total chunks produced by split batches (avg chunk fan-out =
-  /// split_chunks / batches_split).
   uint64_t split_chunks = 0;
   /// Statistics epoch at snapshot time, which is also the number of
   /// NotifyUpdate calls received: each call bumps it exactly once. Cache
@@ -39,13 +36,9 @@ struct ServiceStats {
   uint64_t epoch = 0;
   /// Gauge: client requests accepted but not yet served at snapshot time
   /// (queued plus in-flight on workers) — what Drain() waits to reach zero.
-  /// Internal batch-split helper tasks are excluded: a split batch counts
-  /// once, as its parent request, until every chunk finished.
   uint64_t pending_requests = 0;
-  /// Gauge: entries sitting in the queue, not yet picked up by a worker.
-  /// pending_requests - queue_depth approximates in-flight work; while a
-  /// large batch is being split, short-lived internal helper tasks can
-  /// appear here without a matching pending request.
+  /// Gauge: requests sitting in the queue, not yet picked up by a worker.
+  /// pending_requests - queue_depth approximates in-flight work.
   uint64_t queue_depth = 0;
   /// Slow-request log lines emitted (see
   /// EstimatorServiceOptions::slow_request_micros; 0 while disabled).
@@ -125,10 +118,6 @@ inline constexpr ServiceCounter kServiceCounters[] = {
      &ServiceStats::subplans_estimated},
     {"fj_errors_total", obs::MetricKind::kCounter,
      "Requests completed with an error.", &ServiceStats::errors},
-    {"fj_batches_split_total", obs::MetricKind::kCounter,
-     "Batched requests split across workers.", &ServiceStats::batches_split},
-    {"fj_split_chunks_total", obs::MetricKind::kCounter,
-     "Chunks produced by split batches.", &ServiceStats::split_chunks},
     {"fj_epoch", obs::MetricKind::kGauge, "Current statistics epoch.",
      &ServiceStats::epoch},
     {"fj_pending_requests", obs::MetricKind::kGauge,

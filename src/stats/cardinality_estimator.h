@@ -72,16 +72,15 @@ class CardinalityEstimator {
     /// Estimates the given masks against the prepared state. Thread-safe:
     /// any number of threads may call concurrently on one session, and the
     /// values are bit-identical to a single EstimateSubplans(query, masks)
-    /// call with any superset of the masks (the serving layer splits one
-    /// large batch across workers and merges the chunk results relying on
-    /// exactly this).
+    /// call with any superset of the masks (the serving layer's cache
+    /// mixes values from different batches relying on exactly this).
     virtual std::unordered_map<uint64_t, double> EstimateSubplans(
         const std::vector<uint64_t>& masks) const = 0;
   };
 
   /// The one batch hook: prepares what every sub-plan mask of `query`
-  /// shares, so a batch can be estimated in one call or chunked across
-  /// threads without redoing that work per chunk. Never returns null. The
+  /// shares, so every EstimateSubplans call on the session reuses that
+  /// work. Never returns null. The
   /// default session has no shared state and estimates each mask on its
   /// own, as Estimate(query.InducedSubquery(mask)); methods with shared
   /// computation (FactorJoin's progressive algorithm) override this. The

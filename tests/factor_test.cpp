@@ -279,6 +279,35 @@ TEST(FactorJoinStepTest, CyclicJoinPicksTheGroupJoinBoundWinner) {
   EXPECT_EQ(mfv0, (std::vector<double>{10.0, 5.0, 7.5}));
 }
 
+// The join arena holds only the groups the joined factor keeps: the terms
+// of the losing and of a closing connecting group, and the right view of a
+// min-merged carried group, are read once and never reach it.
+TEST(FactorJoinStepTest, ArenaHoldsOnlyTheKeptGroups) {
+  FactorArena inputs;
+  // Group 0 closes at this join and is the tighter bound (6 vs 34); group 1
+  // is carried from both sides; group 2 from the left only.
+  const std::vector<uint64_t> group_masks = {0b011, 0b111, 0b101};
+  BoundFactor left = MakeFactor(0b01, 8.0,
+                                {{0, {{5.0, 3.0}, {1.0, 1.0}}},
+                                 {1, {{10.0, 10.0}, {2.0, 2.0}}},
+                                 {2, {{4.0, 4.0, 4.0}, {1.0, 2.0, 1.0}}}},
+                                &inputs);
+  BoundFactor right = MakeFactor(0b10, 6.0,
+                                 {{0, {{4.0, 2.0}, {1.0, 1.0}}},
+                                  {1, {{8.0, 9.0}, {3.0, 3.0}}}},
+                                 &inputs);
+  FactorArena arena;
+  BoundFactor joined =
+      JoinBoundFactors(left, right, {0, 1}, group_masks, &arena);
+  EXPECT_EQ(joined.card, 6.0);
+  ASSERT_EQ(joined.groups.size(), 2u);
+  EXPECT_EQ(joined.groups[0].gid, 1);
+  EXPECT_EQ(joined.groups[1].gid, 2);
+  size_t kept = 0;
+  for (const GroupSpan& g : joined.groups) kept += 2 * size_t{g.bins};
+  EXPECT_EQ(arena.allocated_doubles(), kept);
+}
+
 TEST(FactorJoinStepTest, IntraAliasMergeDropsSpanMemos) {
   FactorArena arena;
   GroupSpan merged = MakeGroupSpan(1, {9.0, 7.0}, {5.0, 6.0}, &arena);
@@ -330,6 +359,20 @@ TEST(FactorArenaTest, SpansStayValidAcrossGrowth) {
     EXPECT_DOUBLE_EQ(first[i], static_cast<double>(i));
   }
   EXPECT_GT(arena.num_blocks(), 1u);
+}
+
+TEST(FactorArenaTest, ResetReusesTheBlocks) {
+  FactorArena arena;
+  double* first = arena.Alloc(4);
+  for (int i = 0; i < 5; ++i) arena.Alloc(FactorArena::kBlockDoubles / 2);
+  size_t blocks = arena.num_blocks();
+  ASSERT_GT(blocks, 1u);
+  arena.Reset();
+  EXPECT_EQ(arena.allocated_doubles(), 0u);
+  EXPECT_EQ(arena.Alloc(4), first);
+  for (int i = 0; i < 5; ++i) arena.Alloc(FactorArena::kBlockDoubles / 2);
+  EXPECT_EQ(arena.num_blocks(), blocks);
+  EXPECT_EQ(arena.allocated_doubles(), 4 + 5 * FactorArena::kBlockDoubles / 2);
 }
 
 TEST(FactorArenaTest, OversizedAllocationGetsDedicatedBlock) {

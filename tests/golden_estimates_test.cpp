@@ -252,7 +252,9 @@ TEST(GoldenEstimatesTest, UBlock) {
 // an order-independent sum over sub-plans of
 //   Mix64(mask ^ Mix64(value bits) ^ query salt),
 // so one constant pins every estimate of a mask set bit for bit. Captured
-// from the std::unordered_map-memo decomposition (commit 89e9ece).
+// from the std::unordered_map-memo decomposition (commit 89e9ece); the
+// full-alias-mask-alone digest from the recursive flat-memo decomposition
+// (commit a96c9bb).
 
 struct ImdbDigests {
   uint64_t full = 0;        // every connected sub-plan, one call per query
@@ -260,6 +262,9 @@ struct ImdbDigests {
   uint64_t upper_half = 0;  // the larger half of the masks alone
   uint64_t every_7th = 0;   // masks 0, 7, 14, ... alone (ancestors on demand)
   uint64_t greedy = 0;      // Estimate() of each whole query
+  // The full alias mask alone: a one-query request, and the longest
+  // ancestor chain resolved on demand.
+  uint64_t full_alone = 0;
 };
 
 const Workload& ImdbDigestWorkload() {
@@ -302,6 +307,7 @@ ImdbDigests DigestImdbJob(const CardinalityEstimator& est,
     d.every_7th += digest_of(sparse);
     uint64_t all = (uint64_t{1} << q.NumTables()) - 1;
     d.greedy += term(all, est.Estimate(q));
+    d.full_alone += digest_of({q.AllAliases()});
   }
   EXPECT_EQ(num_masks, 44853u) << "the workload generator changed";
   return d;
@@ -317,6 +323,8 @@ void ExpectDigests(const ImdbDigests& want, const ImdbDigests& got) {
   EXPECT_EQ(want.every_7th, got.every_7th)
       << std::hex << "every 7th 0x" << got.every_7th;
   EXPECT_EQ(want.greedy, got.greedy) << std::hex << "greedy 0x" << got.greedy;
+  EXPECT_EQ(want.full_alone, got.full_alone)
+      << std::hex << "full alone 0x" << got.full_alone;
 }
 
 TEST(GoldenEstimatesTest, ImdbJobDigestsSampling) {
@@ -327,7 +335,7 @@ TEST(GoldenEstimatesTest, ImdbJobDigestsSampling) {
   FactorJoinEstimator est(w.db, cfg);
   ExpectDigests({0xf929318bd644d813ULL, 0xf929318bd644d813ULL,
                  0xbd6eb55b80e673f8ULL, 0x358866951e033be9ULL,
-                 0x4f8a482d1b7ef739ULL},
+                 0x4f8a482d1b7ef739ULL, 0xe3861af694c86f19ULL},
                 DigestImdbJob(est, w.queries));
 }
 
@@ -338,7 +346,7 @@ TEST(GoldenEstimatesTest, ImdbJobDigestsBayesNet) {
   FactorJoinEstimator est(w.db, cfg);
   ExpectDigests({0x21ec0a723515e9eaULL, 0x21ec0a723515e9eaULL,
                  0xfcd815ec76f11da1ULL, 0x5827ab08c6977863ULL,
-                 0x19d6e12166f5bc02ULL},
+                 0x19d6e12166f5bc02ULL, 0xe95d576bb4a761d6ULL},
                 DigestImdbJob(est, w.queries));
 }
 

@@ -1233,8 +1233,7 @@ TEST(SendPathTest, StopIsNotStuckBehindABlockedSend) {
   PopcountEstimator estimator;
   EstimatorService service(estimator, {.num_threads = 2,
                                        .queue_capacity = 8,
-                                       .cache_enabled = false,
-                                       .split_batch_min_masks = 0});
+                                       .cache_enabled = false});
   EstimatorServer server(service);
   server.Start();
   int fd = RawConnect(server.endpoint());

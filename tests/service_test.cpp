@@ -141,10 +141,8 @@ TEST(MpmcQueueTest, CloseDrainsBacklogAndRejectsNewItems) {
   MpmcQueue<int> queue(2);
   ASSERT_TRUE(queue.Push(1));
   ASSERT_TRUE(queue.Push(2));
-  EXPECT_FALSE(queue.TryPush(9));  // full: TryPush never waits
   queue.Close();
   EXPECT_FALSE(queue.Push(3));
-  EXPECT_FALSE(queue.TryPush(3));
   EXPECT_EQ(queue.Pop().value(), 1);
   EXPECT_EQ(queue.Pop().value(), 2);
   EXPECT_FALSE(queue.Pop().has_value());
@@ -1053,75 +1051,10 @@ TEST(ServiceTest, SubplanSessionMatchesBatchBitForBit) {
   }
 }
 
-TEST(ServiceTest, SplitBatchBitIdenticalToUnsplit) {
-  Database db = MakeDb();
-  FactorJoinEstimator estimator = MakeEstimator(db);
-  Query q = ChainQuery(25, 300);
-  std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
-  auto serial = estimator.EstimateSubplans(q, masks);
-
-  EstimatorServiceOptions options;
-  options.num_threads = 4;
-  options.cache_enabled = false;
-  options.split_batch_min_masks = 2;  // force splitting for the small batch
-  EstimatorService service(estimator, options);
-  auto split = service.EstimateSubplans(q, masks);
-  ASSERT_EQ(split.size(), serial.size());
-  for (const auto& [mask, value] : serial) {
-    EXPECT_EQ(split.at(mask), value) << "mask " << mask;
-  }
-  ServiceStats stats = service.Stats();
-  EXPECT_GE(stats.batches_split, 1u);
-  EXPECT_GE(stats.split_chunks, 2u);
-}
-
-TEST(ServiceTest, SplitBatchPopulatesCacheLikeUnsplit) {
-  Database db = MakeDb();
-  FactorJoinEstimator estimator = MakeEstimator(db);
-  Query q = ChainQuery(25, 300);
-  std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
-
-  EstimatorServiceOptions split_options;
-  split_options.num_threads = 4;
-  split_options.split_batch_min_masks = 2;
-  EstimatorService split_service(estimator, split_options);
-  EstimatorServiceOptions plain_options;
-  plain_options.num_threads = 4;
-  plain_options.split_batch_min_masks = 0;  // splitting disabled
-  EstimatorService plain_service(estimator, plain_options);
-
-  auto split_cold = split_service.EstimateSubplans(q, masks);
-  auto plain_cold = plain_service.EstimateSubplans(q, masks);
-  auto split_warm = split_service.EstimateSubplans(q, masks);
-  for (uint64_t mask : masks) {
-    EXPECT_EQ(split_cold.at(mask), plain_cold.at(mask)) << "mask " << mask;
-    EXPECT_EQ(split_warm.at(mask), plain_cold.at(mask)) << "mask " << mask;
-  }
-  EXPECT_EQ(plain_service.Stats().batches_split, 0u);
-  EXPECT_GE(split_service.Stats().cache.hits, masks.size());
-}
-
-TEST(ServiceTest, SplitBatchOnSingleWorkerPoolFallsBack) {
-  Database db = MakeDb();
-  FactorJoinEstimator estimator = MakeEstimator(db);
-  Query q = ChainQuery(25, 300);
-  std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
-  EstimatorServiceOptions options;
-  options.num_threads = 1;
-  options.cache_enabled = false;
-  options.split_batch_min_masks = 2;
-  EstimatorService service(estimator, options);
-  auto got = service.EstimateSubplans(q, masks);
-  auto serial = estimator.EstimateSubplans(q, masks);
-  for (uint64_t mask : masks) EXPECT_EQ(got.at(mask), serial.at(mask));
-  EXPECT_EQ(service.Stats().batches_split, 0u);
-}
-
 // A batch's estimate stage covers the session's shared work (for
 // FactorJoin, every leaf factor), not only the decomposition: a stub whose
-// PrepareSubplans sleeps 20 ms shows at least that much, whether the batch
-// is split or runs as one chunk.
-TEST(ServiceTest, SplitBatchEstimateStageCoversSessionSetup) {
+// PrepareSubplans sleeps 20 ms shows at least that much.
+TEST(ServiceTest, EstimateStageCoversSessionSetup) {
   class SlowSessionEstimator : public CardinalityEstimator {
    public:
     std::string Name() const override { return "slow-session"; }
@@ -1150,68 +1083,53 @@ TEST(ServiceTest, SplitBatchEstimateStageCoversSessionSetup) {
   SlowSessionEstimator estimator;
   Query q = ChainQuery(25, 300);
   std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
-  // split_batch_min_masks 2 splits the batch; 0 runs it as one chunk.
-  for (size_t min_masks : {size_t{2}, size_t{0}}) {
-    EstimatorServiceOptions options;
-    options.num_threads = 2;
-    options.cache_enabled = false;
-    options.split_batch_min_masks = min_masks;
-    EstimatorService service(estimator, options);
+  EstimatorService service(estimator,
+                           {.num_threads = 2, .cache_enabled = false});
 
-    auto trace = std::make_shared<obs::RequestTrace>();
-    std::promise<size_t> served;
-    service.EstimateSubplansAsync(
-        q, masks,
-        [&served](std::unordered_map<uint64_t, double> values,
-                  std::exception_ptr error) {
-          if (error != nullptr) {
-            served.set_exception(error);
-          } else {
-            served.set_value(values.size());
-          }
-        },
-        trace);
-    EXPECT_EQ(served.get_future().get(), masks.size());
-    EXPECT_EQ(service.Stats().batches_split, min_masks == 0 ? 0u : 1u);
-    EXPECT_GE(trace->Get(obs::Stage::kEstimate), 20000u)
-        << "split_batch_min_masks " << min_masks;
-  }
+  auto trace = std::make_shared<obs::RequestTrace>();
+  std::promise<size_t> served;
+  service.EstimateSubplansAsync(
+      q, masks,
+      [&served](std::unordered_map<uint64_t, double> values,
+                std::exception_ptr error) {
+        if (error != nullptr) {
+          served.set_exception(error);
+        } else {
+          served.set_value(values.size());
+        }
+      },
+      trace);
+  EXPECT_EQ(served.get_future().get(), masks.size());
+  EXPECT_GE(trace->Get(obs::Stage::kEstimate), 20000u);
 }
 
-// An estimator without shared state splits like FactorJoin: its default
-// session estimates each mask on its own, so the chunks reproduce per-mask
-// Estimate bit for bit.
-TEST(ServiceTest, SplitBatchOfIndependentEstimatorMatchesEstimate) {
+// An estimator without shared state gets the default session, which
+// estimates each mask on its own: a batch through the service reproduces
+// per-mask Estimate bit for bit.
+TEST(ServiceTest, DefaultSessionBatchMatchesEstimate) {
   Database db = MakeDb();
   PostgresEstimator estimator(db);
   Query q = ChainQuery(25, 300);
   std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
-  EstimatorServiceOptions options;
-  options.num_threads = 4;
-  options.cache_enabled = false;
-  options.split_batch_min_masks = 2;
-  EstimatorService service(estimator, options);
-  auto split = service.EstimateSubplans(q, masks);
-  ASSERT_EQ(split.size(), masks.size());
+  EstimatorService service(estimator,
+                           {.num_threads = 4, .cache_enabled = false});
+  auto served = service.EstimateSubplans(q, masks);
+  ASSERT_EQ(served.size(), masks.size());
   for (uint64_t mask : masks) {
-    EXPECT_EQ(std::bit_cast<uint64_t>(split.at(mask)),
+    EXPECT_EQ(std::bit_cast<uint64_t>(served.at(mask)),
               std::bit_cast<uint64_t>(
                   estimator.Estimate(q.InducedSubquery(mask))))
         << "mask " << mask;
   }
-  EXPECT_GE(service.Stats().batches_split, 1u);
 }
 
-// TSAN target: split batches fan work across workers while updates bump
-// epochs and invalidate cache entries — the scheduling, the epoch registry
-// and the shared session must stay race-free.
-TEST(ServiceTest, SplitBatchesRaceNotifyUpdate) {
+// TSAN target: concurrent batches share one estimator while updates bump
+// epochs and invalidate cache entries — the sessions, the epoch registry
+// and the cache must stay race-free.
+TEST(ServiceTest, BatchesRaceNotifyUpdate) {
   Database db = MakeDb();
   FactorJoinEstimator estimator = MakeEstimator(db);
-  EstimatorServiceOptions options;
-  options.num_threads = 4;
-  options.split_batch_min_masks = 2;
-  EstimatorService service(estimator, options);
+  EstimatorService service(estimator, {.num_threads = 4});
   std::vector<Query> queries = MakeWorkload(8);
   std::vector<std::vector<uint64_t>> masks;
   for (const Query& q : queries) {
@@ -1239,7 +1157,7 @@ TEST(ServiceTest, SplitBatchesRaceNotifyUpdate) {
   stop.store(true);
   updater.join();
   service.Drain();
-  EXPECT_GE(service.Stats().batches_split, 1u);
+  EXPECT_EQ(service.Stats().subplan_requests, 60u);
 }
 
 // Overwriting an entry refreshes it like a lookup does, so the victim is
